@@ -43,9 +43,8 @@ from .lattice import (
     Statement,
     Vocabulary,
     description_length,
-    enumerate_language,
 )
-from .tasks import Decision, VTask, attempt_task, generalises, is_child, is_model, make_task, models
+from .tasks import Decision, VTask, attempt_task, is_child, is_model, make_task, models
 
 __version__ = "0.1.0"
 
@@ -79,10 +78,8 @@ __all__ = [
     "WeaklabError",
     "attempt_task",
     "description_length",
-    "enumerate_language",
     "exclusive_family_sum",
     "generalisation_probability",
-    "generalises",
     "induce",
     "is_child",
     "is_model",

@@ -5,8 +5,10 @@ Subcommands: ``experiment`` (arithmetic trials and table/CSV/JSON reports),
 sweep), ``induce`` (run induction on a task from a spec file).
 
 Exit codes: 0 success; 1 verification violation or empty model set;
-2 flagged trials present (results still written); 64 usage; 65 spec file
-errors; 74 I/O failure; 75 capacity overflow.
+2 flagged trials present (results still written); 64 usage, including a
+negative --tau, an empty --dk and a --trials, --budget or --cap below 1;
+65 spec file errors, including a file that is not UTF-8; 74 I/O failure;
+75 capacity overflow.
 """
 
 from __future__ import annotations
@@ -64,16 +66,32 @@ def _fmt_frac(x: Fraction) -> str:
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x != ""]
+        values = [int(x) for x in text.split(",") if x != ""]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+    return values
 
 
 def _parse_tau(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        tau = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+    if tau < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
+    return tau
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -84,13 +102,13 @@ def build_parser() -> _Parser:
     ex.add_argument("--op", choices=["add", "mul", "both"], default="both")
     ex.add_argument("--dk", type=_parse_int_list, default=[6, 10, 14],
                     metavar="LIST", help="comma-separated |D_k| values")
-    ex.add_argument("--trials", type=int, default=200)
+    ex.add_argument("--trials", type=_positive_int, default=200)
     ex.add_argument("--seed", default=None, help="master seed (any string)")
     ex.add_argument("--mode", choices=[arith.MODE_STATE, arith.MODE_PENALIZED],
                     default=arith.MODE_PENALIZED)
     ex.add_argument("--tau", type=_parse_tau, default=Fraction(1),
                     help="weakness term penalty (rational, default 1)")
-    ex.add_argument("--budget", type=int, default=None,
+    ex.add_argument("--budget", type=_positive_int, default=None,
                     help="search node budget per cover")
     ex.add_argument("--width", type=int, default=8, choices=[4, 8])
     ex.add_argument("--out", default=None, help="results file path")
@@ -116,8 +134,7 @@ def build_parser() -> _Parser:
     ind.add_argument("--spec", required=True, help="task-definition file")
     ind.add_argument("--task", required=True, help="task name")
     ind.add_argument("--proxy", choices=["weakness", "mdl"], default="weakness")
-    ind.add_argument("--max-states", type=int, default=None, help=argparse.SUPPRESS)
-    ind.add_argument("--cap", type=int, default=specdsl.DEFAULT_LANGUAGE_CAP,
+    ind.add_argument("--cap", type=_positive_int, default=specdsl.DEFAULT_LANGUAGE_CAP,
                      help="derived-language size cap")
     ind.add_argument("--out", default=None, help="structured output path")
     ind.add_argument("--format", choices=["table", "structured"], default="table")
@@ -129,9 +146,6 @@ def build_parser() -> _Parser:
 
 
 def cmd_experiment(args) -> int:
-    if args.trials < 1:
-        print("weaklab: error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     ops = ["add", "mul"] if args.op == "both" else [args.op]
     m_max = 16 if args.width == 8 else 4
     for m in args.dk:
@@ -324,6 +338,9 @@ def cmd_induce(args) -> int:
     except OSError as exc:
         print(f"weaklab: cannot read {args.spec}: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"{args.spec}: not valid UTF-8 ({exc})", file=sys.stderr)
+        return EXIT_SPEC
     try:
         compiled = specdsl.compile_text(text, cap=args.cap)
     except specdsl.SpecError as exc:

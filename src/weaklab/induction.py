@@ -39,9 +39,9 @@ def generalisation_probability(task: VTask, h: Statement) -> Fraction:
     reach of the situations."""
     if not task.is_model(h):
         raise TaskPreconditionError(f"{h!r} is not a model of the task")
-    outside = set(task.lang.statements) - set(task.reachable)
-    inside_h = outside & set(task.lang.extension(h))
-    return Fraction(1 << len(inside_h), 1 << len(outside))
+    lang = task.lang
+    inside_h = (lang.extension_mask(h) & ~task.reach).bit_count()
+    return Fraction(1 << inside_h, 1 << (lang.size - task.reach.bit_count()))
 
 
 def prior(lang: Language, h: Statement) -> Fraction:
@@ -79,13 +79,16 @@ def exclusive_family_sum(lang: Language, x: Statement) -> FamilySumReport:
     Reporting only: maximal families are not unique and observed totals can
     differ from 1; nothing is asserted here.
     """
-    lang.position(x)
-    family = [x]
-    for s in lang.statements:
-        if s == x:
-            continue
-        if all(mutually_exclusive(lang, s, f) for f in family):
-            family.append(s)
-    members = tuple(sorted(family))
+    family = 1 << lang.position(x)
+    # members containing some member of the family, x itself included
+    above = lang.extension_mask(x)
+    for i, s in enumerate(lang.statements):
+        ext = lang.extension_mask(s)
+        # s is exclusive with the family iff it contains no member of it
+        # and no member contains s
+        if not above >> i & 1 and not ext & family:
+            family |= 1 << i
+            above |= ext
+    members = lang.statements_of(family)
     total = sum((prior(lang, f) for f in members), Fraction(0))
     return FamilySumReport(ExclusiveFamily(x, members), total)

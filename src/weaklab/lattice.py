@@ -4,6 +4,16 @@ A statement is a satisfiable conjunction of predicates, identified by the
 sorted tuple of its predicate indices.  A language is a finite universe of
 statements, either derived (every satisfiable subset of the vocabulary) or
 explicit (a universe listed verbatim).  All counting is exact.
+
+Sets of members are bitmasks over statement positions (bit i is the i-th
+statement in global order).  A language keeps one mask per predicate, the
+positions of the members that contain it, built in one pass on first use.
+The extension of any statement of the vocabulary, member or not, is the AND
+of its predicates' masks, so weakness, models and probabilities are
+popcounts.  No mask is stored per statement: a derived language can hold
+thousands of statements, so extensions are computed on demand, and only
+``Language.extension_masks`` lists them all, for the oracle's tiny
+languages.
 """
 
 from __future__ import annotations
@@ -278,7 +288,7 @@ class Language:
     mode: str
     statements: tuple[Statement, ...]
     _index: dict[tuple[int, ...], int] = field(repr=False, default_factory=dict)
-    _ext: list[int] | None = field(repr=False, default=None)
+    _pred: list[int] | None = field(repr=False, default=None)
 
     def __post_init__(self):
         if not self._index:
@@ -359,10 +369,6 @@ class Language:
         except KeyError:
             raise MembershipError(f"statement {s!r} is not in the language") from None
 
-    def require_member(self, s: Statement) -> Statement:
-        self.position(s)
-        return s
-
     # -- semantics ---------------------------------------------------------
 
     def sat_set(self, s: Statement) -> StateSet:
@@ -383,63 +389,65 @@ class Language:
 
     # -- extensions --------------------------------------------------------
 
-    def _ext_masks(self) -> list[int]:
-        # ext[i] = bitmask over statement positions of supersets of statement i
-        if self._ext is None:
-            member_sets = [frozenset(s.members) for s in self.statements]
-            ext = []
-            for i, si in enumerate(member_sets):
-                m = 0
-                for j, sj in enumerate(member_sets):
-                    if si <= sj:
-                        m |= 1 << j
-                ext.append(m)
-            self._ext = ext
-        return self._ext
+    def _predicate_masks(self) -> list[int]:
+        # mask[p] = bitmask over statement positions of the members holding p
+        if self._pred is None:
+            rows = [bytearray((self.size + 7) // 8) for _ in self.vocab]
+            for i, s in enumerate(self.statements):
+                for p in s.members:
+                    rows[p][i >> 3] |= 1 << (i & 7)
+            self._pred = [int.from_bytes(row, "little") for row in rows]
+        return self._pred
+
+    def extension_mask(self, s: Statement) -> int:
+        """Bitmask over statement positions of the members containing ``s``,
+        a statement of the vocabulary that need not be a member itself: the
+        AND of the masks of its predicates, every position when ``s`` is
+        empty."""
+        pred = self._predicate_masks()
+        mask = (1 << self.size) - 1
+        for p in s.members:
+            mask &= pred[p]
+        return mask
 
     def extension_masks(self) -> list[int]:
-        """Per statement position i, the bitmask (over positions) of the
-        members containing statement i.  Shared cache; do not mutate."""
-        return self._ext_masks()
+        """Per statement position i, the extension mask of statement i.
+        Built afresh on each call, one mask per statement, so it is meant
+        for small languages only; big ones compute masks on demand."""
+        return [self.extension_mask(s) for s in self.statements]
+
+    def statements_of(self, mask: int) -> tuple[Statement, ...]:
+        """Members at the set bits of a position mask, in global order."""
+        bits = bin(mask)[:1:-1]  # character i is bit i
+        return tuple(s for s, b in zip(self.statements, bits) if b == "1")
 
     def supersets(self, s: Statement) -> tuple[Statement, ...]:
         """Members of the universe containing ``s``; ``s`` need not be a
-        member itself (situations of explicit-universe tasks are not).
-
-        Linear scan; the quadratic superset matrix is only built by callers
-        that need all of it (see extension_masks).
-        """
-        if not self.is_statement(s):
-            raise MembershipError(
-                f"{s!r} is not a statement of this language's vocabulary"
-            )
-        if self._ext is not None and s in self:
-            mask = self._ext[self.position(s)]
-            return self._statements_of_mask(mask)
-        mem = set(s.members)
-        return tuple(t for t in self.statements if mem <= set(t.members))
+        member itself (situations of explicit-universe tasks are not)."""
+        return self.extension_of_set((s,))
 
     def extension(self, s: Statement) -> tuple[Statement, ...]:
         """All members containing the member statement ``s`` (itself included)."""
         self.position(s)
-        return self.supersets(s)
+        return self.statements_of(self.extension_mask(s))
 
     def extension_of_set(self, stmts: Iterable[Statement]) -> tuple[Statement, ...]:
         """Union of the extensions of ``stmts``, in global order."""
-        out: set[Statement] = set()
+        mask = 0
         for s in stmts:
-            out.update(self.supersets(s))
-        return tuple(sorted(out))
-
-    def _statements_of_mask(self, mask: int) -> tuple[Statement, ...]:
-        return tuple(s for i, s in enumerate(self.statements) if mask >> i & 1)
+            if not self.is_statement(s):
+                raise MembershipError(
+                    f"{s!r} is not a statement of this language's vocabulary"
+                )
+            mask |= self.extension_mask(s)
+        return self.statements_of(mask)
 
     # -- proxies -----------------------------------------------------------
 
     def weakness(self, s: Statement) -> int:
         """Cardinality of the extension of a member statement (exact)."""
         self.position(s)
-        return len(self.supersets(s))
+        return self.extension_mask(s).bit_count()
 
     def proxy_value(self, kind: str, s: Statement) -> ProxyValue:
         """Totally ordered proxy value of a member statement.
@@ -478,10 +486,3 @@ def _check_vocab_space(space: StateSpace, vocab: Vocabulary) -> None:
                 f"predicate {p.name!r} has truth table over {p.truth.size} "
                 f"states, space has {space.size}"
             )
-
-
-def enumerate_language(
-    space: StateSpace, vocab: Vocabulary, cap: int = DEFAULT_LANGUAGE_CAP
-) -> Language:
-    """Functional alias for Language.derive."""
-    return Language.derive(space, vocab, cap)

@@ -43,18 +43,18 @@ PRIOR_REPORT_CAP = 4_096
 # census
 
 
-@dataclass
-class TaskCensus:
-    """All tasks of a language with nonempty situations (a proper subset of
-    the universe) and nonempty decision sets."""
-
-    lang: Language
-    tasks: tuple[VTask, ...]
-    count: int
-
-
 def census_size(lang: Language, cap: int = DEFAULT_CENSUS_CAP) -> int:
     """Exact census cardinality, without materializing tasks.
+
+    Raises CapacityError as soon as the running total exceeds ``cap``.
+    """
+    return _census(lang, cap)[2]
+
+
+def _census(lang: Language, cap: int) -> tuple[list[int], list[int], int]:
+    """The extension masks of the members, the reach table of the census
+    (reach[m] is the mask of the members containing some statement at a set
+    bit of m, for every proper situation mask m) and the census size.
 
     Raises CapacityError as soon as the running total exceeds ``cap``.
     """
@@ -65,7 +65,7 @@ def census_size(lang: Language, cap: int = DEFAULT_CENSUS_CAP) -> int:
         raise CapacityError("task census", cap)
     ext = lang.extension_masks()
     full = (1 << n) - 1
-    reach = [0] * (1 << n)
+    reach = [0] * full
     total = 0
     for mask in range(1, full):
         low = mask & -mask
@@ -73,39 +73,7 @@ def census_size(lang: Language, cap: int = DEFAULT_CENSUS_CAP) -> int:
         total += (1 << reach[mask].bit_count()) - 1
         if total > cap:
             raise CapacityError("task census", cap)
-    return total
-
-
-def enumerate_tasks(lang: Language, cap: int = DEFAULT_CENSUS_CAP) -> TaskCensus:
-    """Materialize the census in deterministic order (situation sets by
-    size then lexicographic position, decision sets likewise)."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    n = lang.size
-    stmts = lang.statements
-    ext = lang.extension_masks()
-    tasks: list[VTask] = []
-    for k in range(1, n):
-        for sit_idx in itertools.combinations(range(n), k):
-            reach_mask = 0
-            for i in sit_idx:
-                reach_mask |= ext[i]
-            reach_idx = [j for j in range(n) if reach_mask >> j & 1]
-            situations = tuple(stmts[i] for i in sit_idx)
-            reachable = tuple(stmts[j] for j in reach_idx)
-            for r in range(1, len(reach_idx) + 1):
-                for dec_idx in itertools.combinations(reach_idx, r):
-                    if len(tasks) >= cap:
-                        raise CapacityError("task census", cap)
-                    tasks.append(
-                        VTask(
-                            lang,
-                            situations,
-                            tuple(stmts[j] for j in dec_idx),
-                            reachable,
-                        )
-                    )
-    return TaskCensus(lang, tuple(tasks), len(tasks))
+    return ext, reach, total
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +202,9 @@ def verify_weakness_optimality(
     ``extra_tasks`` adds rows for tasks of interest (e.g. fixtures) that are
     not themselves census members.
     """
-    total_census = census_size(lang, census_cap)
+    ext, reach, total_census = _census(lang, census_cap)
     n = lang.size
-    ext = lang.extension_masks()
     full = (1 << n) - 1
-    reach = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        reach[mask] = reach[mask ^ low] | ext[low.bit_length() - 1]
 
     rows: list[OptimalityRow] = []
     rows_total = 0
@@ -249,27 +212,21 @@ def verify_weakness_optimality(
     violations: list[Violation] = []
     deviation_count = 0
     deviation_samples: list[OptimalityRow] = []
-    rows_truncated = False
 
-    def record(row: OptimalityRow, deviates: bool) -> None:
-        nonlocal rows_total, deviation_count, rows_truncated
-        rows_total += 1
-        if len(rows) < max_rows:
-            rows.append(row)
-        else:
-            rows_truncated = True
-        if deviates:
-            deviation_count += 1
-            if len(deviation_samples) < max_rows:
-                deviation_samples.append(row)
-
-    def sweep_task(s_mask: int, d_mask: int, model_idx: list[int]) -> None:
-        nonlocal tasks_checked
-        tasks_checked += 1
+    def sweep_task(
+        situations: tuple[tuple[int, ...], ...],
+        s_mask: int,
+        zs: int,
+        d_mask: int,
+        model_idx: list[int],
+    ) -> None:
+        # s_mask 0 marks situations outside the universe: census situation
+        # sets are drawn from the universe, so such a task has no parents.
+        nonlocal rows_total, deviation_count
         d_pc = d_mask.bit_count()
         counts = [0] * len(model_idx)
         total_parents = 0
-        comp = full & ~s_mask
+        comp = full & ~s_mask if s_mask else 0
         t = comp
         while t:
             big = s_mask | t
@@ -283,33 +240,31 @@ def verify_weakness_optimality(
         best = max(counts)
         weaknesses = [ext[h].bit_count() for h in model_idx]
         w_max = max(weaknesses)
-        situations = tuple(
-            lang.statements[i].members for i in range(n) if s_mask >> i & 1
-        )
-        decisions = tuple(
-            lang.statements[i].members for i in range(n) if d_mask >> i & 1
-        )
-        outside_pc = n - reach[s_mask].bit_count() if s_mask else n
+        decisions = tuple(s.members for s in lang.statements_of(d_mask))
+        outside_pc = n - zs.bit_count()
         for pos, h in enumerate(model_idx):
-            a = (ext[h] & full & ~reach[s_mask]).bit_count()
+            a = (ext[h] & ~zs).bit_count()
             formula = Fraction(1 << a, 1 << outside_pc)
             empirical = (
                 Fraction(counts[pos], total_parents) if total_parents else None
             )
-            deviates = empirical is not None and empirical != formula
-            record(
-                OptimalityRow(
-                    situations,
-                    decisions,
-                    lang.statements[h].members,
-                    weaknesses[pos],
-                    counts[pos],
-                    total_parents,
-                    formula,
-                    empirical,
-                ),
-                deviates,
+            row = OptimalityRow(
+                situations,
+                decisions,
+                lang.statements[h].members,
+                weaknesses[pos],
+                counts[pos],
+                total_parents,
+                formula,
+                empirical,
             )
+            rows_total += 1
+            if len(rows) < max_rows:
+                rows.append(row)
+            if empirical is not None and empirical != formula:
+                deviation_count += 1
+                if len(deviation_samples) < max_rows:
+                    deviation_samples.append(row)
         for pos, h in enumerate(model_idx):
             if weaknesses[pos] == w_max and counts[pos] < best:
                 best_pos = counts.index(best)
@@ -326,81 +281,37 @@ def verify_weakness_optimality(
 
     for s_mask in range(1, full):
         zs = reach[s_mask]
+        situations = tuple(s.members for s in lang.statements_of(s_mask))
         groups: dict[int, list[int]] = {}
         for h in range(n):
             d = zs & ext[h]
             if d:
                 groups.setdefault(d, []).append(h)
         for d_mask, model_idx in groups.items():
-            sweep_task(s_mask, d_mask, model_idx)
+            tasks_checked += 1
+            sweep_task(situations, s_mask, zs, d_mask, model_idx)
 
+    # extra tasks add rows but are not census tasks, so not tasks_checked
     for task in extra_tasks:
-        _sweep_extra_task(lang, task, reach, ext, full, record)
+        model_idx = [lang.position(h) for h in task.models()]
+        if not model_idx:
+            continue
+        s_mask = 0
+        if all(s in lang for s in task.situations):
+            s_mask = sum(1 << lang.position(s) for s in task.situations)
+        situations = tuple(s.members for s in task.situations)
+        sweep_task(situations, s_mask, task.reach, task.decided, model_idx)
 
     return OptimalityReport(
         census_size=total_census,
         tasks_checked=tasks_checked,
         rows_total=rows_total,
         rows=rows,
-        rows_truncated=rows_truncated,
+        rows_truncated=rows_total > len(rows),
         violations=violations,
         deviation_count=deviation_count,
         deviation_samples=deviation_samples,
     )
-
-
-def _sweep_extra_task(lang, task, reach, ext, full, record) -> None:
-    # Situations outside the materialized universe have no census parents
-    # (census situation sets are drawn from the universe), so such tasks get
-    # zero-count rows; the formula side is still exact.
-    in_universe = all(s in lang for s in task.situations)
-    s_mask = 0
-    if in_universe:
-        for s in task.situations:
-            s_mask |= 1 << lang.position(s)
-    d_mask = 0
-    for d in task.decisions:
-        d_mask |= 1 << lang.position(d)
-    d_pc = d_mask.bit_count()
-    outside = full & ~_set_mask(lang, task.reachable)
-    for h in task.models():
-        hi = lang.position(h)
-        count = 0
-        total_parents = 0
-        if in_universe:
-            comp = full & ~s_mask
-            t = comp
-            while t:
-                big = s_mask | t
-                if big != full:
-                    zt = reach[big]
-                    total_parents += 1 << (zt.bit_count() - d_pc)
-                    if zt & ext[hi] & d_mask == d_mask:
-                        count += 1
-                t = (t - 1) & comp
-        a = (ext[hi] & outside).bit_count()
-        formula = Fraction(1 << a, 1 << outside.bit_count())
-        empirical = Fraction(count, total_parents) if total_parents else None
-        record(
-            OptimalityRow(
-                tuple(s.members for s in task.situations),
-                tuple(d.members for d in task.decisions),
-                h.members,
-                lang.weakness(h),
-                count,
-                total_parents,
-                formula,
-                empirical,
-            ),
-            empirical is not None and empirical != formula,
-        )
-
-
-def _set_mask(lang: Language, stmts: Iterable[Statement]) -> int:
-    m = 0
-    for s in stmts:
-        m |= 1 << lang.position(s)
-    return m
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,14 @@
 A task pairs a set of situations with the subset of their reachable
 decisions that count as correct.  A model is a statement whose extension
 picks out exactly the correct decisions among the reachable ones.
+
+A task holds its reachable decisions Z_S and its correct decisions D as
+bitmasks over the statement positions of its language, the representation
+``lattice`` computes extensions in.  h is a model iff
+``reach & extension_mask(h) == decided``, and every other question about
+the task is a popcount or a lowest set bit of such masks.  Like the
+language, a task keeps no mask per statement: for the big derived languages
+of the spec corpus it computes each extension on demand.
 """
 
 from __future__ import annotations
@@ -36,39 +44,36 @@ class VTask:
 
     Situations must be statements of the language's vocabulary; in an
     explicit-universe language they need not be members of the universe
-    itself (reachable decisions are still scanned from the universe).
+    itself.  ``reach`` is the position mask of Z_S, the members containing
+    some situation, and ``decided`` the position mask of D.
     """
 
     lang: Language
     situations: tuple[Statement, ...]
     decisions: tuple[Statement, ...]
-    reachable: tuple[Statement, ...]
+    reach: int
+    decided: int
     _models: tuple[Statement, ...] | None = field(default=None, repr=False)
 
     @property
-    def decision_set(self) -> frozenset[Statement]:
-        return frozenset(self.decisions)
+    def reachable(self) -> tuple[Statement, ...]:
+        """Z_S in global order."""
+        return self.lang.statements_of(self.reach)
 
     def models(self) -> tuple[Statement, ...]:
         """All statements h of the language with Z_S ∩ Z_h = D, in global
         order; computed once and cached."""
         if self._models is None:
-            reach = [(set(z.members), z in self.decision_set) for z in self.reachable]
+            ext = self.lang.extension_mask
             self._models = tuple(
-                h for h in self.lang.statements if _separates(set(h.members), reach)
+                h for h in self.lang.statements
+                if self.reach & ext(h) == self.decided
             )
         return self._models
 
     def is_model(self, h: Statement) -> bool:
         self.lang.position(h)
-        reach = [(set(z.members), z in self.decision_set) for z in self.reachable]
-        return _separates(set(h.members), reach)
-
-
-def _separates(h_members: set[int], reach: list[tuple[set[int], bool]]) -> bool:
-    # Z_h ∩ Z_S = D iff, among the reachable decisions, exactly the correct
-    # ones contain h.  Linear in |Z_S| rather than in the language size.
-    return all((h_members <= z) == correct for z, correct in reach)
+        return self.reach & self.lang.extension_mask(h) == self.decided
 
 
 def make_task(
@@ -76,8 +81,8 @@ def make_task(
     situations: Iterable[Statement],
     decisions: Iterable[Statement],
 ) -> VTask:
-    """Validate and build a task; reachable decisions are cached, models are
-    not computed eagerly.
+    """Validate and build a task with its reach and decision masks; models
+    are not computed eagerly.
 
     Situations must form a proper subset of the universe whenever they are
     all members of it; decisions must be reachable from the situations.
@@ -95,25 +100,22 @@ def make_task(
             )
     if all(s in lang for s in sit) and len(sit) == lang.size:
         raise InvalidTaskError("situations must be a proper subset of the universe")
-    reachable = lang.extension_of_set(sit)
-    reach = set(reachable)
-    bad = [d for d in dec if d not in reach]
+    reach = 0
+    for s in sit:
+        reach |= lang.extension_mask(s)
+    bad = [d for d in dec if d not in lang or not reach >> lang.position(d) & 1]
     if bad:
         listed = ", ".join(repr(d) for d in bad)
         raise InvalidTaskError(
             f"decisions not reachable from the situations: {listed}"
         )
-    return VTask(lang, sit, dec, reachable)
+    decided = sum(1 << lang.position(d) for d in dec)
+    return VTask(lang, sit, dec, reach, decided)
 
 
 def is_model(task: VTask, h: Statement) -> bool:
     """True iff the extensions of the situations, intersected with the
     extension of h, give exactly the correct decisions."""
-    return task.is_model(h)
-
-
-def generalises(h: Statement, task: VTask) -> bool:
-    """A statement generalises to a task iff it is one of its models."""
     return task.is_model(h)
 
 
@@ -130,22 +132,19 @@ def attempt_task(task: VTask, h: Statement, s: Statement) -> Decision:
     """
     if s not in task.situations:
         raise TaskPreconditionError(f"{s!r} is not a situation of this task")
-    task.lang.position(h)
-    z_s = set(task.lang.supersets(s))
-    z_h = task.lang.extension(h)
-    joint = [z for z in z_h if z in z_s]
+    lang = task.lang
+    lang.position(h)
+    joint = lang.extension_mask(s) & lang.extension_mask(h)
     if not joint:
         raise NoDecisionError(
             f"hypothesis {h!r} admits no decision for situation {s!r}"
         )
-    chosen = min(joint)
-    return Decision(chosen, chosen in task.decision_set)
+    first = (joint & -joint).bit_length() - 1
+    return Decision(lang.statements[first], bool(task.decided >> first & 1))
 
 
 def is_child(a: VTask, w: VTask) -> bool:
     """Task containment: situations properly contained, decisions contained."""
     if not a.lang.same_as(w.lang):
         raise IncompatibleLanguageError("tasks built over different languages")
-    sa, sw = set(a.situations), set(w.situations)
-    return sa < sw and a.decision_set <= w.decision_set
-
+    return set(a.situations) < set(w.situations) and a.decided & ~w.decided == 0

@@ -2,14 +2,18 @@
 
 Everything here is deliberately naive: plain set algebra, exhaustive
 enumeration, and uniform-cost search.  None of it shares code with the
-package's own algorithms.
+package's own algorithms; the task census only hands its naively
+enumerated tasks to the public ``make_task`` for validation.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+
+from weaklab import CapacityError, Language, VTask, make_task
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +68,38 @@ def naive_census_count(universe: list[frozenset[int]]) -> int:
                 reach |= naive_extension(universe, s)
             count += (1 << len(reach)) - 1
     return count
+
+
+@dataclass
+class TaskCensus:
+    """All tasks of a language with nonempty situations (a proper subset of
+    the universe) and nonempty decision sets."""
+
+    lang: Language
+    tasks: tuple[VTask, ...]
+    count: int
+
+
+def enumerate_tasks(lang: Language, cap: int = 1_000_000) -> TaskCensus:
+    """Materialize the census in deterministic order (situation sets by
+    size then lexicographic position, decision sets likewise), each task
+    built by the public make_task from naively computed reachable sets."""
+    stmts = lang.statements
+    universe = [frozenset(s.members) for s in stmts]
+    tasks: list[VTask] = []
+    for k in range(1, len(stmts)):
+        for sit_idx in itertools.combinations(range(len(stmts)), k):
+            reach = set()
+            for i in sit_idx:
+                reach |= naive_extension(universe, universe[i])
+            reachable = [s for s, u in zip(stmts, universe) if u in reach]
+            situations = [stmts[i] for i in sit_idx]
+            for r in range(1, len(reachable) + 1):
+                for decisions in itertools.combinations(reachable, r):
+                    if len(tasks) >= cap:
+                        raise CapacityError("task census", cap)
+                    tasks.append(make_task(lang, situations, decisions))
+    return TaskCensus(lang, tuple(tasks), len(tasks))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from weaklab import cli
 from conftest import spec_path
 
@@ -100,6 +102,26 @@ def test_usage_error_is_64():
 def test_no_command_is_64():
     proc = run_proc()
     assert proc.returncode == 64
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["experiment", "--tau", "-1", "--trials", "1"], 64),
+        (["experiment", "--budget", "-5", "--trials", "1"], 64),
+        (["experiment", "--dk", ",", "--trials", "1"], 64),
+        (["induce", "--spec", "{tiny}", "--task", "t1", "--cap", "0"], 64),
+        (["induce", "--spec", "{tiny}", "--task", "t1", "--max-states", "3"], 64),
+        (["induce", "--spec", "{not_utf8}", "--task", "t1"], 65),
+    ],
+)
+def test_bad_input_ends_in_documented_code(tmp_path, argv, code):
+    not_utf8 = tmp_path / "latin1.wl"
+    not_utf8.write_bytes("width 1;\npred p := b0; # \xe9\n".encode("latin-1"))
+    paths = {"tiny": spec_path("tiny.wl"), "not_utf8": str(not_utf8)}
+    proc = run_proc(*(a.format(**paths) for a in argv))
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ from weaklab import (
     induce,
     make_task,
     mutually_exclusive,
-    oracle,
     prior,
 )
 from conftest import random_language
+from _oracles import enumerate_tasks
 
 
 def S(*idx):
@@ -55,7 +55,7 @@ def test_induce_argmax_property():
         lang = random_language(rng, max_states=3, max_vocab=3)
         if lang.size < 2:
             continue
-        census = oracle.enumerate_tasks(lang, cap=100_000)
+        census = enumerate_tasks(lang, cap=100_000)
         for task in census.tasks[:: max(1, len(census.tasks) // 9)]:
             ms = task.models()
             if not ms:
@@ -95,7 +95,7 @@ def test_probability_in_unit_interval():
         lang = random_language(rng, max_states=3, max_vocab=3)
         if lang.size < 2:
             continue
-        census = oracle.enumerate_tasks(lang, cap=100_000)
+        census = enumerate_tasks(lang, cap=100_000)
         for task in census.tasks[:: max(1, len(census.tasks) // 7)]:
             for h in task.models():
                 p = generalisation_probability(task, h)

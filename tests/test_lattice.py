@@ -16,10 +16,11 @@ from weaklab import (
     Vocabulary,
     VocabularyError,
     description_length,
+    make_task,
 )
 from conftest import random_language
 
-from _oracles import naive_language, naive_extension
+from _oracles import naive_extension, naive_language, naive_models
 
 
 def S(*idx):
@@ -245,3 +246,44 @@ def test_extension_matches_naive_route():
         for s in lang.statements:
             naive = naive_extension(universe, frozenset(s.members))
             assert {frozenset(t.members) for t in lang.extension(s)} == naive
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_explicit_universe_masks_match_naive_route(rng):
+    # An explicit universe is a random subset of a derived language, so
+    # vocabulary statements outside it exist and position masks skip them.
+    derived = random_language(rng, max_states=4, max_vocab=4)
+    vocab_stmts = list(derived.statements)
+    listed = rng.sample(vocab_stmts, rng.randint(1, len(vocab_stmts)))
+    lang = Language.explicit(derived.space, derived.vocab, listed)
+    universe = [frozenset(s.members) for s in lang.statements]
+
+    def naive(stmts):
+        out = set()
+        for s in stmts:
+            out |= naive_extension(universe, frozenset(s.members))
+        return out
+
+    for s in vocab_stmts:
+        assert {frozenset(t.members) for t in lang.supersets(s)} == naive([s])
+    picked = rng.sample(vocab_stmts, rng.randint(0, len(vocab_stmts)))
+    got = lang.extension_of_set(picked)
+    assert list(got) == sorted(got)
+    assert {frozenset(t.members) for t in got} == naive(picked)
+
+    situations = rng.sample(vocab_stmts, rng.randint(1, len(vocab_stmts)))
+    if set(situations) == set(lang.statements):
+        situations.pop()
+    reachable = lang.extension_of_set(situations)
+    if not reachable:  # no member contains any situation: no task
+        return
+    decisions = rng.sample(reachable, rng.randint(1, len(reachable)))
+    task = make_task(lang, situations, decisions)
+    expected = naive_models(
+        universe,
+        [frozenset(s.members) for s in situations],
+        {frozenset(d.members) for d in decisions},
+    )
+    assert [frozenset(m.members) for m in task.models()] == expected
+    assert [h for h in lang.statements if task.is_model(h)] == list(task.models())
