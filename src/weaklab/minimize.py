@@ -2,9 +2,10 @@
 
 States are integers whose bit j holds string position n-1-j (position 0 is
 the leftmost character).  A cube fixes a subset of positions; its extent is
-the set of matching states, packed as an int bitmask.  Cube universes are
-tiny (3^n cubes), so primes are found by exhaustive expansion tests against
-per-n cached extents.
+the set of matching states, packed as an int bitmask.  Primes are found
+bit-parallel: one state mask per care mask (2^n of them) marks the cubes
+with that care set that avoid OFF, each derived from a wider care mask by
+one shift-and-mask step.
 
 Two searches share the prime machinery:
 
@@ -26,7 +27,7 @@ from .errors import SearchFailureError
 DEFAULT_NODE_BUDGET = 500_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cube:
     """Conjunction of fixed bit positions over an n-bit string space."""
 
@@ -87,44 +88,74 @@ def cube_extent(n: int, care: int, value: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _all_cubes(n: int) -> tuple[tuple[int, int], ...]:
-    # all (care, value) pairs, 3^n of them
-    out = []
-    for care in range(1 << n):
-        sub = care
-        while True:
-            out.append((care, sub))
-            if sub == 0:
-                break
-            sub = (sub - 1) & care
-    return tuple(out)
+def _care_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # subsets[x] = mask of the states whose set bits all lie in x;
+    # weights[x] = x's binary digits read in base 3, so weights[care] +
+    # weights[value] orders cubes as Cube.text() does ('-' < '0' < '1')
+    subsets = [1]
+    for x in range(1, 1 << n):
+        low = x & -x
+        subsets.append(subsets[x ^ low] | subsets[x ^ low] << low)
+    return tuple(subsets), tuple(int(format(x, "b"), 3) for x in range(1 << n))
 
 
-@lru_cache(maxsize=256)
+# both sides of a trial ask for its child's primes; other trials rarely
+# share an OFF set, so a few entries catch nearly every repeat
+@lru_cache(maxsize=16)
 def prime_cubes(n: int, off: int) -> tuple[Cube, ...]:
-    """Maximal cubes whose extent avoids ``off``, in deterministic order."""
-    valid: dict[tuple[int, int], bool] = {}
-    for care, value in _all_cubes(n):
-        valid[(care, value)] = cube_extent(n, care, value) & off == 0
-    primes = []
-    for (care, value), ok in valid.items():
-        if not ok:
-            continue
-        expandable = False
+    """Maximal cubes whose extent avoids ``off``, in Cube.text() order.
+
+    valid[c] holds the states s whose cube (c, s & c) avoids ``off``; it is
+    built from the full care mask down, dropping one care bit j at a time:
+    s stays valid when both s and s with bit j flipped were.  A cube is
+    prime when no single care bit can be dropped.
+    """
+    care_all = (1 << n) - 1
+    planes = _bit_planes(n)
+    valid = [0] * (care_all + 1)
+    valid[care_all] = (1 << (1 << n)) - 1 & ~off
+    for care in range(care_all - 1, -1, -1):
+        free = ~care & care_all
+        bit = free & -free
+        zeros, ones = planes[bit.bit_length() - 1]
+        wider = valid[care | bit]
+        valid[care] = wider & ((wider & ones) >> bit | (wider & zeros) << bit)
+    subsets, weights = _care_tables(n)
+    found = []
+    for care in range(care_all + 1):
+        primes = valid[care] & subsets[care]
         j = care
-        while j:
+        while primes and j:
             bit = j & -j
-            if valid[(care & ~bit, value & ~bit)]:
-                expandable = True
-                break
+            primes &= ~valid[care ^ bit]
             j ^= bit
-        if not expandable:
-            primes.append(Cube(n, care, value))
-    primes.sort(key=Cube.text)
-    return tuple(primes)
+        while primes:
+            low = primes & -primes
+            found.append((care, low.bit_length() - 1))
+            primes ^= low
+    found.sort(key=lambda cv: weights[cv[0]] + weights[cv[1]])
+    return tuple(Cube(n, care, value) for care, value in found)
 
 
-@dataclass(frozen=True)
+def _prime_table(n: int, off: int, on: int = -1):
+    """The primes of ``off`` whose extent meets ``on``, by literal count then
+    text (equally: widest first), as parallel lists of cubes, extents,
+    literal counts and text ranks.  Every key a search compares is built
+    from these lists, so no cube is rendered or re-measured inside one."""
+    primes = prime_cubes(n, off)
+    ranks = sorted(
+        (r for r, p in enumerate(primes) if p.extent & on),
+        key=lambda r: primes[r].literal_count,
+    )
+    cubes = [primes[r] for r in ranks]
+    return cubes, [p.extent for p in cubes], [p.literal_count for p in cubes], ranks
+
+
+def _in_text_order(cubes: list[Cube], ranks: list[int], chosen) -> tuple[Cube, ...]:
+    return tuple(cubes[i] for i in sorted(chosen, key=ranks.__getitem__))
+
+
+@dataclass(frozen=True, slots=True)
 class Cover:
     """A selection of cubes with its union extent and search provenance."""
 
@@ -171,12 +202,7 @@ def min_literal_cover(
         raise ValueError("ON and OFF sets intersect")
     if on == 0:
         return Cover(n, (), 0, True, 0)
-    primes = sorted(
-        (p for p in prime_cubes(n, off) if p.extent & on),
-        key=lambda p: (p.literal_count, p.text()),
-    )
-    extents = [p.extent for p in primes]
-    lits = [p.literal_count for p in primes]
+    primes, extents, lits, ranks = _prime_table(n, off, on)
     state_primes: dict[int, list[int]] = {}
     state_union: dict[int, int] = {}
     state_min_lit: dict[int, int] = {}
@@ -211,7 +237,7 @@ def min_literal_cover(
             gain = (extents[i] & uncovered).bit_count()
             if not gain:
                 continue
-            score = (lits[i] / gain, lits[i], primes[i].text())
+            score = (lits[i] / gain, lits[i], ranks[i])
             if cand is None or score < cand[0]:
                 cand = (score, i)
         greedy.append(cand[1])
@@ -219,7 +245,7 @@ def min_literal_cover(
     greedy_key = (
         sum(lits[i] for i in greedy),
         len(greedy),
-        tuple(sorted(primes[i].text() for i in greedy)),
+        tuple(sorted(ranks[i] for i in greedy)),
     )
     best: list = [greedy_key + (tuple(greedy),)]  # (lits, terms, key, indices)
     bud = _Budget(budget)
@@ -230,11 +256,7 @@ def min_literal_cover(
             exhausted[0] = True
             return
         if uncovered == 0:
-            key = (
-                total_lits,
-                len(chosen),
-                tuple(sorted(primes[i].text() for i in chosen)),
-            )
+            key = (total_lits, len(chosen), tuple(sorted(ranks[i] for i in chosen)))
             if best[0] is None or key < best[0][:3]:
                 best[0] = key + (chosen,)
             return
@@ -270,7 +292,7 @@ def min_literal_cover(
     sat = 0
     for i in chosen:
         sat |= extents[i]
-    cubes = tuple(sorted((primes[i] for i in chosen), key=Cube.text))
+    cubes = _in_text_order(primes, ranks, chosen)
     return Cover(n, cubes, sat, not exhausted[0], budget - bud.left)
 
 
@@ -278,25 +300,15 @@ def min_literal_cover(
 # weakness-penalty cover
 
 
-def _score_gt(
+def _score_cmp(
     u_a: int, k_a: int, u_b: int, k_b: int, tau_num: int, tau_den: int
-) -> bool:
-    # log2(u_a) - tau*k_a > log2(u_b) - tau*k_b, exactly
-    if u_a <= 0:
-        return False
-    if u_b <= 0:
-        return True
-    lhs = u_a**tau_den << max(0, tau_num * k_b - tau_num * k_a)
-    rhs = u_b**tau_den << max(0, tau_num * k_a - tau_num * k_b)
-    return lhs > rhs
-
-
-def _score_eq(
-    u_a: int, k_a: int, u_b: int, k_b: int, tau_num: int, tau_den: int
-) -> bool:
-    lhs = u_a**tau_den << max(0, tau_num * k_b - tau_num * k_a)
-    rhs = u_b**tau_den << max(0, tau_num * k_a - tau_num * k_b)
-    return lhs == rhs
+) -> int:
+    # sign of (log2(u_a) - tau*k_a) - (log2(u_b) - tau*k_b), exactly, for
+    # u >= 0 and tau = tau_num/tau_den; two empty unions tie
+    shift = tau_num * (k_b - k_a)
+    lhs = u_a**tau_den << max(0, shift)
+    rhs = u_b**tau_den << max(0, -shift)
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def max_weakness_cover(
@@ -319,11 +331,7 @@ def max_weakness_cover(
         raise ValueError("tau must be >= 0")
     tau_num, tau_den = tau.numerator, tau.denominator
     # widest first so the greedy seed and first branches go for weak covers
-    primes = sorted(
-        prime_cubes(n, off), key=lambda p: (-p.extent.bit_count(), p.text())
-    )
-    extents = [p.extent for p in primes]
-    lits = [p.literal_count for p in primes]
+    primes, extents, lits, ranks = _prime_table(n, off)
     m = len(primes)
     suffix_union = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
@@ -356,11 +364,8 @@ def max_weakness_cover(
         return cnt
 
     def better(u_a, k_a, l_a, key_a, u_b, k_b, l_b, key_b) -> bool:
-        if _score_gt(u_a, k_a, u_b, k_b, tau_num, tau_den):
-            return True
-        if not _score_eq(u_a, k_a, u_b, k_b, tau_num, tau_den):
-            return False
-        return (l_a, key_a) < (l_b, key_b)
+        cmp = _score_cmp(u_a, k_a, u_b, k_b, tau_num, tau_den)
+        return cmp > 0 if cmp else (l_a, key_a) < (l_b, key_b)
 
     # greedy seed: max marginal extent until ON covered, then profitable extras
     greedy: list[int] = []
@@ -384,14 +389,14 @@ def max_weakness_cover(
             if i in greedy:
                 continue
             nu = u | extents[i]
-            if nu != u and _score_gt(
+            if nu != u and _score_cmp(
                 nu.bit_count(),
                 len(greedy) + 1,
                 u.bit_count(),
                 len(greedy),
                 tau_num,
                 tau_den,
-            ):
+            ) > 0:
                 greedy.append(i)
                 u = nu
                 improved = True
@@ -401,7 +406,7 @@ def max_weakness_cover(
         "u": u.bit_count(),
         "k": len(greedy),
         "lits": sum(lits[i] for i in greedy),
-        "key": tuple(sorted(primes[i].text() for i in greedy)),
+        "key": tuple(sorted(ranks[i] for i in greedy)),
         "chosen": tuple(sorted(greedy)),
     }
 
@@ -412,7 +417,7 @@ def max_weakness_cover(
         u_pc = union.bit_count()
         k = len(chosen)
         l = sum(lits[i] for i in chosen)
-        key = tuple(sorted(primes[i].text() for i in chosen))
+        key = tuple(sorted(ranks[i] for i in chosen))
         if better(u_pc, k, l, key, best["u"], best["k"], best["lits"], best["key"]):
             best.update(u=u_pc, k=k, lits=l, key=key, chosen=tuple(sorted(chosen)))
 
@@ -440,9 +445,7 @@ def max_weakness_cover(
                 idx += 1
             else:
                 u_j = reach_pc
-            if _score_gt(u_j, k_now + j, best_u, best_k, tau_num, tau_den) or _score_eq(
-                u_j, k_now + j, best_u, best_k, tau_num, tau_den
-            ):
+            if _score_cmp(u_j, k_now + j, best_u, best_k, tau_num, tau_den) >= 0:
                 return True
             if u_j >= reach_pc:
                 return False  # more terms only lower the score from here
@@ -467,7 +470,7 @@ def max_weakness_cover(
     sat = 0
     for i in chosen:
         sat |= extents[i]
-    cubes = tuple(sorted((primes[i] for i in chosen), key=Cube.text))
+    cubes = _in_text_order(primes, ranks, chosen)
     return Cover(n, cubes, sat, not exhausted[0], budget - bud.left)
 
 
@@ -481,20 +484,17 @@ def exact_cover_of(n: int, target: int) -> Cover:
     if target == 0:
         return Cover(n, (), 0, True, 0)
     full = (1 << (1 << n)) - 1
-    primes = sorted(
-        prime_cubes(n, full & ~target),
-        key=lambda p: (-p.extent.bit_count(), p.text()),
-    )
+    primes, extents, _, ranks = _prime_table(n, full & ~target)
     chosen = []
     sat = 0
     uncovered = target
     while uncovered:
         cand = None
-        for i, p in enumerate(primes):
-            gain = (p.extent & uncovered).bit_count()
+        for i, ext in enumerate(extents):
+            gain = (ext & uncovered).bit_count()
             if gain and (cand is None or gain > cand[0]):
                 cand = (gain, i)
-        chosen.append(primes[cand[1]])
-        sat |= primes[cand[1]].extent
-        uncovered &= ~primes[cand[1]].extent
-    return Cover(n, tuple(sorted(chosen, key=Cube.text)), sat, True, 0)
+        chosen.append(cand[1])
+        sat |= extents[cand[1]]
+        uncovered &= ~extents[cand[1]]
+    return Cover(n, _in_text_order(primes, ranks, chosen), sat, True, 0)

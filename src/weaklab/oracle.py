@@ -116,7 +116,6 @@ class OptimalityReport:
     rows_truncated: bool
     violations: list[Violation]
     deviation_count: int
-    deviation_samples: list[OptimalityRow]
 
     def to_dict(self) -> dict:
         def row(r: OptimalityRow) -> dict:
@@ -211,7 +210,6 @@ def verify_weakness_optimality(
     tasks_checked = 0
     violations: list[Violation] = []
     deviation_count = 0
-    deviation_samples: list[OptimalityRow] = []
 
     def sweep_task(
         situations: tuple[tuple[int, ...], ...],
@@ -263,8 +261,6 @@ def verify_weakness_optimality(
                 rows.append(row)
             if empirical is not None and empirical != formula:
                 deviation_count += 1
-                if len(deviation_samples) < max_rows:
-                    deviation_samples.append(row)
         for pos, h in enumerate(model_idx):
             if weaknesses[pos] == w_max and counts[pos] < best:
                 best_pos = counts.index(best)
@@ -310,7 +306,6 @@ def verify_weakness_optimality(
         rows_truncated=rows_total > len(rows),
         violations=violations,
         deviation_count=deviation_count,
-        deviation_samples=deviation_samples,
     )
 
 

@@ -123,6 +123,36 @@ def all_cubes_extents(n: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def naive_cube_text(n: int, care: int, value: int) -> str:
+    """Positional rendering, leftmost position (bit n-1) first."""
+    return "".join(
+        "01"[value >> j & 1] if care >> j & 1 else "-" for j in reversed(range(n))
+    )
+
+
+def naive_prime_cubes(n: int, off: int, cubes=None) -> list[tuple[int, int, int]]:
+    """(care, value, extent_mask) of every cube that avoids ``off`` and stays
+    invalid when any one literal is dropped, sorted by positional text;
+    each cube is tested against the full 3^n table."""
+    by_id = {
+        cube_id: ext
+        for _, ext, cube_id in (cubes if cubes is not None else all_cubes_extents(n))
+    }
+    valid = {cube_id for cube_id, ext in by_id.items() if ext & off == 0}
+    low = (1 << n) - 1
+    primes = []
+    for cube_id in valid:
+        care, value = cube_id >> n, cube_id & low
+        wider = [
+            (care & ~(1 << j)) << n | (value & ~(1 << j))
+            for j in range(n)
+            if care >> j & 1
+        ]
+        if not any(w in valid for w in wider):
+            primes.append((care, value, by_id[cube_id]))
+    return sorted(primes, key=lambda p: naive_cube_text(n, p[0], p[1]))
+
+
 def min_literals_search(n: int, on: int, off: int, cubes=None) -> int | None:
     """Cheapest total literal count covering ``on`` while avoiding ``off``,
     by Dijkstra over covered-ON masks.  None if uncoverable."""

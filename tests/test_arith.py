@@ -180,7 +180,7 @@ def test_penalized_score_dominates_mdl_cover():
     # the mdl cover is drawn from the same prime universe, so a correct
     # weakness search can never score below it; and a minimum-literal cover
     # can never use more literals than the weakness selection
-    from weaklab.minimize import _score_gt
+    from weaklab.minimize import _score_cmp
 
     rng = random.Random(47)
     for _ in range(30):
@@ -192,10 +192,10 @@ def test_penalized_score_dominates_mdl_cover():
         hl = arith.mdl_model_state(t, c, budget=3_000_000)
         if not (hw.cover.proven_optimal and hl.cover.proven_optimal):
             continue
-        assert not _score_gt(
+        assert _score_cmp(
             hl.sat_set.cardinality, hl.term_count,
             hw.sat_set.cardinality, hw.term_count, 1, 1,
-        )
+        ) <= 0
         assert hl.literal_count <= hw.literal_count
 
 

@@ -1,9 +1,9 @@
-"""Byte-identity of the reports that `verify` and `induce` print.
+"""Byte-identity of the reports that `experiment`, `verify` and `induce` write.
 
 The digests below were recorded from the outputs of these exact commands
-and pin every number, order and format in them: a refactor of the lattice,
-task or oracle code must leave both unchanged.  A change that alters the
-results on purpose records new digests and says why.
+and pin every number, order and format in them: a refactor of the cover
+search, lattice, task or oracle code must leave them unchanged.  A change
+that alters the results on purpose records new digests and says why.
 """
 
 import contextlib
@@ -12,11 +12,19 @@ import io
 import os
 import re
 
+import pytest
+
 from weaklab import cli
 from conftest import SPEC_DIR
 
 VERIFY_SHA256 = "e3aa7f64a4ffa7b03cec6c8d0437e57ea5e7aa4b98f173851d9fa6a1a3698861"
 INDUCE_SHA256 = "248ea34d1cc34b0857a0ddec6b792b5f0d6c636d755cda6ebc6917b3d73415a0"
+# `experiment --op both --dk 6,10,14 --trials 2 --seed golden-1` at the
+# default budget; no trial of either mode is budget-flagged
+EXPERIMENT_SHA256 = {
+    "state": "b46b162bcc4ce9cc4dd52d8054bc9a3228f26d9f9a12a9524aa65460c23bc831",
+    "penalized": "458b1a724917903dd449d164fe3308c3ce1803d81caeceb690ac304afdb01786",
+}
 
 
 def _corpus():
@@ -30,6 +38,19 @@ def _corpus():
             for task in re.findall(r"^\s*task\s+([A-Za-z_]\w*)", text, re.M):
                 out.append((name, task))
     return out
+
+
+@pytest.mark.parametrize("mode", sorted(EXPERIMENT_SHA256))
+def test_experiment_report_is_byte_identical(tmp_path, mode):
+    out = tmp_path / f"{mode}.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([
+            "experiment", "--op", "both", "--dk", "6,10,14", "--trials", "2",
+            "--seed", "golden-1", "--mode", mode, "--format", "structured",
+            "--out", str(out),
+        ])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPERIMENT_SHA256[mode]
 
 
 def test_verify_report_is_byte_identical(tmp_path):

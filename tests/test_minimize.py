@@ -5,8 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weaklab import minimize
-from _oracles import all_cubes_extents, min_literals_search
+from weaklab import arith, minimize
+from _oracles import (
+    all_cubes_extents,
+    min_literals_search,
+    naive_cube_text,
+    naive_prime_cubes,
+)
+
+
+@pytest.fixture(scope="module")
+def cubes8():
+    return all_cubes_extents(8)
 
 
 def test_cube_text_and_extent():
@@ -17,9 +27,40 @@ def test_cube_text_and_extent():
     assert c.extent == (1 << 2) | (1 << 3)
 
 
-def test_all_cubes_count():
-    assert len(minimize._all_cubes(3)) == 27
-    assert len(minimize._all_cubes(8)) == 6561
+def test_all_cubes_count(cubes8):
+    assert len(all_cubes_extents(3)) == 27
+    assert len(cubes8) == 6561
+
+
+def _prime_triples(n, off):
+    return [(p.care, p.value, p.extent) for p in minimize.prime_cubes(n, off)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))
+    )
+)
+def test_prime_cubes_match_naive_expansion(n_off):
+    n, off = n_off
+    assert _prime_triples(n, off) == naive_prime_cubes(n, off)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_prime_cubes_of_empty_and_full_off_sets(n):
+    full = (1 << (1 << n)) - 1
+    assert _prime_triples(n, 0) == naive_prime_cubes(n, 0) == [(0, 0, full)]
+    assert _prime_triples(n, full) == naive_prime_cubes(n, full) == []
+
+
+def test_prime_cubes_match_naive_expansion_on_trial_off_sets(cubes8):
+    rng = random.Random(31)
+    for k in range(20):
+        task = arith.gen_parent_task(("add", "mul")[k % 2], rng.randrange(8))
+        child = arith.sample_child(task, rng.randint(1, 16), seed=k)
+        off = child.off()
+        assert _prime_triples(8, off) == naive_prime_cubes(8, off, cubes8)
 
 
 def test_primes_are_maximal_and_valid():
@@ -80,23 +121,86 @@ def test_min_literal_on_off_overlap_rejected():
         minimize.min_literal_cover(3, 0b11, 0b01)
 
 
-def _brute_best_weakness(n, on, off, tau):
-    """Enumerate every prime subset; exact argmax of the penalized score."""
-    primes = minimize.prime_cubes(n, off)
-    best = None
-    for r in range(0, len(primes) + 1):
-        for combo in itertools.combinations(range(len(primes)), r):
+def _covers_of(n, on, off, meeting_on):
+    """Every subset of the naive primes of ``off`` (only those meeting ``on``
+    if asked) whose union covers ``on``, as (union, terms, literals,
+    sorted cube texts)."""
+    primes = [
+        (ext, care.bit_count(), naive_cube_text(n, care, value))
+        for care, value, ext in naive_prime_cubes(n, off)
+        if ext & on or not meeting_on
+    ]
+    for r in range(len(primes) + 1):
+        for combo in itertools.combinations(primes, r):
             u = 0
-            for i in combo:
-                u |= primes[i].extent
-            if on & ~u:
-                continue
-            k = len(combo)
-            if best is None or minimize._score_gt(
-                u.bit_count(), k, best[0], best[1], tau.numerator, tau.denominator
-            ):
-                best = (u.bit_count(), k)
+            for ext, _, _ in combo:
+                u |= ext
+            if on & ~u == 0:
+                yield u, r, sum(c[1] for c in combo), sorted(c[2] for c in combo)
+
+
+def _brute_weakness_argmax(n, on, off, tau):
+    best = None
+    for u, k, lits, texts in _covers_of(n, on, off, meeting_on=False):
+        if best is None:
+            best = (u, k, lits, texts)
+            continue
+        cmp = minimize._score_cmp(
+            u.bit_count(), k, best[0].bit_count(), best[1], tau.numerator, tau.denominator
+        )
+        if cmp > 0 or cmp == 0 and (lits, texts) < (best[2], best[3]):
+            best = (u, k, lits, texts)
     return best
+
+
+def _brute_best_weakness(n, on, off, tau):
+    """(|union|, terms) of the exact penalized-score argmax."""
+    u, k, _, _ = _brute_weakness_argmax(n, on, off, tau)
+    return u.bit_count(), k
+
+
+def _dont_care_heavy(rng, n, mix, max_primes):
+    """Labels drawn from ``mix`` ('o' ON, 'f' OFF, 'd' don't-care), kept
+    when ON is nonempty and there are at most ``max_primes`` primes."""
+    while True:
+        labels = [rng.choice(mix) for _ in range(1 << n)]
+        on = sum(1 << i for i, l in enumerate(labels) if l == "o")
+        off = sum(1 << i for i, l in enumerate(labels) if l == "f")
+        if on and len(minimize.prime_cubes(n, off)) <= max_primes:
+            return on, off
+
+
+DONT_CARE_HEAVY = ["oddf", "oddddf"]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("mix", DONT_CARE_HEAVY)
+@pytest.mark.parametrize("tau", [Fraction(1), Fraction(1, 2)])
+def test_max_weakness_cover_is_brute_force_argmax_dont_care_heavy(n, mix, tau):
+    rng = random.Random(f"{n}{mix}{tau}")
+    for _ in range(40):
+        on, off = _dont_care_heavy(rng, n, mix, max_primes=14)
+        got = minimize.max_weakness_cover(n, on, off, tau=tau)
+        assert got.proven_optimal
+        u, k, lits, texts = _brute_weakness_argmax(n, on, off, tau)
+        assert (got.sat, got.term_count, got.literal_count) == (u, k, lits)
+        assert [c.text() for c in got.cubes] == texts
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("mix", DONT_CARE_HEAVY)
+def test_min_literal_cover_is_brute_force_argmin_dont_care_heavy(n, mix):
+    rng = random.Random(f"{n}{mix}")
+    for _ in range(40):
+        on, off = _dont_care_heavy(rng, n, mix, max_primes=16)
+        got = minimize.min_literal_cover(n, on, off)
+        assert got.proven_optimal
+        assert got.literal_count == min_literals_search(n, on, off)
+        _, k, lits, texts = min(
+            _covers_of(n, on, off, meeting_on=True), key=lambda c: (c[2], c[1], c[3])
+        )
+        assert (got.literal_count, got.term_count) == (lits, k)
+        assert [c.text() for c in got.cubes] == texts
 
 
 def test_max_weakness_cover_matches_brute_force():
@@ -114,8 +218,9 @@ def test_max_weakness_cover_matches_brute_force():
         assert got.proven_optimal
         assert got.sat & off == 0 and on & ~got.sat == 0
         exp_u, exp_k = _brute_best_weakness(n, on, off, Fraction(1))
-        assert not minimize._score_gt(exp_u, exp_k, got.sat.bit_count(), got.term_count, 1, 1)
-        assert not minimize._score_gt(got.sat.bit_count(), got.term_count, exp_u, exp_k, 1, 1)
+        got_u = got.sat.bit_count()
+        assert minimize._score_cmp(exp_u, exp_k, got_u, got.term_count, 1, 1) <= 0
+        assert minimize._score_cmp(got_u, got.term_count, exp_u, exp_k, 1, 1) <= 0
 
 
 def test_max_weakness_fractional_tau():
@@ -170,8 +275,14 @@ def test_exact_cover_hypothesis(target):
 
 def test_score_comparison_exactness():
     # log2(6)-1 == log2(3) exactly; the integer comparison must see a tie
-    assert minimize._score_eq(6, 1, 3, 0, 1, 1)
-    assert not minimize._score_gt(6, 1, 3, 0, 1, 1)
-    assert minimize._score_gt(7, 1, 3, 0, 1, 1)
+    assert minimize._score_cmp(6, 1, 3, 0, 1, 1) == 0
+    assert minimize._score_cmp(3, 0, 6, 1, 1, 1) == 0
+    assert minimize._score_cmp(7, 1, 3, 0, 1, 1) == 1
+    assert minimize._score_cmp(3, 0, 7, 1, 1, 1) == -1
     # tau = 3/2: u_a=8,k=2 scores 0; u_b=2,k=0 scores 1 -> b wins
-    assert minimize._score_gt(2, 0, 8, 2, 3, 2)
+    assert minimize._score_cmp(2, 0, 8, 2, 3, 2) == 1
+    assert minimize._score_cmp(8, 2, 2, 0, 3, 2) == -1
+    # an empty union scores -inf: below any nonempty one, tied with another
+    assert minimize._score_cmp(0, 0, 1, 5, 1, 1) == -1
+    assert minimize._score_cmp(1, 5, 0, 0, 1, 1) == 1
+    assert minimize._score_cmp(0, 0, 0, 3, 1, 1) == 0
