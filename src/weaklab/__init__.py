@@ -16,7 +16,6 @@ from .errors import (
     MembershipError,
     NoDecisionError,
     NoModelError,
-    SearchFailureError,
     TaskPreconditionError,
     VocabularyError,
     WeaklabError,
@@ -65,7 +64,6 @@ __all__ = [
     "NoDecisionError",
     "NoModelError",
     "Predicate",
-    "SearchFailureError",
     "StateSet",
     "StateSpace",
     "Statement",

@@ -87,14 +87,6 @@ class BinOpTask:
     decisions_mask: int
     reach_mask: int  # union of completion sets over all parent situations
 
-    @property
-    def n_states(self) -> int:
-        return 1 << self.width
-
-    @property
-    def decision_set(self) -> StateSet:
-        return StateSet(self.decisions_mask, self.n_states)
-
 
 def gen_parent_task(op: str, deleted_bit: int, width: int = 8) -> BinOpTask:
     operand_bits = width // 4

@@ -6,9 +6,10 @@ sweep), ``induce`` (run induction on a task from a spec file).
 
 Exit codes: 0 success; 1 verification violation or empty model set;
 2 flagged trials present (results still written); 64 usage, including a
-negative --tau, an empty --dk and a --trials, --budget or --cap below 1;
-65 spec file errors, including a file that is not UTF-8; 74 I/O failure;
-75 capacity overflow.
+negative --tau, an empty --dk and a --trials, --budget, --cap,
+--census-cap or --samples-at below 1; 65 spec file errors, including a
+file that is not UTF-8; 74 I/O failure; 75 capacity overflow, including a
+--census-cap too small for the fixture language.
 """
 
 from __future__ import annotations
@@ -121,11 +122,12 @@ def build_parser() -> _Parser:
                     help="exhaustive sweep bound on |states| (default 3)")
     ve.add_argument("--max-vocab", type=int, default=3,
                     help="vocabulary size bound (default 3)")
-    ve.add_argument("--samples-at", type=int, default=4, metavar="N",
+    ve.add_argument("--samples-at", type=_positive_int, default=4, metavar="N",
                     help="additionally sample languages with N states")
     ve.add_argument("--samples", type=int, default=50,
                     help="number of sampled languages (default 50)")
-    ve.add_argument("--census-cap", type=int, default=oracle.DEFAULT_CENSUS_CAP)
+    ve.add_argument("--census-cap", type=_positive_int,
+                    default=oracle.DEFAULT_CENSUS_CAP)
     ve.add_argument("--seed", default="weaklab-verify")
     ve.add_argument("--out", default=None, help="structured report path")
     ve.add_argument("--format", choices=["table", "structured"], default="structured")
@@ -214,22 +216,11 @@ def cmd_verify(args) -> int:
           f"weakness->{out['fixture']['weakness_winner']} "
           f"mdl->{out['fixture']['mdl_winner']}")
 
-    # fixture-language sweep, with the fixture task as an extra row
-    fx_report = oracle.verify_weakness_optimality(
-        fx.lang, census_cap=args.census_cap, extra_tasks=[fx.task], max_rows=64
-    )
-    out["fixture_language"] = {
-        "census": fx_report.census_size,
-        "tasks_checked": fx_report.tasks_checked,
-        "violations": len(fx_report.violations),
-        "deviations": fx_report.deviation_count,
-    }
-
-    violations = list(fx_report.violations)
-    langs_checked = 0
-    skipped = 0
-    tasks_checked = fx_report.tasks_checked
     try:
+        # fixture-language sweep, with the fixture task as an extra row
+        fx_report = oracle.verify_weakness_optimality(
+            fx.lang, census_cap=args.census_cap, extra_tasks=[fx.task], max_rows=64
+        )
         sweep: list = list(oracle.all_derived_languages(
             min(args.max_states, 3), args.max_vocab
         ))
@@ -244,6 +235,17 @@ def cmd_verify(args) -> int:
     except CapacityError as exc:
         print(f"capacity: {exc}; lower --max-states/--max-vocab", file=sys.stderr)
         return EXIT_CAPACITY
+    out["fixture_language"] = {
+        "census": fx_report.census_size,
+        "tasks_checked": fx_report.tasks_checked,
+        "violations": len(fx_report.violations),
+        "deviations": fx_report.deviation_count,
+    }
+
+    violations = list(fx_report.violations)
+    langs_checked = 0
+    skipped = 0
+    tasks_checked = fx_report.tasks_checked
     for lang in sweep:
         try:
             rep = oracle.verify_weakness_optimality(

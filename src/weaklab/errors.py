@@ -53,6 +53,3 @@ class NoModelError(WeaklabError):
 class FixtureError(WeaklabError):
     """A built-in fixture failed its self-check; the build is broken."""
 
-
-class SearchFailureError(WeaklabError):
-    """Cover search exhausted its node budget without any feasible cover."""

@@ -7,13 +7,26 @@ bit-parallel: one state mask per care mask (2^n of them) marks the cubes
 with that care set that avoid OFF, each derived from a wider care mask by
 one shift-and-mask step.
 
-Two searches share the prime machinery:
+One branch-and-bound engine serves both proxies.  It branches on the
+uncovered ON state with the fewest covering primes: child k takes that
+state's k-th coverer and bans the earlier ones in its subtree, so each
+selection lies in exactly one subtree.  A node that covers ON is scored,
+then branched the same way over the extra primes its proxy admits.  A
+greedy max-gain cover is the first incumbent, so a search that runs out of
+nodes still returns a cover, flagged as unproven.
 
-* minimum total-literal cover of an ON set with don't-cares (the
-  description-length side), exact branch and bound;
-* maximum of log2(|union of extents|) - tau * terms over covers of the ON
-  set (the weakness-penalty side), exact branch and bound under a node
-  budget with a greedy fallback.
+* Description length: fewest total literals, then fewest terms, over the
+  primes that meet ON.  No extras.  Bound: the cheapest literal count of
+  each of a set of uncovered ON states no prime covers two of.
+* Weakness: greatest log2(|union|) - tau * terms, then fewest literals,
+  over all primes.  An extra is admitted only if it raises the score on
+  its own.  Nothing is lost: j extras with gains g_i reach at most
+  |U| + sum(g_i), and 2^(tau*j) - 1 >= j * (2^tau - 1), so a set of extras
+  that beats none holds a member that beats none alone.  Bound: at least
+  as many more terms as the disjoint ON states, each term adding at most
+  one of the largest marginal gains left.
+
+Remaining ties go to the lexicographically first cube texts.
 """
 
 from __future__ import annotations
@@ -21,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from .errors import SearchFailureError
 
 DEFAULT_NODE_BUDGET = 500_000
 
@@ -57,9 +68,6 @@ class Cube:
             else:
                 out.append("-")
         return "".join(out)
-
-    def __lt__(self, other: "Cube") -> bool:
-        return self.text() < other.text()
 
 
 @lru_cache(maxsize=None)
@@ -151,10 +159,6 @@ def _prime_table(n: int, off: int, on: int = -1):
     return cubes, [p.extent for p in cubes], [p.literal_count for p in cubes], ranks
 
 
-def _in_text_order(cubes: list[Cube], ranks: list[int], chosen) -> tuple[Cube, ...]:
-    return tuple(cubes[i] for i in sorted(chosen, key=ranks.__getitem__))
-
-
 @dataclass(frozen=True, slots=True)
 class Cover:
     """A selection of cubes with its union extent and search provenance."""
@@ -173,23 +177,109 @@ class Cover:
     def term_count(self) -> int:
         return len(self.cubes)
 
-    def key(self) -> tuple[str, ...]:
-        return tuple(sorted(c.text() for c in self.cubes))
+
+def _greedy_cover(extents: list[int], target: int) -> list[int]:
+    """Indices of a cover of ``target``: each step takes the first extent
+    that covers the most still-uncovered states."""
+    chosen = []
+    while target:
+        most = 0
+        for i, e in enumerate(extents):
+            gain = (e & target).bit_count()
+            if gain > most:
+                most, pick = gain, i
+        chosen.append(pick)
+        target &= ~extents[pick]
+    return chosen
 
 
-class _Budget:
-    __slots__ = ("left",)
+def _search(n: int, table, on: int, budget: int, key, extras, hopeless) -> Cover:
+    """Branch and bound over the selections of ``table`` primes that cover
+    ``on``; returns the selection with the least ``key(chosen, union)``.
 
-    def __init__(self, nodes: int):
-        self.left = nodes
+    ``extras(chosen, union, banned)`` lists the primes a node that covers
+    ``on`` may add.  ``hopeless(chosen, union, banned, pool, need, best)``
+    prunes a node whose subtree can neither beat nor tie the incumbent key
+    ``best``.  At a node that covers ``on``, ``pool`` lists its extras and
+    ``need`` is empty; elsewhere ``pool`` is empty and ``need`` holds the
+    cheapest coverer of each of some uncovered ON states no prime covers
+    two of, so any completion adds at least len(need) terms.
+    """
+    primes, extents, _, ranks = table
+    coverers: dict[int, int] = {}  # ON state bit -> mask of prime indices
+    cheapest: dict[int, int] = {}  # ON state bit -> first (fewest literals)
+    reach: dict[int, int] = {}  # ON state bit -> union of its coverers
+    rem = on
+    while rem:
+        s = rem & -rem
+        mask = union = 0
+        for i, e in enumerate(extents):
+            if e & s:
+                mask |= 1 << i
+                union |= e
+        coverers[s], reach[s] = mask, union
+        cheapest[s] = (mask & -mask).bit_length() - 1
+        rem ^= s
 
-    def spend(self) -> bool:
-        self.left -= 1
-        return self.left >= 0
+    def union_of(chosen) -> int:
+        union = 0
+        for i in chosen:
+            union |= extents[i]
+        return union
 
+    seed = tuple(_greedy_cover(extents, on))
+    best = [key(seed, union_of(seed)), seed]
+    left = budget  # nodes; below zero once the budget is exhausted
 
-# ---------------------------------------------------------------------------
-# minimum-literal cover
+    def dfs(chosen: tuple[int, ...], union: int, uncovered: int, banned: int):
+        nonlocal left
+        left -= 1
+        if left < 0:
+            return
+        need = []
+        if uncovered:
+            pool = []
+            rem = uncovered
+            while rem:
+                s = rem & -rem
+                need.append(cheapest[s])
+                rem &= ~reach[s]
+        else:
+            k = key(chosen, union)
+            if k < best[0]:
+                best[:] = k, chosen
+            pool = extras(chosen, union, banned)
+            if not pool:
+                return
+        if hopeless(chosen, union, banned, pool, need, best[0]):
+            return
+        if uncovered:
+            # branch on the uncovered state with the fewest unbanned coverers
+            allowed, fewest = ~banned, None
+            rem = uncovered
+            while rem:
+                s = rem & -rem
+                free = coverers[s] & allowed
+                count = free.bit_count()
+                if not count:
+                    return
+                if fewest is None or count < fewest:
+                    fewest, pick = count, free
+                rem ^= s
+            while pick:
+                low = pick & -pick
+                pool.append(low.bit_length() - 1)
+                pick ^= low
+        for i in pool:
+            dfs(chosen + (i,), union | extents[i], uncovered & ~extents[i], banned)
+            banned |= 1 << i
+            if left < 0:
+                return
+
+    dfs((), 0, on, 0)
+    chosen = best[1]
+    cubes = tuple(primes[i] for i in sorted(chosen, key=ranks.__getitem__))
+    return Cover(n, cubes, union_of(chosen), left >= 0, budget - left)
 
 
 def min_literal_cover(
@@ -202,102 +292,20 @@ def min_literal_cover(
         raise ValueError("ON and OFF sets intersect")
     if on == 0:
         return Cover(n, (), 0, True, 0)
-    primes, extents, lits, ranks = _prime_table(n, off, on)
-    state_primes: dict[int, list[int]] = {}
-    state_union: dict[int, int] = {}
-    state_min_lit: dict[int, int] = {}
-    rem = on
-    while rem:
-        s_bit = rem & -rem
-        idxs = [i for i, e in enumerate(extents) if e & s_bit]
-        u = 0
-        for i in idxs:
-            u |= extents[i]
-        state_primes[s_bit] = idxs
-        state_union[s_bit] = u
-        state_min_lit[s_bit] = min(lits[i] for i in idxs)
-        rem ^= s_bit
+    table = _prime_table(n, off, on)
+    _, _, lits, ranks = table
 
-    def lower_bound(uncovered: int) -> int:
-        lb = 0
-        rem = uncovered
-        while rem:
-            s_bit = rem & -rem
-            lb += state_min_lit[s_bit]
-            rem &= ~state_union[s_bit]
-        return lb
+    def key(chosen, union):
+        return (
+            sum(lits[i] for i in chosen),
+            len(chosen),
+            sorted(ranks[i] for i in chosen),
+        )
 
-    # greedy incumbent (cheapest literals per newly covered state) so budget
-    # exhaustion still returns a cover, flagged as unproven
-    greedy: list[int] = []
-    uncovered = on
-    while uncovered:
-        cand = None
-        for i in range(len(primes)):
-            gain = (extents[i] & uncovered).bit_count()
-            if not gain:
-                continue
-            score = (lits[i] / gain, lits[i], ranks[i])
-            if cand is None or score < cand[0]:
-                cand = (score, i)
-        greedy.append(cand[1])
-        uncovered &= ~extents[cand[1]]
-    greedy_key = (
-        sum(lits[i] for i in greedy),
-        len(greedy),
-        tuple(sorted(ranks[i] for i in greedy)),
-    )
-    best: list = [greedy_key + (tuple(greedy),)]  # (lits, terms, key, indices)
-    bud = _Budget(budget)
-    exhausted = [False]
+    def hopeless(chosen, union, banned, pool, need, best):
+        return sum(lits[i] for i in chosen) + sum(lits[i] for i in need) > best[0]
 
-    def dfs(uncovered: int, chosen: tuple[int, ...], total_lits: int, banned: int):
-        if not bud.spend():
-            exhausted[0] = True
-            return
-        if uncovered == 0:
-            key = (total_lits, len(chosen), tuple(sorted(ranks[i] for i in chosen)))
-            if best[0] is None or key < best[0][:3]:
-                best[0] = key + (chosen,)
-            return
-        if best[0] is not None and total_lits + lower_bound(uncovered) > best[0][0]:
-            return
-        # branch on the uncovered state with the fewest covering primes
-        pick, pick_count = None, None
-        rem = uncovered
-        while rem:
-            s_bit = rem & -rem
-            cnt = sum(1 for i in state_primes[s_bit] if not banned >> i & 1)
-            if cnt == 0:
-                return
-            if pick is None or cnt < pick_count:
-                pick, pick_count = s_bit, cnt
-            rem ^= s_bit
-        tried = 0
-        for i in state_primes[pick]:
-            if banned >> i & 1:
-                continue
-            dfs(
-                uncovered & ~extents[i],
-                chosen + (i,),
-                total_lits + lits[i],
-                banned | tried,
-            )
-            tried |= 1 << i
-            if exhausted[0]:
-                return
-
-    dfs(on, (), 0, 0)
-    chosen = best[0][3]
-    sat = 0
-    for i in chosen:
-        sat |= extents[i]
-    cubes = _in_text_order(primes, ranks, chosen)
-    return Cover(n, cubes, sat, not exhausted[0], budget - bud.left)
-
-
-# ---------------------------------------------------------------------------
-# weakness-penalty cover
+    return _search(n, table, on, budget, key, lambda *_: [], hopeless)
 
 
 def _score_cmp(
@@ -329,153 +337,72 @@ def max_weakness_cover(
         raise ValueError("ON and OFF sets intersect")
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    tau_num, tau_den = tau.numerator, tau.denominator
-    # widest first so the greedy seed and first branches go for weak covers
-    primes, extents, lits, ranks = _prime_table(n, off)
-    m = len(primes)
-    suffix_union = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix_union[i] = suffix_union[i + 1] | extents[i]
-    if on & ~suffix_union[0]:
-        raise SearchFailureError("ON set not coverable while avoiding OFF")
-    # extent sizes in branch order (descending), so the sum of sizes[i:i+j]
-    # bounds the union gain of any j selections from the suffix
-    sizes = [e.bit_count() for e in extents]
-    # per ON state: union of extents of the primes covering it (for a
-    # disjoint-witness lower bound on the number of terms still needed)
-    state_union: dict[int, int] = {}
-    rem = on
-    while rem:
-        s_bit = rem & -rem
-        u = 0
-        for e in extents:
-            if e & s_bit:
-                u |= e
-        state_union[s_bit] = u
-        rem ^= s_bit
+    num, den = tau.numerator, tau.denominator
+    # every prime, since an extra term may miss ON
+    table = _prime_table(n, off)
+    _, extents, lits, ranks = table
+    m = len(extents)
+    sizes = [e.bit_count() for e in extents]  # non-increasing
 
-    def terms_needed(uncovered: int) -> int:
-        cnt = 0
-        rem = uncovered
-        while rem:
-            s_bit = rem & -rem
-            cnt += 1
-            rem &= ~state_union[s_bit]
-        return cnt
+    def value(u: int, k: int) -> int:
+        # 2^(den * score) * 2^(num * m), for k <= m: an exact integer that
+        # orders selections as their scores do
+        return u**den << num * (m - k)
 
-    def better(u_a, k_a, l_a, key_a, u_b, k_b, l_b, key_b) -> bool:
-        cmp = _score_cmp(u_a, k_a, u_b, k_b, tau_num, tau_den)
-        return cmp > 0 if cmp else (l_a, key_a) < (l_b, key_b)
-
-    # greedy seed: max marginal extent until ON covered, then profitable extras
-    greedy: list[int] = []
-    u = 0
-    uncovered = on
-    while uncovered:
-        cand = None
-        for i in range(m):
-            if i in greedy or not extents[i] & uncovered:
-                continue
-            gain = (extents[i] & uncovered).bit_count()
-            if cand is None or gain > cand[0]:
-                cand = (gain, i)
-        greedy.append(cand[1])
-        u |= extents[cand[1]]
-        uncovered &= ~extents[cand[1]]
-    improved = True
-    while improved:
-        improved = False
-        for i in range(m):
-            if i in greedy:
-                continue
-            nu = u | extents[i]
-            if nu != u and _score_cmp(
-                nu.bit_count(),
-                len(greedy) + 1,
-                u.bit_count(),
-                len(greedy),
-                tau_num,
-                tau_den,
-            ) > 0:
-                greedy.append(i)
-                u = nu
-                improved = True
-                break
-
-    best = {
-        "u": u.bit_count(),
-        "k": len(greedy),
-        "lits": sum(lits[i] for i in greedy),
-        "key": tuple(sorted(ranks[i] for i in greedy)),
-        "chosen": tuple(sorted(greedy)),
-    }
-
-    bud = _Budget(budget)
-    exhausted = [False]
-
-    def consider(chosen: tuple[int, ...], union: int):
-        u_pc = union.bit_count()
-        k = len(chosen)
-        l = sum(lits[i] for i in chosen)
-        key = tuple(sorted(ranks[i] for i in chosen))
-        if better(u_pc, k, l, key, best["u"], best["k"], best["lits"], best["key"]):
-            best.update(u=u_pc, k=k, lits=l, key=key, chosen=tuple(sorted(chosen)))
-
-    def subtree_can_matter(i: int, union: int, uncovered: int, k_now: int) -> bool:
-        # Optimistic score of any strict extension drawn from primes[i:]:
-        # j more terms reach at most min(|union ∪ suffix|, |union| + j*top
-        # marginal sizes); scan j from the forced minimum until saturation.
-        reachable = union | suffix_union[i]
-        if uncovered & ~reachable:
-            return False
-        reach_pc = reachable.bit_count()
-        u_pc = union.bit_count()
-        j_min = max(1, terms_needed(uncovered))
-        u_j = u_pc
-        idx = i
-        for j in range(1, j_min):
-            if idx < m:
-                u_j += sizes[idx]
-                idx += 1
-        best_u, best_k = best["u"], best["k"]
-        j = j_min
-        while True:
-            if idx < m:
-                u_j = min(reach_pc, u_j + sizes[idx])
-                idx += 1
+    @lru_cache(maxsize=None)
+    def least_gain(u: int) -> int:
+        # the fewest new states that let one more term raise the score from
+        # a union of u states; the sign of _score_cmp(u + g, k + 1, u, k)
+        # does not depend on k
+        lo, hi = 1, 1 << n
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _score_cmp(u + mid, 1, u, 0, num, den) > 0:
+                hi = mid
             else:
-                u_j = reach_pc
-            if _score_cmp(u_j, k_now + j, best_u, best_k, tau_num, tau_den) >= 0:
-                return True
-            if u_j >= reach_pc:
-                return False  # more terms only lower the score from here
-            j += 1
+                lo = mid + 1
+        return lo
 
-    def dfs(i: int, chosen: tuple[int, ...], union: int, uncovered: int):
-        if exhausted[0] or not bud.spend():
-            exhausted[0] = True
-            return
-        if uncovered == 0:
-            consider(chosen, union)
-        if i == m:
-            return
-        if not subtree_can_matter(i, union, uncovered, len(chosen)):
-            return
-        if extents[i] & ~union:
-            dfs(i + 1, chosen + (i,), union | extents[i], uncovered & ~extents[i])
-        dfs(i + 1, chosen, union, uncovered)
+    def key(chosen, union):
+        return (
+            -value(union.bit_count(), len(chosen)),
+            sum(lits[i] for i in chosen),
+            sorted(ranks[i] for i in chosen),
+        )
 
-    dfs(0, (), 0, on)
-    chosen = best["chosen"]
-    sat = 0
-    for i in chosen:
-        sat |= extents[i]
-    cubes = _in_text_order(primes, ranks, chosen)
-    return Cover(n, cubes, sat, not exhausted[0], budget - bud.left)
+    def extras(chosen, union, banned):
+        g = least_gain(union.bit_count())
+        admitted = []
+        for i in range(m):
+            if sizes[i] < g:
+                break
+            if not banned >> i & 1 and (extents[i] & ~union).bit_count() >= g:
+                admitted.append(i)
+        return admitted
 
+    def hopeless(chosen, union, banned, pool, need, best):
+        # j more terms reach at most |union| plus the j largest marginal
+        # gains, and never more than the union of every prime left
+        if need:
+            pool = [i for i in range(m) if not banned >> i & 1]
+        reachable = union
+        gains = []
+        for i in pool:
+            reachable |= extents[i]
+            gains.append((extents[i] & ~union).bit_count())
+        gains.sort(reverse=True)
+        cap, k = reachable.bit_count(), len(chosen)
+        j_min = max(1, len(need))
+        u = union.bit_count() + sum(gains[: j_min - 1])
+        for j in range(j_min, min(len(gains), m - k) + 1):
+            u = min(cap, u + gains[j - 1])
+            if value(u, k + j) >= -best[0]:
+                return False
+            if u == cap:
+                break
+        return True
 
-# ---------------------------------------------------------------------------
-# exact representation of a given state set
+    return _search(n, table, on, budget, key, extras, hopeless)
 
 
 def exact_cover_of(n: int, target: int) -> Cover:
@@ -485,16 +412,5 @@ def exact_cover_of(n: int, target: int) -> Cover:
         return Cover(n, (), 0, True, 0)
     full = (1 << (1 << n)) - 1
     primes, extents, _, ranks = _prime_table(n, full & ~target)
-    chosen = []
-    sat = 0
-    uncovered = target
-    while uncovered:
-        cand = None
-        for i, ext in enumerate(extents):
-            gain = (ext & uncovered).bit_count()
-            if gain and (cand is None or gain > cand[0]):
-                cand = (gain, i)
-        chosen.append(cand[1])
-        sat |= extents[cand[1]]
-        uncovered &= ~extents[cand[1]]
-    return Cover(n, _in_text_order(primes, ranks, chosen), sat, True, 0)
+    chosen = sorted(_greedy_cover(extents, target), key=ranks.__getitem__)
+    return Cover(n, tuple(primes[i] for i in chosen), target, True, 0)

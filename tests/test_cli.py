@@ -113,6 +113,10 @@ def test_no_command_is_64():
         (["induce", "--spec", "{tiny}", "--task", "t1", "--cap", "0"], 64),
         (["induce", "--spec", "{tiny}", "--task", "t1", "--max-states", "3"], 64),
         (["induce", "--spec", "{not_utf8}", "--task", "t1"], 65),
+        (["verify", "--census-cap", "100"], 75),
+        (["verify", "--census-cap", "0"], 64),
+        (["verify", "--census-cap", "-3"], 64),
+        (["verify", "--samples-at", "0", "--max-states", "1"], 64),
     ],
 )
 def test_bad_input_ends_in_documented_code(tmp_path, argv, code):

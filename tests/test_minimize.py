@@ -113,7 +113,7 @@ def test_min_literal_cover_deterministic():
     on, off = 0b1010101, 0b0100000
     a = minimize.min_literal_cover(4, on, off)
     b = minimize.min_literal_cover(4, on, off)
-    assert a.key() == b.key()
+    assert a.cubes == b.cubes
 
 
 def test_min_literal_on_off_overlap_rejected():
@@ -175,7 +175,7 @@ DONT_CARE_HEAVY = ["oddf", "oddddf"]
 
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("mix", DONT_CARE_HEAVY)
-@pytest.mark.parametrize("tau", [Fraction(1), Fraction(1, 2)])
+@pytest.mark.parametrize("tau", [Fraction(1), Fraction(1, 2), Fraction(0), Fraction(2)])
 def test_max_weakness_cover_is_brute_force_argmax_dont_care_heavy(n, mix, tau):
     rng = random.Random(f"{n}{mix}{tau}")
     for _ in range(40):
@@ -230,11 +230,28 @@ def test_max_weakness_fractional_tau():
     assert (got.sat.bit_count(), got.term_count) == exp
 
 
-def test_budget_exhaustion_flags_but_covers():
-    cov = minimize.max_weakness_cover(4, 0b1111, 0b110000, budget=3)
+@pytest.mark.parametrize(
+    "search",
+    [minimize.max_weakness_cover, minimize.min_literal_cover],
+    ids=["max_weakness_cover", "min_literal_cover"],
+)
+def test_budget_exhaustion_flags_but_covers(search):
+    cov = search(4, 0b1111, 0b110000, budget=1)
     assert not cov.proven_optimal
     assert 0b1111 & ~cov.sat == 0
     assert cov.sat & 0b110000 == 0
+
+
+def test_weakness_cover_of_once_flagged_trial_is_proven_and_better():
+    # a search that ran out of its default budget here returned an unproven
+    # cover with |sat| 128 at 9 terms
+    seed = "acceptance-tables|add|14|33"
+    rng = random.Random(seed)
+    task = arith.gen_parent_task("add", rng.randrange(8))
+    child = arith.sample_child(task, 14, rng)
+    got = minimize.max_weakness_cover(8, child.on, child.off())
+    assert got.proven_optimal
+    assert minimize._score_cmp(got.sat.bit_count(), got.term_count, 128, 9, 1, 1) > 0
 
 
 def test_infeasible_weakness_cover_raises():
