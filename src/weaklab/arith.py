@@ -19,7 +19,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .lattice import StateSet
 from .minimize import (
@@ -83,11 +85,13 @@ class BinOpTask:
     deleted_bit: int
     decisions: tuple[int, ...]
     situations: tuple[int, ...]
-    cand: dict[int, tuple[int, int]]
+    cand: Mapping[int, tuple[int, int]]  # read-only: tasks are shared
     decisions_mask: int
     reach_mask: int  # union of completion sets over all parent situations
 
 
+# every trial of an experiment asks for one of 2 * width tasks
+@lru_cache(maxsize=64)
 def gen_parent_task(op: str, deleted_bit: int, width: int = 8) -> BinOpTask:
     operand_bits = width // 4
     if width % 4 or width < 4:
@@ -102,7 +106,7 @@ def gen_parent_task(op: str, deleted_bit: int, width: int = 8) -> BinOpTask:
         )
     )
     situations = tuple(sorted({delete_position(d, deleted_bit, width) for d in decisions}))
-    cand = {s: completions(s, deleted_bit, width) for s in situations}
+    cand = MappingProxyType({s: completions(s, deleted_bit, width) for s in situations})
     d_mask = 0
     for d in decisions:
         d_mask |= 1 << d
@@ -179,9 +183,6 @@ class StateHypothesis:
     @property
     def flagged(self) -> bool:
         return not self.cover.proven_optimal
-
-    def satisfies_model_condition(self, child: ChildSample) -> bool:
-        return self.sat & child.reach_mask == child.decisions_mask
 
 
 def weakest_model_state(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -221,6 +222,14 @@ def cmd_verify(args) -> int:
         fx_report = oracle.verify_weakness_optimality(
             fx.lang, census_cap=args.census_cap, extra_tasks=[fx.task], max_rows=64
         )
+    except CapacityError:
+        # the fixture language is fixed, so only a larger cap lets it through
+        census = oracle.census_size(fx.lang, cap=math.inf)
+        print(f"capacity: the fixture language's census has {census} tasks, "
+              f"over --census-cap {args.census_cap}; raise --census-cap to at "
+              f"least {census}", file=sys.stderr)
+        return EXIT_CAPACITY
+    try:
         sweep: list = list(oracle.all_derived_languages(
             min(args.max_states, 3), args.max_vocab
         ))

@@ -5,15 +5,18 @@ the leftmost character).  A cube fixes a subset of positions; its extent is
 the set of matching states, packed as an int bitmask.  Primes are found
 bit-parallel: one state mask per care mask (2^n of them) marks the cubes
 with that care set that avoid OFF, each derived from a wider care mask by
-one shift-and-mask step.
+one shift-and-mask step, with up to eight care masks packed into one int.
+One cached table per OFF set lists the primes with their extents, literal
+counts and text ranks; every search reads it.
 
 One branch-and-bound engine serves both proxies.  It branches on the
 uncovered ON state with the fewest covering primes: child k takes that
 state's k-th coverer and bans the earlier ones in its subtree, so each
 selection lies in exactly one subtree.  A node that covers ON is scored,
-then branched the same way over the extra primes its proxy admits.  A
-greedy max-gain cover is the first incumbent, so a search that runs out of
-nodes still returns a cover, flagged as unproven.
+then branched the same way over the extra primes its proxy admits.  The
+exact integer score is compared first; the tie-break key is built only
+when two scores tie.  A greedy max-gain cover is the first incumbent, so a
+search that runs out of nodes still returns a cover, flagged as unproven.
 
 * Description length: fewest total literals, then fewest terms, over the
   primes that meet ON.  No extras.  Bound: the cheapest literal count of
@@ -24,7 +27,11 @@ nodes still returns a cover, flagged as unproven.
   |U| + sum(g_i), and 2^(tau*j) - 1 >= j * (2^tau - 1), so a set of extras
   that beats none holds a member that beats none alone.  Bound: at least
   as many more terms as the disjoint ON states, each term adding at most
-  one of the largest marginal gains left.
+  one of the largest marginal gains left.  A node is pruned before any
+  gain is counted when too few primes are left or when the union of all
+  of them, at the fewest terms, cannot reach the incumbent; otherwise the
+  largest gains are selected lazily, widest primes first, and never
+  sorted in full.
 
 Remaining ties go to the lexicographically first cube texts.
 """
@@ -85,17 +92,6 @@ def _bit_planes(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def cube_extent(n: int, care: int, value: int) -> int:
-    """Bitmask of the states matched by the cube (care, value)."""
-    ext = (1 << (1 << n)) - 1
-    planes = _bit_planes(n)
-    for j in range(n):
-        if care >> j & 1:
-            ext &= planes[j][value >> j & 1]
-    return ext
-
-
-@lru_cache(maxsize=None)
 def _care_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # subsets[x] = mask of the states whose set bits all lie in x;
     # weights[x] = x's binary digits read in base 3, so weights[care] +
@@ -107,56 +103,129 @@ def _care_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(subsets), tuple(int(format(x, "b"), 3) for x in range(1 << n))
 
 
-# both sides of a trial ask for its child's primes; other trials rarely
-# share an OFF set, so a few entries catch nearly every repeat
-@lru_cache(maxsize=16)
+def cube_extent(n: int, care: int, value: int) -> int:
+    """Bitmask of the states matched by the cube (care, value): value plus
+    each state whose set bits all lie outside ``care``."""
+    return _care_tables(n)[0][~care & (1 << n) - 1] << value
+
+
+# the prime kernel packs the 2^_PACKED care masks that differ only in
+# their top _PACKED bits into one int, so one step serves all of them
+_PACKED = 3
+
+
+@lru_cache(maxsize=None)
+def _kernel_tables(n: int):
+    """Per-width tables of the prime kernel.
+
+    The top h = min(n, _PACKED) bits of a care mask are its hi part, the
+    other n - h its lo part.  A packed int holds one block of 2^n state
+    bits per hi, block hi standing for the care mask (hi, lo).
+
+    * smear: per hi bit t, its state bit, and the (ones, zeros) planes of
+      that state bit in the blocks whose hi lacks t;
+    * steps: (lo, lo | b, b, ones, zeros) from the full lo down, b the
+      lowest bit outside lo, with b's planes in every block;
+    * drops[lo]: lo ^ b for each bit b of lo;
+    * widen: per hi bit t, the shift that moves block hi ^ t onto block
+      hi, and the blocks whose hi has t;
+    * subsets[lo]: block hi holds the states whose set bits all lie in
+      the care mask (hi, lo).
+    """
+    h = min(n, _PACKED)
+    low_bits = n - h
+    width = 1 << n  # bits per block
+    block = (1 << width) - 1
+    every = sum(1 << width * hi for hi in range(1 << h))
+    planes = _bit_planes(n)
+
+    def blocks(t, has):
+        return sum(block << width * hi for hi in range(1 << h) if (hi >> t & 1) == has)
+
+    smear = []
+    for t in range(h):
+        zeros, ones = planes[low_bits + t]
+        lacking = blocks(t, 0)
+        smear.append(
+            (1 << low_bits + t, ones * every & lacking, zeros * every & lacking)
+        )
+    lo_all = (1 << low_bits) - 1
+    steps = []
+    for lo in range(lo_all - 1, -1, -1):
+        free = ~lo & lo_all
+        b = free & -free
+        zeros, ones = planes[b.bit_length() - 1]
+        steps.append((lo, lo | b, b, ones * every, zeros * every))
+    drops = [
+        tuple(lo ^ 1 << j for j in range(low_bits) if lo >> j & 1)
+        for lo in range(lo_all + 1)
+    ]
+    widen = [(width << t, blocks(t, 1)) for t in range(h)]
+    care_subsets = _care_tables(n)[0]
+    subsets = [
+        sum(care_subsets[hi << low_bits | lo] << width * hi for hi in range(1 << h))
+        for lo in range(lo_all + 1)
+    ]
+    return (
+        h, every, tuple(smear), tuple(steps), tuple(drops), tuple(widen), tuple(subsets)
+    )
+
+
 def prime_cubes(n: int, off: int) -> tuple[Cube, ...]:
     """Maximal cubes whose extent avoids ``off``, in Cube.text() order.
 
-    valid[c] holds the states s whose cube (c, s & c) avoids ``off``; it is
-    built from the full care mask down, dropping one care bit j at a time:
-    s stays valid when both s and s with bit j flipped were.  A cube is
-    prime when no single care bit can be dropped.
+    valid[c] holds the states s whose cube (c, s & c) avoids ``off``; the
+    list below packs it by lo part (see _kernel_tables).  Where c holds
+    every lo bit, valid[c] is the complement of ``off`` spread over the hi
+    bits c lacks.  From there down, c drops one lo bit b at a time: s stays
+    valid when both s and s with bit b flipped were.  A cube is prime when
+    no single care bit, lo or hi, can be dropped.
     """
-    care_all = (1 << n) - 1
-    planes = _bit_planes(n)
-    valid = [0] * (care_all + 1)
-    valid[care_all] = (1 << (1 << n)) - 1 & ~off
-    for care in range(care_all - 1, -1, -1):
-        free = ~care & care_all
-        bit = free & -free
-        zeros, ones = planes[bit.bit_length() - 1]
-        wider = valid[care | bit]
-        valid[care] = wider & ((wider & ones) >> bit | (wider & zeros) << bit)
-    subsets, weights = _care_tables(n)
+    h, every, smear, steps, drops, widen, subsets = _kernel_tables(n)
+    low_bits = n - h
+    spread = off * every
+    for bit, ones, zeros in smear:
+        spread |= (spread & ones) >> bit | (spread & zeros) << bit
+    valid = [0] * (1 << low_bits)
+    valid[-1] = (1 << (1 << n + h)) - 1 & ~spread
+    for lo, wider_lo, bit, ones, zeros in steps:
+        wider = valid[wider_lo]
+        valid[lo] = wider & ((wider & ones) >> bit | (wider & zeros) << bit)
+    state_mask = (1 << n) - 1
+    weights = _care_tables(n)[1]
     found = []
-    for care in range(care_all + 1):
-        primes = valid[care] & subsets[care]
-        j = care
-        while primes and j:
-            bit = j & -j
-            primes &= ~valid[care ^ bit]
-            j ^= bit
+    for lo, (here, narrower_los, subset) in enumerate(zip(valid, drops, subsets)):
+        primes = here & subset
+        for narrower in narrower_los:
+            if not primes:
+                break
+            primes &= ~valid[narrower]
+        for shift, having in widen:
+            primes &= ~(here << shift & having)
         while primes:
             low = primes & -primes
-            found.append((care, low.bit_length() - 1))
+            k = low.bit_length() - 1
+            care, value = k >> n << low_bits | lo, k & state_mask
+            found.append((weights[care] + weights[value], care, value))
             primes ^= low
-    found.sort(key=lambda cv: weights[cv[0]] + weights[cv[1]])
-    return tuple(Cube(n, care, value) for care, value in found)
+    found.sort()
+    return tuple(Cube(n, care, value) for _, care, value in found)
 
 
-def _prime_table(n: int, off: int, on: int = -1):
-    """The primes of ``off`` whose extent meets ``on``, by literal count then
-    text (equally: widest first), as parallel lists of cubes, extents,
-    literal counts and text ranks.  Every key a search compares is built
-    from these lists, so no cube is rendered or re-measured inside one."""
+# both sides of a trial ask for its child's table; other trials rarely
+# share an OFF set, so a few entries catch nearly every repeat
+@lru_cache(maxsize=16)
+def _prime_table(n: int, off: int):
+    """Every prime of ``off``, by literal count then text (equally: widest
+    first), as parallel tuples of cubes, extents, literal counts and text
+    ranks.  Every key a search compares is built from these, so no cube is
+    rendered or re-measured inside one."""
     primes = prime_cubes(n, off)
-    ranks = sorted(
-        (r for r, p in enumerate(primes) if p.extent & on),
-        key=lambda r: primes[r].literal_count,
-    )
-    cubes = [primes[r] for r in ranks]
-    return cubes, [p.extent for p in cubes], [p.literal_count for p in cubes], ranks
+    lits = [p.care.bit_count() for p in primes]
+    ranks = tuple(sorted(range(len(primes)), key=lits.__getitem__))
+    cubes = tuple(primes[r] for r in ranks)
+    extents = tuple(cube_extent(n, p.care, p.value) for p in cubes)
+    return cubes, extents, tuple(lits[r] for r in ranks), ranks
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,33 +262,34 @@ def _greedy_cover(extents: list[int], target: int) -> list[int]:
     return chosen
 
 
-def _search(n: int, table, on: int, budget: int, key, extras, hopeless) -> Cover:
+def _search(
+    n: int, table, on: int, budget: int, score, tie, extras, hopeless
+) -> Cover:
     """Branch and bound over the selections of ``table`` primes that cover
-    ``on``; returns the selection with the least ``key(chosen, union)``.
+    ``on``; returns the selection with the least (score, tie) key.
 
+    ``score(chosen, union)`` is an integer compared first; ``tie(chosen)``
+    orders selections of equal score and is built only for them.
     ``extras(chosen, union, banned)`` lists the primes a node that covers
     ``on`` may add.  ``hopeless(chosen, union, banned, pool, need, best)``
-    prunes a node whose subtree can neither beat nor tie the incumbent key
-    ``best``.  At a node that covers ``on``, ``pool`` lists its extras and
-    ``need`` is empty; elsewhere ``pool`` is empty and ``need`` holds the
-    cheapest coverer of each of some uncovered ON states no prime covers
-    two of, so any completion adds at least len(need) terms.
+    prunes a node whose subtree can neither beat nor tie the incumbent
+    score ``best``.  At a node that covers ``on``, ``pool`` lists its extras
+    and ``need`` is empty; elsewhere ``pool`` is empty and ``need`` holds
+    the cheapest coverer of each of some uncovered ON states no prime
+    covers two of, so any completion adds at least len(need) terms.
     """
     primes, extents, _, ranks = table
     coverers: dict[int, int] = {}  # ON state bit -> mask of prime indices
-    cheapest: dict[int, int] = {}  # ON state bit -> first (fewest literals)
     reach: dict[int, int] = {}  # ON state bit -> union of its coverers
-    rem = on
-    while rem:
-        s = rem & -rem
-        mask = union = 0
-        for i, e in enumerate(extents):
-            if e & s:
-                mask |= 1 << i
-                union |= e
-        coverers[s], reach[s] = mask, union
-        cheapest[s] = (mask & -mask).bit_length() - 1
-        rem ^= s
+    for i, e in enumerate(extents):
+        hit = e & on
+        while hit:
+            s = hit & -hit
+            coverers[s] = coverers.get(s, 0) | 1 << i
+            reach[s] = reach.get(s, 0) | e
+            hit ^= s
+    # ON state bit -> its first coverer, which has the fewest literals
+    cheapest = {s: (c & -c).bit_length() - 1 for s, c in coverers.items()}
 
     def union_of(chosen) -> int:
         union = 0
@@ -228,7 +298,7 @@ def _search(n: int, table, on: int, budget: int, key, extras, hopeless) -> Cover
         return union
 
     seed = tuple(_greedy_cover(extents, on))
-    best = [key(seed, union_of(seed)), seed]
+    best = [score(seed, union_of(seed)), seed, None]  # the tie is built on demand
     left = budget  # nodes; below zero once the budget is exhausted
 
     def dfs(chosen: tuple[int, ...], union: int, uncovered: int, banned: int):
@@ -245,9 +315,15 @@ def _search(n: int, table, on: int, budget: int, key, extras, hopeless) -> Cover
                 need.append(cheapest[s])
                 rem &= ~reach[s]
         else:
-            k = key(chosen, union)
-            if k < best[0]:
-                best[:] = k, chosen
+            sc = score(chosen, union)
+            if sc < best[0]:
+                best[:] = sc, chosen, None
+            elif sc == best[0]:
+                t = tie(chosen)
+                if best[2] is None:
+                    best[2] = tie(best[1])
+                if t < best[2]:
+                    best[:] = sc, chosen, t
             pool = extras(chosen, union, banned)
             if not pool:
                 return
@@ -282,6 +358,12 @@ def _search(n: int, table, on: int, budget: int, key, extras, hopeless) -> Cover
     return Cover(n, cubes, union_of(chosen), left >= 0, budget - left)
 
 
+def _meeting(table, on: int):
+    """The rows of ``table`` whose extent meets ``on``, order kept."""
+    keep = [i for i, e in enumerate(table[1]) if e & on]
+    return tuple([column[i] for i in keep] for column in table)
+
+
 def min_literal_cover(
     n: int, on: int, off: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> Cover:
@@ -292,20 +374,19 @@ def min_literal_cover(
         raise ValueError("ON and OFF sets intersect")
     if on == 0:
         return Cover(n, (), 0, True, 0)
-    table = _prime_table(n, off, on)
+    table = _meeting(_prime_table(n, off), on)
     _, _, lits, ranks = table
 
-    def key(chosen, union):
-        return (
-            sum(lits[i] for i in chosen),
-            len(chosen),
-            sorted(ranks[i] for i in chosen),
-        )
+    def score(chosen, union):
+        return sum(lits[i] for i in chosen)
+
+    def tie(chosen):
+        return len(chosen), sorted(ranks[i] for i in chosen)
 
     def hopeless(chosen, union, banned, pool, need, best):
-        return sum(lits[i] for i in chosen) + sum(lits[i] for i in need) > best[0]
+        return sum(lits[i] for i in chosen) + sum(lits[i] for i in need) > best
 
-    return _search(n, table, on, budget, key, lambda *_: [], hopeless)
+    return _search(n, table, on, budget, score, tie, lambda *_: [], hopeless)
 
 
 def _score_cmp(
@@ -363,12 +444,11 @@ def max_weakness_cover(
                 lo = mid + 1
         return lo
 
-    def key(chosen, union):
-        return (
-            -value(union.bit_count(), len(chosen)),
-            sum(lits[i] for i in chosen),
-            sorted(ranks[i] for i in chosen),
-        )
+    def score(chosen, union):
+        return -value(union.bit_count(), len(chosen))
+
+    def tie(chosen):
+        return sum(lits[i] for i in chosen), sorted(ranks[i] for i in chosen)
 
     def extras(chosen, union, banned):
         g = least_gain(union.bit_count())
@@ -382,27 +462,45 @@ def max_weakness_cover(
 
     def hopeless(chosen, union, banned, pool, need, best):
         # j more terms reach at most |union| plus the j largest marginal
-        # gains, and never more than the union of every prime left
+        # gains, and never more than cap, the union of every prime left
+        k = len(chosen)
+        j_min = max(1, len(need))
         if need:
             pool = [i for i in range(m) if not banned >> i & 1]
+        j_max = min(len(pool), m - k)
+        if j_min > j_max:
+            return True
         reachable = union
-        gains = []
         for i in pool:
             reachable |= extents[i]
-            gains.append((extents[i] & ~union).bit_count())
-        gains.sort(reverse=True)
-        cap, k = reachable.bit_count(), len(chosen)
-        j_min = max(1, len(need))
-        u = union.bit_count() + sum(gains[: j_min - 1])
-        for j in range(j_min, min(len(gains), m - k) + 1):
-            u = min(cap, u + gains[j - 1])
-            if value(u, k + j) >= -best[0]:
+        cap, target = reachable.bit_count(), -best
+        if value(cap, k + j_min) < target:
+            return True
+        # the gains in decreasing order, taken lazily: no gain exceeds its
+        # prime's size, so a pending gain at least the size of the next
+        # prime in the pool is the largest left
+        pending: list[int] = []  # gains of the primes scanned, not yet taken
+        scanned = 0
+        u = union.bit_count()
+        for j in range(1, j_max + 1):
+            while scanned < len(pool) and (
+                not pending or max(pending) < sizes[pool[scanned]]
+            ):
+                pending.append((extents[pool[scanned]] & ~union).bit_count())
+                scanned += 1
+            gain = max(pending)
+            pending.remove(gain)
+            u += gain
+            if j < j_min:
+                continue
+            u = min(cap, u)
+            if value(u, k + j) >= target:
                 return False
             if u == cap:
                 break
         return True
 
-    return _search(n, table, on, budget, key, extras, hopeless)
+    return _search(n, table, on, budget, score, tie, extras, hopeless)
 
 
 def exact_cover_of(n: int, target: int) -> Cover:

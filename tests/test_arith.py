@@ -44,6 +44,13 @@ def test_add_parent_structure_every_bit():
             assert sum(1 for p in pair if p in dset) == 1
 
 
+def test_parent_task_is_shared_and_read_only():
+    t = arith.gen_parent_task("mul", 5)
+    assert arith.gen_parent_task("mul", 5) is t
+    with pytest.raises(TypeError):
+        t.cand[t.situations[0]] = (0, 0)
+
+
 def test_parent_arithmetic_invariant():
     for op in ("add", "mul"):
         t = arith.gen_parent_task(op, 0)
@@ -105,7 +112,7 @@ def test_state_mode_closed_form():
     assert len(c.situations) == 2
     h = arith.weakest_model_state(t, c, mode="state")
     assert h.sat_set.cardinality == 256 - c.reach_mask.bit_count() + 2
-    assert h.satisfies_model_condition(c)
+    assert h.sat & c.reach_mask == c.decisions_mask
 
 
 def test_state_mode_brute_force_width4():
@@ -147,7 +154,7 @@ def test_models_satisfy_model_condition():
             arith.weakest_model_state(t, c, mode="penalized"),
             arith.mdl_model_state(t, c),
         ):
-            assert h.satisfies_model_condition(c)
+            assert h.sat & c.reach_mask == c.decisions_mask
             assert c.on & ~h.sat == 0
 
 

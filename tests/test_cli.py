@@ -126,6 +126,10 @@ def test_bad_input_ends_in_documented_code(tmp_path, argv, code):
     proc = run_proc(*(a.format(**paths) for a in argv))
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
+    if argv == ["verify", "--census-cap", "100"]:
+        # only a larger cap admits the fixture language's census
+        assert "raise --census-cap" in proc.stderr
+        assert "--max-states" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

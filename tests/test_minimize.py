@@ -254,6 +254,143 @@ def test_weakness_cover_of_once_flagged_trial_is_proven_and_better():
     assert minimize._score_cmp(got.sat.bit_count(), got.term_count, 128, 9, 1, 1) > 0
 
 
+# (trial seed, weakness nodes, weakness cubes, mdl nodes, mdl cubes) as the
+# searches returned them before the node-cost work on the engine: the
+# golden experiment grid of test_golden.py, one hard (add, 14) trial, and
+# two criterion-8 trials whose node counts grow when the weakness bound
+# drops its marginal gains and keeps only the union of the primes left
+RECORDED_SEARCHES = [
+    (
+        "golden-1|add|6|0",
+        155,
+        ['-----0-1', '-----110', '-0----00', '-1----01'],
+        107,
+        ['-----0-1', '-----110', '-0----00', '-1----01'],
+    ),
+    (
+        "golden-1|add|6|1",
+        59,
+        ['-----0-0', '---0-10-', '--0--0--'],
+        59,
+        ['-----0-0', '---0-10-', '--0--0--'],
+    ),
+    (
+        "golden-1|add|10|0",
+        150,
+        ['0-----00', '0-01----', '0-1--0--', '1----1-1', '1-00--1-', '1-1---10'],
+        32,
+        ['0-----00', '0--1-0--', '0-1--0--', '1----1-1', '1----11-', '1-00--1-'],
+    ),
+    (
+        "golden-1|add|10|1",
+        12,
+        ['-0-0---0', '-0-1---1', '-1-0---1', '-1-1---0'],
+        12,
+        ['-0-0---0', '-0-1---1', '-1-0---1', '-1-1---0'],
+    ),
+    (
+        "golden-1|add|14|0",
+        9,
+        ['-0-0---0', '-0-1---1', '-1-0---1', '-1-1---0'],
+        9,
+        ['-0-0---0', '-0-1---1', '-1-0---1', '-1-1---0'],
+    ),
+    (
+        "golden-1|add|14|1",
+        861,
+        ['-----011', '---1-1-0', '--00-0--', '--1--10-', '00---0--'],
+        861,
+        ['-----011', '---0-01-', '---1-1-0', '--1--10-', '0-0--0--'],
+    ),
+    (
+        "golden-1|mul|6|0",
+        19,
+        ['--0--0--', '0----0--', '1-1--1--'],
+        19,
+        ['--0--0--', '0----0--', '1-1--1--'],
+    ),
+    (
+        "golden-1|mul|6|1",
+        10,
+        ['-0----00', '-1-----1', '-1----1-'],
+        7,
+        ['-0----00', '-1-----1', '-1----1-'],
+    ),
+    (
+        "golden-1|mul|10|0",
+        621,
+        ['--1--1--', '--1-1---', '0-1---1-', '001-----', '010---0-', '1-0-00--'],
+        358,
+        ['--1--1--', '--1-1---', '-10---00', '0-1---1-', '001-----', '1-0-00--'],
+    ),
+    (
+        "golden-1|mul|10|1",
+        4,
+        ['--0--0--', '0----0--', '1-1--1--'],
+        4,
+        ['--0--0--', '0----0--', '1-1--1--'],
+    ),
+    (
+        "golden-1|mul|14|0",
+        21,
+        ['--00----', '0--1--0-', '0-1--0--', '1----1--', '1-0---1-'],
+        21,
+        ['--00----', '0----00-', '0-1--0--', '1----1--', '1-0---1-'],
+    ),
+    (
+        "golden-1|mul|14|1",
+        4,
+        ['---0---0', '-0-----0', '-1-1---1'],
+        4,
+        ['---0---0', '-0-----0', '-1-1---1'],
+    ),
+    (
+        "acceptance-tables|add|14|33",
+        19181,
+        [
+            '0--1--00', '0-0---0-', '0-01---0', '0-1--0--', '1----11-', '1-1---01',
+            '10---1--', '100---1-', '110----1',
+        ],
+        2639,
+        [
+            '0----00-', '0--1--00', '0--1-0-0', '0-1--0--', '1----1-1', '1----11-',
+            '1--0-1--', '1-0---11', '1-00--1-',
+        ],
+    ),
+    (
+        "acceptance-tables|add|10|18",
+        12,
+        ['-0-0---0', '-0-1---1', '-1-0---1', '-1-1---0'],
+        10,
+        ['---1-11-', '-0-0---0', '-0-1---1', '-1-0---1'],
+    ),
+    (
+        "acceptance-tables|mul|10|167",
+        8,
+        ['-1---00-', '0----0--', '1-1--1-0'],
+        12,
+        ['-1---00-', '0----0--', '1-1--1-0'],
+    ),
+]
+
+
+@pytest.mark.parametrize("record", RECORDED_SEARCHES, ids=lambda r: r[0])
+def test_searches_keep_recorded_covers_in_no_more_nodes(record):
+    seed, w_nodes, w_cubes, d_nodes, d_cubes = record
+    _, op, m, _ = seed.split("|")
+    rng = random.Random(seed)  # as run_experiment derives the trial
+    task = arith.gen_parent_task(op, rng.randrange(8))
+    child = arith.sample_child(task, int(m), rng)
+    for search, nodes, cubes in (
+        (minimize.max_weakness_cover, w_nodes, w_cubes),
+        (minimize.min_literal_cover, d_nodes, d_cubes),
+    ):
+        got = search(8, child.on, child.off())
+        assert got.proven_optimal
+        assert [c.text() for c in got.cubes] == cubes
+        assert got.nodes_used <= nodes
+
+
 def test_infeasible_weakness_cover_raises():
     # ON state adjacent to OFF everywhere: cover exists (its own minterm),
     # so build a genuinely infeasible case instead: ON intersects OFF
