@@ -21,6 +21,8 @@ from .errors import (
     WeaklabError,
 )
 from .induction import (
+    INVERSE_DESCRIPTION_LENGTH,
+    WEAKNESS,
     ExclusiveFamily,
     FamilySumReport,
     exclusive_family_sum,
@@ -32,18 +34,14 @@ from .induction import (
 from .lattice import (
     EXPLICIT,
     DERIVED,
-    INVERSE_DESCRIPTION_LENGTH,
-    TOP,
-    WEAKNESS,
     Language,
     Predicate,
-    StateSet,
     StateSpace,
     Statement,
     Vocabulary,
     description_length,
 )
-from .tasks import Decision, VTask, attempt_task, is_child, is_model, make_task, models
+from .tasks import Decision, VTask, attempt_task, is_child, make_task
 
 __version__ = "0.1.0"
 
@@ -64,11 +62,9 @@ __all__ = [
     "NoDecisionError",
     "NoModelError",
     "Predicate",
-    "StateSet",
     "StateSpace",
     "Statement",
     "TaskPreconditionError",
-    "TOP",
     "VTask",
     "Vocabulary",
     "VocabularyError",
@@ -80,9 +76,7 @@ __all__ = [
     "generalisation_probability",
     "induce",
     "is_child",
-    "is_model",
     "make_task",
-    "models",
     "mutually_exclusive",
     "prior",
     "__version__",

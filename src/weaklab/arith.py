@@ -23,7 +23,6 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .lattice import StateSet
 from .minimize import (
     DEFAULT_NODE_BUDGET,
     Cover,
@@ -156,43 +155,14 @@ def sample_child(
     return ChildSample(m, decisions, situations, d_mask, reach)
 
 
-@dataclass(frozen=True)
-class StateHypothesis:
-    """Cube cover acting as a state-level hypothesis."""
-
-    mode: str
-    cover: Cover
-    width: int
-
-    @property
-    def sat(self) -> int:
-        return self.cover.sat
-
-    @property
-    def sat_set(self) -> StateSet:
-        return StateSet(self.cover.sat, 1 << self.width)
-
-    @property
-    def literal_count(self) -> int:
-        return self.cover.literal_count
-
-    @property
-    def term_count(self) -> int:
-        return self.cover.term_count
-
-    @property
-    def flagged(self) -> bool:
-        return not self.cover.proven_optimal
-
-
 def weakest_model_state(
     task: BinOpTask,
     child: ChildSample,
     mode: str = MODE_PENALIZED,
     tau: Fraction = Fraction(1),
     budget: int = DEFAULT_NODE_BUDGET,
-) -> StateHypothesis:
-    """Weakness-side hypothesis for the child.
+) -> Cover:
+    """Weakness-side hypothesis for the child, a cube cover.
 
     ``state`` mode returns the unique satisfaction-maximal model (the child
     decisions plus every state its situations cannot reach) as an exact
@@ -204,23 +174,21 @@ def weakest_model_state(
     off = child.off()
     if mode == MODE_STATE:
         target = on | (full & ~child.reach_mask)
-        return StateHypothesis(mode, exact_cover_of(task.width, target), task.width)
+        return exact_cover_of(task.width, target)
     if mode == MODE_PENALIZED:
-        cover = max_weakness_cover(task.width, on, off, tau=tau, budget=budget)
-        return StateHypothesis(mode, cover, task.width)
+        return max_weakness_cover(task.width, on, off, tau=tau, budget=budget)
     raise ValueError(f"unknown weakness mode {mode!r}")
 
 
 def mdl_model_state(
     task: BinOpTask, child: ChildSample, budget: int = DEFAULT_NODE_BUDGET
-) -> StateHypothesis:
+) -> Cover:
     """Minimum total-literal cover of the child decisions, unreachable
     states free as don't-cares."""
-    cover = min_literal_cover(task.width, child.on, child.off(), budget=budget)
-    return StateHypothesis("mdl", cover, task.width)
+    return min_literal_cover(task.width, child.on, child.off(), budget=budget)
 
 
-def d_recon(task: BinOpTask, hyp: StateHypothesis) -> int:
+def d_recon(task: BinOpTask, hyp: Cover) -> int:
     """States the hypothesis satisfies whose deleted-bit projection is a
     parent situation."""
     return hyp.sat & task.reach_mask
@@ -228,8 +196,7 @@ def d_recon(task: BinOpTask, hyp: StateHypothesis) -> int:
 
 @dataclass(frozen=True)
 class HypothesisOutcome:
-    hypothesis: StateHypothesis
-    d_recon_mask: int
+    hypothesis: Cover
     generalised: bool
     extent: Fraction
     flagged: bool
@@ -246,15 +213,14 @@ class TrialResult:
     mdl: HypothesisOutcome
 
 
-def _outcome(task: BinOpTask, hyp: StateHypothesis) -> HypothesisOutcome:
+def _outcome(task: BinOpTask, hyp: Cover) -> HypothesisOutcome:
     recon = d_recon(task, hyp)
     inter = (recon & task.decisions_mask).bit_count()
     return HypothesisOutcome(
         hypothesis=hyp,
-        d_recon_mask=recon,
         generalised=recon == task.decisions_mask,
         extent=Fraction(inter, len(task.decisions)),
-        flagged=hyp.flagged,
+        flagged=not hyp.proven_optimal,
     )
 
 

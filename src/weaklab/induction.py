@@ -10,27 +10,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoModelError, TaskPreconditionError
-from .lattice import Language, Statement, canonical_proxy_kind
+from .lattice import Language, Statement
 from .tasks import VTask
+
+WEAKNESS = "weakness"
+INVERSE_DESCRIPTION_LENGTH = "inverse-description-length"
 
 
 def induce(task: VTask, kind: str) -> Statement:
-    """Return the proxy-maximal model of the task.
+    """Return the proxy-maximal model of the task: the weakest model for
+    ``weakness``, the shortest for ``mdl`` (alias
+    ``inverse-description-length``).
 
     Ties are broken by the global statement order (size, then lexicographic
     on indices): the earliest maximal model wins.
     """
-    kind = canonical_proxy_kind(kind)
+    if kind not in (WEAKNESS, "mdl", INVERSE_DESCRIPTION_LENGTH):
+        raise ValueError(f"unknown proxy kind {kind!r}")
     ms = task.models()
     if not ms:
         raise NoModelError("model set empty")
-    best = ms[0]
-    best_v = task.lang.proxy_value(kind, best)
-    for m in ms[1:]:
-        v = task.lang.proxy_value(kind, m)
-        if v > best_v:
-            best, best_v = m, v
-    return best
+    # max and min both return the first extremal item
+    if kind == WEAKNESS:
+        return max(ms, key=task.lang.weakness)
+    return min(ms, key=len)
 
 
 def generalisation_probability(task: VTask, h: Statement) -> Fraction:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Iterator
 
@@ -31,117 +30,6 @@ DEFAULT_LANGUAGE_CAP = 1_000_000
 DERIVED = "derived"
 EXPLICIT = "explicit"
 
-WEAKNESS = "weakness"
-INVERSE_DESCRIPTION_LENGTH = "inverse-description-length"
-_PROXY_ALIASES = {
-    "weakness": WEAKNESS,
-    "mdl": INVERSE_DESCRIPTION_LENGTH,
-    "inverse-description-length": INVERSE_DESCRIPTION_LENGTH,
-}
-
-
-def canonical_proxy_kind(kind: str) -> str:
-    try:
-        return _PROXY_ALIASES[kind]
-    except KeyError:
-        raise ValueError(f"unknown proxy kind {kind!r}") from None
-
-
-@total_ordering
-class _Top:
-    """Distinguished maximum of the proxy value order (value of 1/0)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __eq__(self, other):
-        return isinstance(other, _Top)
-
-    def __lt__(self, other):
-        return False
-
-    def __gt__(self, other):
-        return not isinstance(other, _Top)
-
-    def __hash__(self):
-        return hash("weaklab-proxy-top")
-
-    def __repr__(self):
-        return "TOP"
-
-
-TOP = _Top()
-
-ProxyValue = Fraction | _Top
-
-
-@dataclass(frozen=True)
-class StateSet:
-    """Subset of a state space, packed as a bit vector (bit i = state i)."""
-
-    bits: int
-    size: int
-
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.size:
-            raise ValueError(f"bits 0x{self.bits:x} out of range for size {self.size}")
-
-    @classmethod
-    def of(cls, indices: Iterable[int], size: int) -> "StateSet":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < size:
-                raise IndexError(f"state index {i} out of range 0..{size - 1}")
-            bits |= 1 << i
-        return cls(bits, size)
-
-    @classmethod
-    def full(cls, size: int) -> "StateSet":
-        return cls((1 << size) - 1, size)
-
-    @classmethod
-    def empty(cls, size: int) -> "StateSet":
-        return cls(0, size)
-
-    @property
-    def cardinality(self) -> int:
-        return self.bits.bit_count()
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.size) if self.bits >> i & 1)
-
-    def __contains__(self, index: int) -> bool:
-        return 0 <= index < self.size and bool(self.bits >> index & 1)
-
-    def __and__(self, other: "StateSet") -> "StateSet":
-        self._check(other)
-        return StateSet(self.bits & other.bits, self.size)
-
-    def __or__(self, other: "StateSet") -> "StateSet":
-        self._check(other)
-        return StateSet(self.bits | other.bits, self.size)
-
-    def complement(self) -> "StateSet":
-        return StateSet(~self.bits & (1 << self.size) - 1, self.size)
-
-    def issubset(self, other: "StateSet") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
-
-    def _check(self, other: "StateSet") -> None:
-        if self.size != other.size:
-            raise ValueError("state sets over different spaces")
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __repr__(self):
-        return f"StateSet({{{','.join(map(str, self.indices()))}}}/{self.size})"
-
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -151,10 +39,6 @@ class StateSpace:
     width: int | None = None
 
     def __post_init__(self):
-        if not self.states:
-            # A zero-state space is representable (it makes every statement
-            # unsatisfiable); constructors that forbid it check explicitly.
-            pass
         if len(set(self.states)) != len(self.states):
             raise ValueError("state identifiers must be unique")
         if self.width is not None and len(self.states) != 1 << self.width:
@@ -168,10 +52,6 @@ class StateSpace:
             raise ValueError("bit-string spaces wider than 20 are not supported")
         return cls(tuple(format(i, f"0{width}b") for i in range(1 << width)), width)
 
-    @classmethod
-    def named(cls, names: Iterable[str]) -> "StateSpace":
-        return cls(tuple(names))
-
     @property
     def size(self) -> int:
         return len(self.states)
@@ -179,10 +59,11 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class Predicate:
-    """Named truth-valued function over a state space, stored extensionally."""
+    """Named truth-valued function over a state space, stored extensionally:
+    bit i of ``truth`` is its value at state i."""
 
     name: str
-    truth: StateSet
+    truth: int
 
 
 @dataclass(frozen=True)
@@ -195,10 +76,7 @@ class Vocabulary:
         names = [p.name for p in self.predicates]
         if len(set(names)) != len(names):
             raise VocabularyError("duplicate predicate name in vocabulary")
-        sizes = {p.truth.size for p in self.predicates}
-        if len(sizes) > 1:
-            raise VocabularyError("predicates defined over different state spaces")
-        tables = [p.truth.bits for p in self.predicates]
+        tables = [p.truth for p in self.predicates]
         if len(set(tables)) != len(tables):
             warnings.warn(
                 "vocabulary contains distinct predicates with identical truth "
@@ -326,7 +204,7 @@ class Language:
                 for members, bits in level:
                     lo = members[-1] + 1 if members else 0
                     for j in range(lo, len(vocab)):
-                        b = bits & vocab[j].truth.bits
+                        b = bits & vocab[j].truth
                         if b:
                             nxt.append((members + (j,), b))
                 level = nxt
@@ -371,15 +249,15 @@ class Language:
 
     # -- semantics ---------------------------------------------------------
 
-    def sat_set(self, s: Statement) -> StateSet:
-        """States satisfying every member predicate; all states for the
-        empty statement."""
+    def sat_set(self, s: Statement) -> int:
+        """Bitmask of the states satisfying every member predicate; all
+        states for the empty statement."""
         bits = (1 << self.space.size) - 1
         for i in s.members:
             if not 0 <= i < len(self.vocab):
                 raise IndexError(f"predicate index {i} out of range")
-            bits &= self.vocab[i].truth.bits
-        return StateSet(bits, self.space.size)
+            bits &= self.vocab[i].truth
+        return bits
 
     def is_statement(self, s: Statement) -> bool:
         """True iff ``s`` indexes into the vocabulary and is satisfiable."""
@@ -410,6 +288,15 @@ class Language:
             mask &= pred[p]
         return mask
 
+    def subset_mask(self, s: Statement) -> int:
+        """Bitmask over statement positions of the members contained in
+        ``s``: those holding no predicate outside it."""
+        mask = (1 << self.size) - 1
+        for p, held in enumerate(self._predicate_masks()):
+            if p not in s:
+                mask &= ~held
+        return mask
+
     def extension_masks(self) -> list[int]:
         """Per statement position i, the extension mask of statement i.
         Built afresh on each call, one mask per statement, so it is meant
@@ -420,11 +307,6 @@ class Language:
         """Members at the set bits of a position mask, in global order."""
         bits = bin(mask)[:1:-1]  # character i is bit i
         return tuple(s for s, b in zip(self.statements, bits) if b == "1")
-
-    def supersets(self, s: Statement) -> tuple[Statement, ...]:
-        """Members of the universe containing ``s``; ``s`` need not be a
-        member itself (situations of explicit-universe tasks are not)."""
-        return self.extension_of_set((s,))
 
     def extension(self, s: Statement) -> tuple[Statement, ...]:
         """All members containing the member statement ``s`` (itself included)."""
@@ -442,26 +324,10 @@ class Language:
             mask |= self.extension_mask(s)
         return self.statements_of(mask)
 
-    # -- proxies -----------------------------------------------------------
-
     def weakness(self, s: Statement) -> int:
         """Cardinality of the extension of a member statement (exact)."""
         self.position(s)
         return self.extension_mask(s).bit_count()
-
-    def proxy_value(self, kind: str, s: Statement) -> ProxyValue:
-        """Totally ordered proxy value of a member statement.
-
-        weakness: extension cardinality.  inverse-description-length: 1/|s|,
-        with the empty statement mapped to the distinguished top element.
-        """
-        kind = canonical_proxy_kind(kind)
-        self.position(s)
-        if kind == WEAKNESS:
-            return Fraction(self.weakness(s))
-        if len(s) == 0:
-            return TOP
-        return Fraction(1, len(s))
 
     def format_statement(self, s: Statement) -> str:
         return "{" + ",".join(self.vocab[i].name for i in s.members) + "}"
@@ -481,8 +347,8 @@ class Language:
 
 def _check_vocab_space(space: StateSpace, vocab: Vocabulary) -> None:
     for p in vocab:
-        if p.truth.size != space.size:
+        if p.truth < 0 or p.truth >> space.size:
             raise VocabularyError(
-                f"predicate {p.name!r} has truth table over {p.truth.size} "
-                f"states, space has {space.size}"
+                f"predicate {p.name!r} has truth table {p.truth:#x}, "
+                f"not a subset of the {space.size} states of the space"
             )

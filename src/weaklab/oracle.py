@@ -21,13 +21,10 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, FixtureError
-from .induction import induce
+from .induction import INVERSE_DESCRIPTION_LENGTH, WEAKNESS, induce
 from .lattice import (
-    INVERSE_DESCRIPTION_LENGTH,
-    WEAKNESS,
     Language,
     Predicate,
-    StateSet,
     StateSpace,
     Statement,
     Vocabulary,
@@ -116,75 +113,6 @@ class OptimalityReport:
     rows_truncated: bool
     violations: list[Violation]
     deviation_count: int
-
-    def to_dict(self) -> dict:
-        def row(r: OptimalityRow) -> dict:
-            return {
-                "situations": [list(s) for s in r.situations],
-                "decisions": [list(d) for d in r.decisions],
-                "model": list(r.model),
-                "weakness": r.weakness,
-                "parent_count": r.parent_count,
-                "total_parents": r.total_parents,
-                "formula": [r.formula.numerator, r.formula.denominator],
-                "empirical": None
-                if r.empirical is None
-                else [r.empirical.numerator, r.empirical.denominator],
-            }
-
-        return {
-            "census_size": self.census_size,
-            "tasks_checked": self.tasks_checked,
-            "rows_total": self.rows_total,
-            "rows_truncated": self.rows_truncated,
-            "violation_count": len(self.violations),
-            "violations": [
-                {
-                    "situations": [list(s) for s in v.situations],
-                    "decisions": [list(d) for d in v.decisions],
-                    "weak_model": list(v.weak_model),
-                    "weak_count": v.weak_count,
-                    "best_model": list(v.best_model),
-                    "best_count": v.best_count,
-                }
-                for v in self.violations
-            ],
-            "deviation_count": self.deviation_count,
-            "rows": [row(r) for r in self.rows],
-        }
-
-    def to_text(self) -> str:
-        lines = [
-            f"census={self.census_size} tasks_checked={self.tasks_checked} "
-            f"rows={self.rows_total} violations={len(self.violations)} "
-            f"formula_deviations={self.deviation_count}",
-        ]
-        shown = self.rows
-        for r in shown:
-            emp = "-" if r.empirical is None else str(r.empirical)
-            lines.append(
-                f"S={_fmt_sets(r.situations)} D={_fmt_sets(r.decisions)} "
-                f"h={_fmt_set(r.model)} |Z_h|={r.weakness} "
-                f"parents={r.parent_count}/{r.total_parents} "
-                f"formula={r.formula} empirical={emp}"
-            )
-        if self.rows_truncated:
-            lines.append(f"... ({self.rows_total - len(shown)} rows not shown)")
-        for v in self.violations:
-            lines.append(
-                f"VIOLATION S={_fmt_sets(v.situations)} D={_fmt_sets(v.decisions)} "
-                f"weakest={_fmt_set(v.weak_model)} count={v.weak_count} "
-                f"beaten_by={_fmt_set(v.best_model)} count={v.best_count}"
-            )
-        return "\n".join(lines)
-
-
-def _fmt_set(members: tuple[int, ...]) -> str:
-    return "{" + ",".join(map(str, members)) + "}"
-
-
-def _fmt_sets(sets: tuple[tuple[int, ...], ...]) -> str:
-    return "{" + ",".join(_fmt_set(s) for s in sets) + "}"
 
 
 def verify_weakness_optimality(
@@ -347,13 +275,8 @@ def prior_report(lang: Language, cap: int = PRIOR_REPORT_CAP) -> list[PriorRow]:
 def tiny_language() -> Language:
     """Two states, two predicates each true at exactly one state; the
     derived language is {∅, {p}, {q}}."""
-    space = StateSpace.named(("s1", "s2"))
-    vocab = Vocabulary(
-        (
-            Predicate("p", StateSet.of([0], 2)),
-            Predicate("q", StateSet.of([1], 2)),
-        )
-    )
+    space = StateSpace(("s1", "s2"))
+    vocab = Vocabulary((Predicate("p", 0b01), Predicate("q", 0b10)))
     return Language.derive(space, vocab)
 
 
@@ -388,18 +311,12 @@ class DivergenceFixture:
 def divergence_fixture() -> DivergenceFixture:
     """Build the fixture and self-check every expected value; any mismatch
     raises FixtureError (build-breaking)."""
-    n_states = len(_DIVERGENCE_STATES)
-    space = StateSpace.named(_DIVERGENCE_STATES)
+    space = StateSpace(_DIVERGENCE_STATES)
     truth = {name: 0 for name in _DIVERGENCE_NAMES}
     for state_idx, stmt in enumerate(_DIVERGENCE_MAXIMAL):
         for name in stmt:
             truth[name] |= 1 << state_idx
-    vocab = Vocabulary(
-        tuple(
-            Predicate(name, StateSet(truth[name], n_states))
-            for name in _DIVERGENCE_NAMES
-        )
-    )
+    vocab = Vocabulary(tuple(Predicate(n, truth[n]) for n in _DIVERGENCE_NAMES))
     idx = {name: i for i, name in enumerate(_DIVERGENCE_NAMES)}
 
     def stmt(names: Iterable[str]) -> Statement:
@@ -448,6 +365,10 @@ def divergence_fixture() -> DivergenceFixture:
 # derived-language enumeration and sampling for theorem sweeps
 
 
+def _numbered_vocabulary(tables: Iterable[int]) -> Vocabulary:
+    return Vocabulary(tuple(Predicate(f"p{i}", t) for i, t in enumerate(tables)))
+
+
 def all_derived_languages(
     max_states: int, max_vocab: int
 ) -> Iterator[Language]:
@@ -455,17 +376,11 @@ def all_derived_languages(
     max_vocab predicates, predicates drawn without repetition from all
     possible truth tables."""
     for n_states in range(1, max_states + 1):
-        space = StateSpace.named(tuple(f"s{i}" for i in range(n_states)))
+        space = StateSpace(tuple(f"s{i}" for i in range(n_states)))
         tables = range(1 << n_states)
         for k in range(0, max_vocab + 1):
             for combo in itertools.combinations(tables, k):
-                vocab = Vocabulary(
-                    tuple(
-                        Predicate(f"p{i}", StateSet(bits, n_states))
-                        for i, bits in enumerate(combo)
-                    )
-                )
-                yield Language.derive(space, vocab)
+                yield Language.derive(space, _numbered_vocabulary(combo))
 
 
 def sample_derived_languages(
@@ -474,13 +389,13 @@ def sample_derived_languages(
     seed: int | str,
     max_vocab: int = 4,
     census_cap: int = DEFAULT_CENSUS_CAP,
-    max_attempts: int | None = None,
 ) -> list[Language]:
     """Seeded sample of derived languages over ``n_states`` states whose
-    census fits ``census_cap``; oversized draws are skipped."""
+    census fits ``census_cap``; oversized draws are skipped, up to 200 per
+    language asked for."""
     rng = random.Random(f"weaklab-language-sample|{seed}|{n_states}")
-    attempts_left = max_attempts if max_attempts is not None else count * 200
-    space = StateSpace.named(tuple(f"s{i}" for i in range(n_states)))
+    attempts_left = count * 200
+    space = StateSpace(tuple(f"s{i}" for i in range(n_states)))
     out: list[Language] = []
     while len(out) < count:
         if attempts_left <= 0:
@@ -488,13 +403,7 @@ def sample_derived_languages(
         attempts_left -= 1
         k = rng.randint(1, max_vocab)
         combo = sorted(rng.sample(range(1 << n_states), k))
-        vocab = Vocabulary(
-            tuple(
-                Predicate(f"p{i}", StateSet(bits, n_states))
-                for i, bits in enumerate(combo)
-            )
-        )
-        lang = Language.derive(space, vocab)
+        lang = Language.derive(space, _numbered_vocabulary(combo))
         try:
             census_size(lang, census_cap)
         except CapacityError:

@@ -13,6 +13,7 @@ Format (UTF-8, '#' starts a line comment):
     }
 
 Connectives ! & | with precedence ! > & > |; unicode aliases are accepted.
+Digits are ASCII only, in widths, bit indices, patterns and names.
 Bit patterns have one character per position ('0', '1' or '-'); each fixed
 position is resolved to the predicate whose truth table is exactly that bit
 literal.  The printer emits a canonical form; parse(print(doc)) is
@@ -27,7 +28,6 @@ from .lattice import (
     DEFAULT_LANGUAGE_CAP,
     Language,
     Predicate,
-    StateSet,
     StateSpace,
     Statement,
     Vocabulary,
@@ -157,6 +157,10 @@ class _Tok:
     col: int
 
 
+# ASCII only: str.isdigit() also accepts digits such as '²' that int() rejects
+_DIGITS = frozenset("0123456789")
+
+
 def _lex(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
     line, col = 1, 1
@@ -195,9 +199,9 @@ def _lex(text: str) -> list[_Tok]:
             i += 1
             col += 1
             continue
-        if ch.isdigit() or ch == "-":
+        if ch in _DIGITS or ch == "-":
             j = i
-            while j < n and (text[j].isdigit() or text[j] == "-"):
+            while j < n and (text[j] in _DIGITS or text[j] == "-"):
                 j += 1
             run = text[i:j]
             if "-" in run:
@@ -214,7 +218,7 @@ def _lex(text: str) -> list[_Tok]:
             continue
         if ch.isalpha() or ch == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and (text[j].isalpha() or text[j] in _DIGITS or text[j] == "_"):
                 j += 1
             toks.append(_Tok("name", text[i:j], line, col))
             col += j - i
@@ -484,7 +488,7 @@ class _Parser:
 
 
 def _bit_index(name: str) -> int | None:
-    if len(name) >= 2 and name[0] == "b" and name[1:].isdigit():
+    if len(name) >= 2 and name[0] == "b" and all(c in _DIGITS for c in name[1:]):
         return int(name[1:])
     return None
 
@@ -608,25 +612,22 @@ def compile_document(
     width = doc.width
     space = StateSpace.bits(width)
     n_states = 1 << width
-    preds = []
-    for p in doc.preds:
-        preds.append(Predicate(p.name, StateSet(_eval_mask(p.expr, width), n_states)))
+    preds = [Predicate(p.name, _eval_mask(p.expr, width)) for p in doc.preds]
     vocab = Vocabulary(tuple(preds))
     index = {p.name: i for i, p in enumerate(doc.preds)}
 
-    def to_statement(names: tuple[str, ...], pos: tuple[int, int]) -> Statement:
-        s = Statement.of(index[n] for n in names)
-        return s
+    def to_statement(names: tuple[str, ...]) -> Statement:
+        return Statement.of(index[n] for n in names)
 
     if doc.explicit:
         by_name: dict[str, Statement] = {}
         bodies: dict[tuple[int, ...], str] = {}
         listed = []
         for sd in doc.statements:
-            s = to_statement(sd.members, sd.pos)
+            s = to_statement(sd.members)
             bits = (1 << n_states) - 1
             for i in s.members:
-                bits &= preds[i].truth.bits
+                bits &= preds[i].truth
             if not bits:
                 raise CompileError(
                     f"statement {sd.name!r} = "
@@ -650,7 +651,7 @@ def compile_document(
         if isinstance(elem, NameElem):
             return by_name[elem.name]
         if isinstance(elem, SetElem):
-            return to_statement(elem.members, elem.pos)
+            return to_statement(elem.members)
         return _pattern_statement(elem, doc, preds, n_states)
 
     tasks: dict[str, VTask] = {}
@@ -683,7 +684,7 @@ def _pattern_statement(
             if (s >> j & 1) == (1 if ch == "1" else 0):
                 want |= 1 << s
         for k, p in enumerate(preds):
-            if p.truth.bits == want:
+            if p.truth == want:
                 members.append(k)
                 break
         else:

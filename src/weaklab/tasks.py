@@ -62,12 +62,18 @@ class VTask:
 
     def models(self) -> tuple[Statement, ...]:
         """All statements h of the language with Z_S ∩ Z_h = D, in global
-        order; computed once and cached."""
+        order; computed once and cached.
+
+        A model contains no predicate outside the intersection of the
+        decisions, since every decision lies in its extension, so only the
+        members inside that intersection are tested."""
         if self._models is None:
-            ext = self.lang.extension_mask
+            lang = self.lang
+            common = set.intersection(*(set(d.members) for d in self.decisions))
+            inside = lang.subset_mask(Statement.of(common))
             self._models = tuple(
-                h for h in self.lang.statements
-                if self.reach & ext(h) == self.decided
+                h for h in lang.statements_of(inside)
+                if self.reach & lang.extension_mask(h) == self.decided
             )
         return self._models
 
@@ -111,16 +117,6 @@ def make_task(
         )
     decided = sum(1 << lang.position(d) for d in dec)
     return VTask(lang, sit, dec, reach, decided)
-
-
-def is_model(task: VTask, h: Statement) -> bool:
-    """True iff the extensions of the situations, intersected with the
-    extension of h, give exactly the correct decisions."""
-    return task.is_model(h)
-
-
-def models(task: VTask) -> tuple[Statement, ...]:
-    return task.models()
 
 
 def attempt_task(task: VTask, h: Statement, s: Statement) -> Decision:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from weaklab import Language, Predicate, StateSet, StateSpace, Vocabulary, oracle
+from weaklab import Language, Predicate, StateSpace, Vocabulary, oracle
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
 
@@ -37,10 +37,8 @@ def random_language(rng: random.Random, max_states: int = 5, max_vocab: int = 5)
     """Seeded random derived language; duplicate truth tables allowed."""
     n = rng.randint(1, max_states)
     k = rng.randint(0, max_vocab)
-    space = StateSpace.named(tuple(f"s{i}" for i in range(n)))
-    preds = tuple(
-        Predicate(f"p{i}", StateSet(rng.randrange(1 << n), n)) for i in range(k)
-    )
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    preds = tuple(Predicate(f"p{i}", rng.randrange(1 << n)) for i in range(k))
     import warnings
 
     with warnings.catch_warnings():

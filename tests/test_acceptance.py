@@ -123,7 +123,7 @@ def test_criterion_3_theorem_oracle(tmp_path):
             payload.append(
                 {
                     "states": lang.space.size,
-                    "truth_tables": [p.truth.bits for p in lang.vocab],
+                    "truth_tables": [p.truth for p in lang.vocab],
                     "violations": [v.__dict__ for v in vs],
                 }
             )
@@ -253,7 +253,7 @@ def test_criterion_7_state_mode_sweep():
             for cand in range(1 << 16)
             if cand & child.reach_mask == child.decisions_mask
         )
-        if h.sat_set.cardinality != best:
+        if h.sat.bit_count() != best:
             brute_failures += 1
     elapsed = time.time() - t0
     ok = not closed_form_failures and not extent_failures and not brute_failures

@@ -111,7 +111,7 @@ def test_state_mode_closed_form():
     c = arith.sample_child(t, 2, seed=42)
     assert len(c.situations) == 2
     h = arith.weakest_model_state(t, c, mode="state")
-    assert h.sat_set.cardinality == 256 - c.reach_mask.bit_count() + 2
+    assert h.sat.bit_count() == 256 - c.reach_mask.bit_count() + 2
     assert h.sat & c.reach_mask == c.decisions_mask
 
 
@@ -128,7 +128,7 @@ def test_state_mode_brute_force_width4():
         for cand in range(1 << 16):
             if cand & c.reach_mask == c.decisions_mask:
                 best = max(best, cand.bit_count())
-        assert h.sat_set.cardinality == best
+        assert h.sat.bit_count() == best
         assert h.sat == c.decisions_mask | (0xFFFF & ~c.reach_mask)
 
 
@@ -162,10 +162,10 @@ def test_d_recon_examples():
     from weaklab.minimize import exact_cover_of
 
     t = arith.gen_parent_task("add", 3)
-    h = arith.StateHypothesis("state", exact_cover_of(8, t.decisions_mask), 8)
+    h = exact_cover_of(8, t.decisions_mask)
     assert arith.d_recon(t, h) == t.decisions_mask
     # empty-satisfaction hypothesis reconstructs nothing
-    h0 = arith.StateHypothesis("state", exact_cover_of(8, 0), 8)
+    h0 = exact_cover_of(8, 0)
     assert arith.d_recon(t, h0) == 0
 
 
@@ -197,11 +197,11 @@ def test_penalized_score_dominates_mdl_cover():
         c = arith.sample_child(t, rng.randint(4, 14), seed=rng.random())
         hw = arith.weakest_model_state(t, c, mode="penalized", budget=3_000_000)
         hl = arith.mdl_model_state(t, c, budget=3_000_000)
-        if not (hw.cover.proven_optimal and hl.cover.proven_optimal):
+        if not (hw.proven_optimal and hl.proven_optimal):
             continue
         assert _score_cmp(
-            hl.sat_set.cardinality, hl.term_count,
-            hw.sat_set.cardinality, hw.term_count, 1, 1,
+            hl.sat.bit_count(), hl.term_count,
+            hw.sat.bit_count(), hw.term_count, 1, 1,
         ) <= 0
         assert hl.literal_count <= hw.literal_count
 

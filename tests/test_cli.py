@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -104,6 +105,14 @@ def test_no_command_is_64():
     assert proc.returncode == 64
 
 
+# superscript digits pass str.isdigit() but not int()
+_BAD_DIGIT_SPECS = {
+    "sup_width": "width \u00b2;\n",
+    "sup_bit": "width 1;\npred p := b\u00b2;\n",
+    "sup_name": "width 1;\npred b\u00b9 := b0;\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -117,15 +126,24 @@ def test_no_command_is_64():
         (["verify", "--census-cap", "0"], 64),
         (["verify", "--census-cap", "-3"], 64),
         (["verify", "--samples-at", "0", "--max-states", "1"], 64),
+        (["induce", "--spec", "{sup_width}", "--task", "t1"], 65),
+        (["induce", "--spec", "{sup_bit}", "--task", "t1"], 65),
+        (["induce", "--spec", "{sup_name}", "--task", "t1"], 65),
     ],
 )
 def test_bad_input_ends_in_documented_code(tmp_path, argv, code):
     not_utf8 = tmp_path / "latin1.wl"
     not_utf8.write_bytes("width 1;\npred p := b0; # \xe9\n".encode("latin-1"))
     paths = {"tiny": spec_path("tiny.wl"), "not_utf8": str(not_utf8)}
+    for name, text in _BAD_DIGIT_SPECS.items():
+        path = tmp_path / f"{name}.wl"
+        path.write_text(text, encoding="utf-8")
+        paths[name] = str(path)
     proc = run_proc(*(a.format(**paths) for a in argv))
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
+    if code == 65 and "{not_utf8}" not in argv:
+        assert re.search(r"\.wl:\d+:\d+: ", proc.stderr)  # a located SpecError
     if argv == ["verify", "--census-cap", "100"]:
         # only a larger cap admits the fixture language's census
         assert "raise --census-cap" in proc.stderr

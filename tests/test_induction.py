@@ -60,10 +60,14 @@ def test_induce_argmax_property():
             ms = task.models()
             if not ms:
                 continue
-            w = induce(task, "weakness")
-            assert all(lang.weakness(w) >= lang.weakness(m) for m in ms)
-            d = induce(task, "mdl")
-            assert all(len(d) <= len(m) for m in ms)
+            # the earliest model in global order wins ties
+            top = max(lang.weakness(m) for m in ms)
+            assert induce(task, "weakness") == next(
+                m for m in ms if lang.weakness(m) == top
+            )
+            assert induce(task, "mdl") == next(
+                m for m in ms if len(m) == min(len(m) for m in ms)
+            )
 
 
 def test_induce_deterministic(fx):

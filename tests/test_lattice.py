@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weaklab import (
-    TOP,
     CapacityError,
     Language,
     MembershipError,
     Predicate,
-    StateSet,
     StateSpace,
     Statement,
     Vocabulary,
     VocabularyError,
     description_length,
+    induce,
     make_task,
 )
 from conftest import random_language
@@ -37,11 +36,11 @@ def by_names(lang, *names):
 
 def test_sat_set_pair_fixture(fx):
     got = fx.lang.sat_set(by_names(fx.lang, "j", "k"))
-    assert got.indices() == (0, 3, 4, 5)  # s1, s4, s5, s6
+    assert got == 0b111001  # s1, s4, s5, s6
 
 
 def test_sat_set_empty_statement_is_all_states(tiny):
-    assert tiny.sat_set(S()) == StateSet.full(2)
+    assert tiny.sat_set(S()) == 0b11
 
 
 def test_sat_set_disjoint_predicates_empty(tiny):
@@ -72,7 +71,7 @@ def test_capacity_error_names_cap(fx):
 
 def test_empty_state_space_gives_empty_language():
     space = StateSpace(())
-    vocab = Vocabulary((Predicate("p", StateSet(0, 0)),))
+    vocab = Vocabulary((Predicate("p", 0),))
     assert Language.derive(space, vocab).size == 0
 
 
@@ -80,7 +79,8 @@ def test_derived_equals_naive_subset_enumeration():
     rng = random.Random(1234)
     for _ in range(40):
         lang = random_language(rng, max_states=4, max_vocab=4)
-        truth = [set(p.truth.indices()) for p in lang.vocab]
+        n = lang.space.size
+        truth = [{i for i in range(n) if p.truth >> i & 1} for p in lang.vocab]
         expected = naive_language(truth, lang.space.size)
         assert sorted(frozenset(s.members) for s in lang.statements) == sorted(expected)
 
@@ -153,22 +153,14 @@ def test_description_length():
     assert description_length(S()) == 0
 
 
-def test_proxy_values(fx, tiny):
-    from fractions import Fraction
-
-    pair = by_names(fx.lang, "j", "k")
-    assert fx.lang.proxy_value("weakness", pair) == Fraction(5)
-    assert fx.lang.proxy_value("mdl", by_names(fx.lang, "z")) == Fraction(1)
-    assert tiny.proxy_value("inverse-description-length", S()) is TOP
-
-
-def test_top_is_maximum():
-    from fractions import Fraction
-
-    assert TOP > Fraction(10**9)
-    assert not TOP < Fraction(1)
-    assert TOP == TOP and not TOP > TOP
-    assert sorted([TOP, Fraction(1), Fraction(3)])[-1] is TOP
+def test_proxy_values(fx):
+    # induce orders models by weakness, or by description length under
+    # either of its names; any other name is refused
+    assert [fx.lang.weakness(m) for m in fx.models] == [3, 5]
+    assert [description_length(m) for m in fx.models] == [1, 2]
+    assert induce(fx.task, "inverse-description-length") == fx.models[0]
+    with pytest.raises(ValueError):
+        induce(fx.task, "shortest")
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +168,25 @@ def test_top_is_maximum():
 
 
 def test_duplicate_name_rejected():
-    t = StateSet(1, 2)
+    t = 0b01
     with pytest.raises(VocabularyError):
         Vocabulary((Predicate("p", t), Predicate("p", t)))
+
+
+@pytest.mark.parametrize("truth", [1 << 2, -1])
+def test_truth_table_outside_the_space_rejected(truth):
+    space = StateSpace(("s0", "s1"))
+    vocab = Vocabulary((Predicate("p", 0b01), Predicate("q", truth)))
+    with pytest.raises(VocabularyError):
+        Language.derive(space, vocab)
+    with pytest.raises(VocabularyError):
+        Language.explicit(space, vocab, [S(0)])
 
 
 def test_duplicate_truth_table_warns():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        Vocabulary((Predicate("p", StateSet(1, 2)), Predicate("q", StateSet(1, 2))))
+        Vocabulary((Predicate("p", 0b01), Predicate("q", 0b01)))
     assert any("identical truth" in str(w.message) for w in caught)
 
 
@@ -224,13 +226,13 @@ def test_lattice_laws_seeded_sample():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.lists(st.integers(0, 15), max_size=4), st.randoms())
 def test_lattice_laws_hypothesis(n_states, tables, _rng):
-    space = StateSpace.named(tuple(f"s{i}" for i in range(n_states)))
+    space = StateSpace(tuple(f"s{i}" for i in range(n_states)))
     mask = (1 << n_states) - 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         vocab = Vocabulary(
             tuple(
-                Predicate(f"p{i}", StateSet(t & mask, n_states))
+                Predicate(f"p{i}", t & mask)
                 for i, t in enumerate(tables)
             )
         )
@@ -266,7 +268,8 @@ def test_explicit_universe_masks_match_naive_route(rng):
         return out
 
     for s in vocab_stmts:
-        assert {frozenset(t.members) for t in lang.supersets(s)} == naive([s])
+        got = lang.statements_of(lang.extension_mask(s))
+        assert {frozenset(t.members) for t in got} == naive([s])
     picked = rng.sample(vocab_stmts, rng.randint(0, len(vocab_stmts)))
     got = lang.extension_of_set(picked)
     assert list(got) == sorted(got)

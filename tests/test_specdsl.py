@@ -21,7 +21,8 @@ def read_spec(name: str) -> str:
 def test_parse_simple_predicate_truth():
     cs = specdsl.compile_text("width 2; pred p := b0 & !b1;")
     truth = cs.language.vocab[0].truth
-    assert [cs.language.space.states[i] for i in truth.indices()] == ["10"]
+    states = cs.language.space.states
+    assert [s for i, s in enumerate(states) if truth >> i & 1] == ["10"]
 
 
 def test_width_violation_has_location():
@@ -241,8 +242,8 @@ def test_arith_specs_agree_with_state_harness():
 
         def only_state(stmt):
             sat = lang.sat_set(stmt)
-            assert sat.cardinality == 1
-            return sat.indices()[0]
+            assert sat.bit_count() == 1
+            return sat.bit_length() - 1
 
         assert sorted(only_state(d) for d in task.decisions) == list(
             state_task.decisions
@@ -251,8 +252,8 @@ def test_arith_specs_agree_with_state_harness():
         got_sits = set()
         for s in task.situations:
             sat = lang.sat_set(s)
-            assert sat.cardinality == 2
-            states = sat.indices()
+            assert sat.bit_count() == 2
+            states = [i for i in range(sat.bit_length()) if sat >> i & 1]
             pat = arith.delete_position(states[0], bit, 8)
             assert set(states) == set(arith.completions(pat, bit, 8))
             got_sits.add(pat)

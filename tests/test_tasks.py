@@ -12,9 +12,7 @@ from weaklab import (
     TaskPreconditionError,
     attempt_task,
     is_child,
-    is_model,
     make_task,
-    models,
 )
 from conftest import random_language
 from _oracles import enumerate_tasks, naive_models
@@ -71,23 +69,23 @@ def test_situation_must_be_vocab_statement(tiny):
 
 def test_fixture_models(fx):
     assert fx.task.models() == fx.models
-    assert is_model(fx.task, by_names(fx.lang, "z"))
-    assert not is_model(fx.task, by_names(fx.lang, "b", "c", "d", "e", "k"))
+    assert fx.task.is_model(by_names(fx.lang, "z"))
+    assert not fx.task.is_model(by_names(fx.lang, "b", "c", "d", "e", "k"))
 
 
 def test_is_model_membership_error(fx):
     with pytest.raises(MembershipError):
-        is_model(fx.task, by_names(fx.lang, "j"))
+        fx.task.is_model(by_names(fx.lang, "j"))
 
 
 def test_models_tiny_single(tiny):
     t = make_task(tiny, [S()], [S(0)])
-    assert models(t) == (S(0),)
+    assert t.models() == (S(0),)
 
 
 def test_models_tiny_empty_hypothesis_wins(tiny):
     t = make_task(tiny, [S()], list(tiny.statements))
-    assert models(t) == (S(),)
+    assert t.models() == (S(),)
 
 
 def test_models_cache_stable(fx):
@@ -109,7 +107,7 @@ def test_models_match_naive_route():
                 [frozenset(s.members) for s in task.situations],
                 {frozenset(d.members) for d in task.decisions},
             )
-            assert sorted(frozenset(m.members) for m in task.models()) == sorted(naive)
+            assert [frozenset(m.members) for m in task.models()] == naive
 
 
 # ---------------------------------------------------------------------------
