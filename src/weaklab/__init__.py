@@ -24,7 +24,6 @@ from .induction import (
     INVERSE_DESCRIPTION_LENGTH,
     WEAKNESS,
     ExclusiveFamily,
-    FamilySumReport,
     exclusive_family_sum,
     generalisation_probability,
     induce,
@@ -39,7 +38,6 @@ from .lattice import (
     StateSpace,
     Statement,
     Vocabulary,
-    description_length,
 )
 from .tasks import Decision, VTask, attempt_task, is_child, make_task
 
@@ -52,7 +50,6 @@ __all__ = [
     "DERIVED",
     "EXPLICIT",
     "ExclusiveFamily",
-    "FamilySumReport",
     "FixtureError",
     "IncompatibleLanguageError",
     "INVERSE_DESCRIPTION_LENGTH",
@@ -71,7 +68,6 @@ __all__ = [
     "WEAKNESS",
     "WeaklabError",
     "attempt_task",
-    "description_length",
     "exclusive_family_sum",
     "generalisation_probability",
     "induce",

@@ -75,6 +75,20 @@ def completions(pattern: int, pos: int, width: int) -> tuple[int, int]:
     return (base, base | (1 << j))
 
 
+def _project(
+    decisions: tuple[int, ...], deleted_bit: int, width: int
+) -> tuple[tuple[int, ...], int, int]:
+    """Situations (the sorted deleted-bit projections of the decisions), the
+    decisions mask, and the reach mask: both completions of every situation."""
+    flip = 1 << (width - 1 - deleted_bit)
+    d_mask = reach = 0
+    for d in decisions:
+        d_mask |= 1 << d
+        reach |= 1 << d | 1 << (d ^ flip)
+    situations = tuple(sorted({delete_position(d, deleted_bit, width) for d in decisions}))
+    return situations, d_mask, reach
+
+
 @dataclass(frozen=True)
 class BinOpTask:
     """Parent task: all correct strings of one operation, one deleted bit."""
@@ -104,14 +118,8 @@ def gen_parent_task(op: str, deleted_bit: int, width: int = 8) -> BinOpTask:
             for b in range(1 << operand_bits)
         )
     )
-    situations = tuple(sorted({delete_position(d, deleted_bit, width) for d in decisions}))
+    situations, d_mask, reach = _project(decisions, deleted_bit, width)
     cand = MappingProxyType({s: completions(s, deleted_bit, width) for s in situations})
-    d_mask = 0
-    for d in decisions:
-        d_mask |= 1 << d
-    reach = 0
-    for pair in cand.values():
-        reach |= (1 << pair[0]) | (1 << pair[1])
     return BinOpTask(op, width, deleted_bit, decisions, situations, cand, d_mask, reach)
 
 
@@ -142,17 +150,7 @@ def sample_child(
         raise ValueError(f"m must be in 1..{len(task.decisions)}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     decisions = tuple(sorted(rng.sample(task.decisions, m)))
-    situations = tuple(
-        sorted({delete_position(d, task.deleted_bit, task.width) for d in decisions})
-    )
-    d_mask = 0
-    for d in decisions:
-        d_mask |= 1 << d
-    reach = 0
-    for s in situations:
-        pair = task.cand[s]
-        reach |= (1 << pair[0]) | (1 << pair[1])
-    return ChildSample(m, decisions, situations, d_mask, reach)
+    return ChildSample(m, decisions, *_project(decisions, task.deleted_bit, task.width))
 
 
 def weakest_model_state(

@@ -43,17 +43,23 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _write_out(path: str, data: str) -> bool:
+    """Write ``data`` to ``path`` atomically; on failure say why on stderr
+    and return False (the caller exits 74)."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".weaklab-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".weaklab-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        print(f"weaklab: error writing {path}: {exc}", file=sys.stderr)
+        return False
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+    return True
 
 
 def _fmt_frac(x: Fraction) -> str:
@@ -179,10 +185,7 @@ def cmd_experiment(args) -> int:
             data = report.to_table()
         else:
             data = json.dumps(report.to_dict(), indent=2) + "\n"
-        try:
-            _atomic_write(args.out, data)
-        except OSError as exc:
-            print(f"weaklab: error writing {args.out}: {exc}", file=sys.stderr)
+        if not _write_out(args.out, data):
             return EXIT_IO
         print(f"# wrote {args.out}")
     flagged = sum(r.flagged for r in report.rows)
@@ -289,10 +292,11 @@ def cmd_verify(args) -> int:
     reproducer_path = None
     if violations:
         reproducer_path = os.path.abspath("weaklab-violations.json")
-        _atomic_write(
+        if not _write_out(
             reproducer_path,
             json.dumps(out["optimality"]["violations"], indent=2, default=str) + "\n",
-        )
+        ):
+            return EXIT_IO
         print(f"VIOLATIONS FOUND; minimal reproducers: {reproducer_path}")
     out["violation_reproducer"] = reproducer_path
 
@@ -302,26 +306,21 @@ def cmd_verify(args) -> int:
             if args.format == "structured"
             else _verify_table(out)
         )
-        try:
-            _atomic_write(args.out, data)
-        except OSError as exc:
-            print(f"weaklab: error writing {args.out}: {exc}", file=sys.stderr)
+        if not _write_out(args.out, data):
             return EXIT_IO
         print(f"# wrote {args.out}")
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
 def _prior_rows(lang) -> list[dict]:
-    rows = []
-    for r in oracle.prior_report(lang):
-        rows.append(
-            {
-                "anchor": "{" + ",".join(lang.vocab[i].name for i in r.anchor) + "}",
-                "family_size": len(r.family),
-                "total": str(r.total),
-            }
-        )
-    return rows
+    return [
+        {
+            "anchor": lang.format_statement(r.anchor),
+            "family_size": len(r.members),
+            "total": str(r.total),
+        }
+        for r in oracle.prior_report(lang)
+    ]
 
 
 def _verify_table(out: dict) -> str:
@@ -384,26 +383,22 @@ def cmd_induce(args) -> int:
         "prior": [pri.numerator, pri.denominator],
         "model_count": len(task.models()),
     }
+    structured = json.dumps(result, indent=2) + "\n"
     if args.format == "structured":
-        text_out = json.dumps(result, indent=2) + "\n"
-        print(text_out, end="")
+        print(structured, end="")
     else:
-        text_out = (
+        print(
             f"task {args.task}: proxy={args.proxy}\n"
             f"  model: {result['model']}\n"
             f"  weakness: {result['weakness']}\n"
             f"  description length: {result['description_length']}\n"
             f"  generalisation probability: {_fmt_frac(gen_p)}\n"
             f"  prior: {_fmt_frac(pri)}\n"
-            f"  (model set size {result['model_count']})\n"
+            f"  (model set size {result['model_count']})\n",
+            end="",
         )
-        print(text_out, end="")
-    if args.out:
-        try:
-            _atomic_write(args.out, json.dumps(result, indent=2) + "\n")
-        except OSError as exc:
-            print(f"weaklab: error writing {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+    if args.out and not _write_out(args.out, structured):
+        return EXIT_IO
     return EXIT_OK
 
 

@@ -63,19 +63,15 @@ def mutually_exclusive(lang: Language, a: Statement, b: Statement) -> bool:
 
 @dataclass(frozen=True)
 class ExclusiveFamily:
-    """A pairwise mutually exclusive family anchored at one statement."""
+    """A pairwise mutually exclusive family anchored at one statement, with
+    the exact sum of its members' priors."""
 
     anchor: Statement
     members: tuple[Statement, ...]
-
-
-@dataclass(frozen=True)
-class FamilySumReport:
-    family: ExclusiveFamily
     total: Fraction
 
 
-def exclusive_family_sum(lang: Language, x: Statement) -> FamilySumReport:
+def exclusive_family_sum(lang: Language, x: Statement) -> ExclusiveFamily:
     """Greedily extend {x} to a maximal pairwise mutually exclusive family
     (scanning in global order) and report the exact sum of priors.
 
@@ -94,4 +90,4 @@ def exclusive_family_sum(lang: Language, x: Statement) -> FamilySumReport:
             above |= ext
     members = lang.statements_of(family)
     total = sum((prior(lang, f) for f in members), Fraction(0))
-    return FamilySumReport(ExclusiveFamily(x, members), total)
+    return ExclusiveFamily(x, members, total)

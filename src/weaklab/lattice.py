@@ -140,16 +140,8 @@ class Statement:
     def issubset(self, other: "Statement") -> bool:
         return set(self.members) <= set(other.members)
 
-    def union(self, other: "Statement") -> "Statement":
-        return Statement.of(self.members + other.members)
-
     def __repr__(self):
         return "{" + ",".join(map(str, self.members)) + "}"
-
-
-def description_length(s: Statement) -> int:
-    """Number of member predicates of a statement."""
-    return len(s.members)
 
 
 @dataclass(eq=False)

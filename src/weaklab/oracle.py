@@ -21,7 +21,13 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, FixtureError
-from .induction import INVERSE_DESCRIPTION_LENGTH, WEAKNESS, induce
+from .induction import (
+    INVERSE_DESCRIPTION_LENGTH,
+    WEAKNESS,
+    ExclusiveFamily,
+    exclusive_family_sum,
+    induce,
+)
 from .lattice import (
     Language,
     Predicate,
@@ -110,7 +116,6 @@ class OptimalityReport:
     tasks_checked: int
     rows_total: int
     rows: list[OptimalityRow]
-    rows_truncated: bool
     violations: list[Violation]
     deviation_count: int
 
@@ -231,7 +236,6 @@ def verify_weakness_optimality(
         tasks_checked=tasks_checked,
         rows_total=rows_total,
         rows=rows,
-        rows_truncated=rows_total > len(rows),
         violations=violations,
         deviation_count=deviation_count,
     )
@@ -241,31 +245,12 @@ def verify_weakness_optimality(
 # prior report
 
 
-@dataclass(frozen=True)
-class PriorRow:
-    anchor: tuple[int, ...]
-    family: tuple[tuple[int, ...], ...]
-    total: Fraction
-
-
-def prior_report(lang: Language, cap: int = PRIOR_REPORT_CAP) -> list[PriorRow]:
+def prior_report(lang: Language, cap: int = PRIOR_REPORT_CAP) -> list[ExclusiveFamily]:
     """One exclusive-family sum per statement; totals recorded, never
     asserted equal to 1."""
-    from .induction import exclusive_family_sum
-
     if lang.size > cap:
         raise CapacityError("prior report language size", cap)
-    rows = []
-    for s in lang.statements:
-        rep = exclusive_family_sum(lang, s)
-        rows.append(
-            PriorRow(
-                s.members,
-                tuple(m.members for m in rep.family.members),
-                rep.total,
-            )
-        )
-    return rows
+    return [exclusive_family_sum(lang, s) for s in lang.statements]
 
 
 # ---------------------------------------------------------------------------

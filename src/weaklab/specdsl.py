@@ -12,8 +12,16 @@ Format (UTF-8, '#' starts a line comment):
       decisions { m1 }
     }
 
-Connectives ! & | with precedence ! > & > |; unicode aliases are accepted.
-Digits are ASCII only, in widths, bit indices, patterns and names.
+Tokens, each matched by one named group of ``_TOKEN``: names (a letter or
+'_', then letters, ASCII digits or '_'), integers (ASCII digits), bit
+patterns (digits and '-' with at least one '-'; a digit run is a pattern
+too where a pattern is expected), punctuation ``:= ; = { } ( ) , ! & |``,
+whitespace and comments.  Any other character, a non-ASCII digit such as
+'²' included, is a lexical error.
+
+Connectives ! & | with precedence ! > & > |; unicode aliases ¬ ∧ ∨ are
+accepted.  A formula may nest at most MAX_DEPTH levels: each connective
+and each pair of parentheses on the way down to a bit is one, the bit too.
 Bit patterns have one character per position ('0', '1' or '-'); each fixed
 position is resolved to the predicate whose truth table is exactly that bit
 literal.  The printer emits a canonical form; parse(print(doc)) is
@@ -22,6 +30,7 @@ structurally the identity.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from .errors import WeaklabError
 from .lattice import (
@@ -35,6 +44,9 @@ from .lattice import (
 from .tasks import VTask, make_task
 
 MAX_WIDTH = 16
+# keeps the recursive parser, evaluator and printer far from Python's
+# recursion limit
+MAX_DEPTH = 100
 
 
 class SpecError(WeaklabError):
@@ -60,27 +72,23 @@ class CompileError(SpecError):
 @dataclass(frozen=True)
 class BitRef:
     index: int
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class Not:
     arg: "Expr"
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class And:
     lhs: "Expr"
     rhs: "Expr"
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class Or:
     lhs: "Expr"
     rhs: "Expr"
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 Expr = BitRef | Not | And | Or
@@ -89,13 +97,11 @@ Expr = BitRef | Not | And | Or
 @dataclass(frozen=True)
 class NameElem:
     name: str
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class SetElem:
     members: tuple[str, ...]  # canonical: predicate definition order
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,6 @@ Elem = NameElem | SetElem | PatternElem
 class PredDef:
     name: str
     expr: Expr
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -136,17 +141,23 @@ class SpecDocument:
     statements: tuple[StatementDef, ...]
     tasks: tuple[TaskDef, ...]
 
-    @property
-    def explicit(self) -> bool:
-        return bool(self.statements)
-
 
 # ---------------------------------------------------------------------------
 # lexer
 
 
-_PUNCT = {";", "=", "{", "}", "(", ")", ",", "!", "&", "|"}
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r]+|#[^\n]*)"
+    r"|(?P<newline>\n)"
+    # [^\W\d] also admits numerals such as '²'; _lex ends a name there
+    r"|(?P<name>[^\W\d](?:[^\W\d]|[0-9])*)"
+    r"|(?P<pattern>[0-9]*-[0-9-]*)"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<punct>:=|[;={}(),!&|¬∧∨])"
+)
 _ALIASES = {"¬": "!", "∧": "&", "∨": "|"}
+_NAME_CHARS = frozenset("0123456789_")
+_BITREF = re.compile(r"b([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -157,75 +168,37 @@ class _Tok:
     col: int
 
 
-# ASCII only: str.isdigit() also accepts digits such as '²' that int() rejects
-_DIGITS = frozenset("0123456789")
+def _at(t: _Tok, message: str, category: str = "syntax") -> SpecError:
+    return SpecError(message, t.line, t.col, category)
 
 
 def _lex(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch in _ALIASES:
-            toks.append(_Tok(_ALIASES[ch], _ALIASES[ch], line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == ":":
-            if i + 1 < n and text[i + 1] == "=":
-                toks.append(_Tok(":=", ":=", line, col))
-                i += 2
-                col += 2
-                continue
-            raise SpecError("expected ':='", line, col, "lexical")
-        if ch in _PUNCT:
-            toks.append(_Tok(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _DIGITS or ch == "-":
-            j = i
-            while j < n and (text[j] in _DIGITS or text[j] == "-"):
-                j += 1
-            run = text[i:j]
-            if "-" in run:
-                if set(run) <= {"0", "1", "-"}:
-                    toks.append(_Tok("pattern", run, line, col))
-                else:
-                    raise SpecError(
-                        f"malformed bit pattern {run!r}", line, col, "lexical"
-                    )
-            else:
-                toks.append(_Tok("int", run, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalpha() or text[j] in _DIGITS or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise SpecError(f"unexpected character {ch!r}", start_line, start_col, "lexical")
-    toks.append(_Tok("eof", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        kind, end = (m.lastgroup, m.end()) if m else (None, pos)
+        if kind == "name" and not m.group().isascii():
+            end = pos + next(
+                (k for k, c in enumerate(m.group())
+                 if not (c.isalpha() or c in _NAME_CHARS)),
+                end - pos,
+            )
+        col = pos - line_start + 1
+        if end == pos:
+            ch = text[pos]
+            message = "expected ':='" if ch == ":" else f"unexpected character {ch!r}"
+            raise SpecError(message, line, col, "lexical")
+        value = text[pos:end]
+        if kind == "newline":
+            line, line_start = line + 1, end
+        elif kind == "punct":
+            value = _ALIASES.get(value, value)
+            toks.append(_Tok(value, value, line, col))
+        elif kind != "skip":
+            toks.append(_Tok(kind, value, line, col))
+        pos = end
+    toks.append(_Tok("eof", "", line, pos - line_start + 1))
     return toks
 
 
@@ -234,12 +207,17 @@ def _lex(text: str) -> list[_Tok]:
 
 
 _KEYWORDS = {"width", "pred", "statement", "task", "situations", "decisions"}
+# binary connectives, loosest first; '!' binds tighter than all of them
+_BINARY = (("|", Or), ("&", And))
 
 
 class _Parser:
     def __init__(self, toks: list[_Tok]):
         self.toks = toks
         self.i = 0
+        self.width: int | None = None
+        self.names: dict[str, str] = {}  # name -> 'pred' | 'statement' | 'task'
+        self.preds: dict[str, int] = {}  # predicate name -> definition index
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -252,257 +230,157 @@ class _Parser:
     def expect(self, kind: str, what: str | None = None) -> _Tok:
         t = self.peek()
         if t.kind != kind:
-            raise SpecError(
-                f"expected {what or kind}, found {t.text!r}" if t.text else
-                f"expected {what or kind}, found end of input",
-                t.line,
-                t.col,
-            )
+            found = repr(t.text) if t.text else "end of input"
+            raise _at(t, f"expected {what or kind}, found {found}")
         return self.next()
 
     def parse_document(self) -> SpecDocument:
-        width: int | None = None
-        width_tok: _Tok | None = None
         preds: list[PredDef] = []
         statements: list[StatementDef] = []
         tasks: list[TaskDef] = []
-        names: dict[str, str] = {}  # name -> 'pred' | 'statement' | 'task'
-
-        def need_width(tok: _Tok) -> int:
-            if width is None:
-                raise SpecError(
-                    "width must be declared before this", tok.line, tok.col
-                )
-            return width
-
         while self.peek().kind != "eof":
-            t = self.peek()
+            t = self.next()
             if t.kind != "name":
-                raise SpecError(f"expected declaration, found {t.text!r}", t.line, t.col)
+                raise _at(t, f"expected declaration, found {t.text!r}")
             if t.text == "width":
-                self.next()
-                if width is not None:
-                    raise SpecError("duplicate width declaration", t.line, t.col)
+                if self.width is not None:
+                    raise _at(t, "duplicate width declaration")
                 num = self.expect("int", "width value")
-                width = int(num.text)
-                width_tok = num
-                if not 1 <= width <= MAX_WIDTH:
-                    raise SpecError(
-                        f"width must be between 1 and {MAX_WIDTH}",
-                        num.line,
-                        num.col,
-                        "width-violation",
-                    )
+                self.width = int(num.text)
+                if not 1 <= self.width <= MAX_WIDTH:
+                    raise _at(num, f"width must be between 1 and {MAX_WIDTH}",
+                              "width-violation")
                 self.expect(";")
-            elif t.text == "pred":
-                self.next()
-                name = self._decl_name(names, "pred")
+                continue
+            if t.text not in ("pred", "statement", "task"):
+                raise _at(t, f"unknown declaration {t.text!r}")
+            if self.width is None:
+                raise _at(t, "width must be declared before this")
+            name = self._decl_name(t.text)
+            if t.text == "pred":
                 self.expect(":=")
-                expr = self._expr(need_width(t), {p.name for p in preds})
+                preds.append(PredDef(name.text, self._expr()[0]))
+                self.preds[name.text] = len(self.preds)
                 self.expect(";")
-                preds.append(PredDef(name.text, expr, (name.line, name.col)))
-                names[name.text] = "pred"
             elif t.text == "statement":
-                self.next()
-                need_width(t)
-                name = self._decl_name(names, "statement")
                 self.expect("=")
-                members = self._name_set({p.name for p in preds})
+                members = self._name_set()
                 self.expect(";")
                 statements.append(
-                    StatementDef(
-                        name.text,
-                        _canonical_members(members, preds),
-                        (name.line, name.col),
-                    )
+                    StatementDef(name.text, members, (name.line, name.col))
                 )
-                names[name.text] = "statement"
-            elif t.text == "task":
-                self.next()
-                need_width(t)
-                name = self._decl_name(names, "task")
+            else:
                 self.expect("{")
-                kw = self.expect("name", "'situations'")
-                if kw.text != "situations":
-                    raise SpecError("expected 'situations'", kw.line, kw.col)
-                situations = self._elems(width, preds, names)
-                kw = self.expect("name", "'decisions'")
-                if kw.text != "decisions":
-                    raise SpecError("expected 'decisions'", kw.line, kw.col)
-                decisions = self._elems(width, preds, names)
+                situations = self._elems("situations")
+                decisions = self._elems("decisions")
                 self.expect("}")
                 tasks.append(
                     TaskDef(name.text, situations, decisions, (name.line, name.col))
                 )
-                names[name.text] = "task"
-            else:
-                raise SpecError(
-                    f"unknown declaration {t.text!r}", t.line, t.col
-                )
-        if width is None:
-            t = self.peek()
-            raise SpecError("missing width declaration", t.line, t.col)
-        return SpecDocument(width, tuple(preds), tuple(statements), tuple(tasks))
+        if self.width is None:
+            raise _at(self.peek(), "missing width declaration")
+        return SpecDocument(self.width, tuple(preds), tuple(statements), tuple(tasks))
 
-    def _decl_name(self, names: dict[str, str], kind: str) -> _Tok:
+    def _decl_name(self, kind: str) -> _Tok:
         t = self.expect("name", f"{kind} name")
         if t.text in _KEYWORDS:
-            raise SpecError(f"{t.text!r} is a keyword", t.line, t.col)
-        if _bit_index(t.text) is not None:
-            raise SpecError(
-                f"{t.text!r} is reserved for bit references", t.line, t.col
-            )
-        if t.text in names:
-            raise SpecError(
-                f"duplicate name {t.text!r} (already a {names[t.text]})",
-                t.line,
-                t.col,
-            )
+            raise _at(t, f"{t.text!r} is a keyword")
+        if _BITREF.fullmatch(t.text):
+            raise _at(t, f"{t.text!r} is reserved for bit references")
+        if t.text in self.names:
+            raise _at(t, f"duplicate name {t.text!r} (already a {self.names[t.text]})")
+        self.names[t.text] = kind
         return t
 
-    # expression parsing, precedence ! > & > |
-
-    def _expr(self, width: int, defined: set[str]) -> Expr:
-        return self._or(width, defined)
-
-    def _or(self, width: int, defined: set[str]) -> Expr:
-        e = self._and(width, defined)
-        while self.peek().kind == "|":
-            t = self.next()
-            e = Or(e, self._and(width, defined), (t.line, t.col))
-        return e
-
-    def _and(self, width: int, defined: set[str]) -> Expr:
-        e = self._not(width, defined)
-        while self.peek().kind == "&":
-            t = self.next()
-            e = And(e, self._not(width, defined), (t.line, t.col))
-        return e
-
-    def _not(self, width: int, defined: set[str]) -> Expr:
-        t = self.peek()
+    def _expr(self, level: int = 0, depth: int = 0) -> tuple[Expr, int]:
+        """Parse a formula whose connectives bind at least as tightly as
+        ``_BINARY[level]`` and return it with its height.  ``depth`` counts
+        the '!' and '(' around it; depth plus height stays <= MAX_DEPTH."""
+        if level < len(_BINARY):
+            op, node = _BINARY[level]
+            e, height = self._expr(level + 1, depth)
+            while self.peek().kind == op:
+                t = self.next()
+                rhs, h = self._expr(level + 1, depth)
+                e, height = node(e, rhs), max(height, h) + 1
+                self._within_depth(depth + height, t)
+            return e, height
+        t = self.next()
+        self._within_depth(depth + 1, t)
         if t.kind == "!":
-            self.next()
-            return Not(self._not(width, defined), (t.line, t.col))
-        return self._atom(width, defined)
-
-    def _atom(self, width: int, defined: set[str]) -> Expr:
-        t = self.peek()
+            e, height = self._expr(level, depth + 1)
+            return Not(e), height + 1
         if t.kind == "(":
-            self.next()
-            e = self._expr(width, defined)
+            e = self._expr(0, depth + 1)
             self.expect(")")
             return e
-        if t.kind == "name":
-            idx = _bit_index(t.text)
-            if idx is None:
-                raise SpecError(
-                    f"undefined name {t.text!r} in formula (only bit references "
-                    "b0..b{width-1} are allowed)",
-                    t.line,
-                    t.col,
-                    "undefined-name",
-                )
-            if idx >= width:
-                raise SpecError(
-                    f"bit {t.text} out of range for width {width}",
-                    t.line,
-                    t.col,
-                    "width-violation",
-                )
-            self.next()
-            return BitRef(idx, (t.line, t.col))
-        raise SpecError(f"expected formula atom, found {t.text!r}", t.line, t.col)
+        if t.kind != "name":
+            raise _at(t, f"expected formula atom, found {t.text!r}")
+        m = _BITREF.fullmatch(t.text)
+        if m is None:
+            raise _at(t, f"undefined name {t.text!r} in formula (only bit "
+                      "references b0..b{width-1} are allowed)", "undefined-name")
+        if int(m[1]) >= self.width:
+            raise _at(t, f"bit {t.text} out of range for width {self.width}",
+                      "width-violation")
+        return BitRef(int(m[1])), 1
 
-    def _name_set(self, defined: set[str]) -> list[_Tok]:
+    def _within_depth(self, depth: int, t: _Tok) -> None:
+        if depth > MAX_DEPTH:
+            raise _at(t, f"formula nested deeper than {MAX_DEPTH} levels")
+
+    def _name_set(self) -> tuple[str, ...]:
+        """A braced list of distinct predicate names, returned in predicate
+        definition order."""
         self.expect("{")
-        out: list[_Tok] = []
-        if self.peek().kind == "}":
-            self.next()
-            return out
-        while True:
+        members: set[str] = set()
+        # a '}' ends the set right after '{' or after a name, not after ','
+        while self.peek().kind != "}" or members:
             t = self.expect("name", "predicate name")
-            if t.text not in defined:
-                raise SpecError(
-                    f"undefined predicate {t.text!r}", t.line, t.col, "undefined-name"
-                )
-            out.append(t)
-            if self.peek().kind == ",":
-                self.next()
-                continue
-            self.expect("}")
-            return out
+            if t.text not in self.preds:
+                raise _at(t, f"undefined predicate {t.text!r}", "undefined-name")
+            if t.text in members:
+                raise _at(t, f"duplicate member {t.text!r}")
+            members.add(t.text)
+            if self.peek().kind != ",":
+                break
+            self.next()
+        self.expect("}")
+        return tuple(sorted(members, key=self.preds.__getitem__))
 
-    def _elems(
-        self, width: int, preds: list[PredDef], names: dict[str, str]
-    ) -> tuple[Elem, ...]:
+    def _elems(self, keyword: str) -> tuple[Elem, ...]:
+        kw = self.expect("name", f"{keyword!r}")
+        if kw.text != keyword:
+            raise _at(kw, f"expected {keyword!r}")
         self.expect("{")
         out: list[Elem] = []
-        defined = {p.name for p in preds}
         while self.peek().kind != "}":
             t = self.peek()
             if t.kind == "{":
-                members = self._name_set(defined)
-                out.append(
-                    SetElem(_canonical_members(members, preds), (t.line, t.col))
-                )
+                out.append(SetElem(self._name_set()))
             elif t.kind in ("pattern", "int"):
                 self.next()
                 if not set(t.text) <= {"0", "1", "-"}:
-                    raise SpecError(
-                        f"malformed bit pattern {t.text!r}", t.line, t.col
-                    )
-                if len(t.text) != width:
-                    raise SpecError(
-                        f"pattern {t.text!r} has {len(t.text)} positions, "
-                        f"width is {width}",
-                        t.line,
-                        t.col,
-                        "width-violation",
-                    )
+                    raise _at(t, f"malformed bit pattern {t.text!r}")
+                if len(t.text) != self.width:
+                    raise _at(t, f"pattern {t.text!r} has {len(t.text)} positions, "
+                              f"width is {self.width}", "width-violation")
                 out.append(PatternElem(t.text, (t.line, t.col)))
             elif t.kind == "name":
                 self.next()
-                if names.get(t.text) != "statement":
-                    raise SpecError(
-                        f"{t.text!r} is not a declared statement",
-                        t.line,
-                        t.col,
-                        "undefined-name",
-                    )
-                out.append(NameElem(t.text, (t.line, t.col)))
+                if self.names.get(t.text) != "statement":
+                    raise _at(t, f"{t.text!r} is not a declared statement",
+                              "undefined-name")
+                out.append(NameElem(t.text))
             else:
-                raise SpecError(
-                    f"expected statement name, inline set or bit pattern, "
-                    f"found {t.text!r}",
-                    t.line,
-                    t.col,
-                )
+                raise _at(t, "expected statement name, inline set or bit pattern, "
+                          f"found {t.text!r}")
             if self.peek().kind == ",":
                 self.next()
         self.expect("}")
         if not out:
-            t = self.peek()
-            raise SpecError("empty element list", t.line, t.col)
+            raise _at(self.peek(), "empty element list")
         return tuple(out)
-
-
-def _bit_index(name: str) -> int | None:
-    if len(name) >= 2 and name[0] == "b" and all(c in _DIGITS for c in name[1:]):
-        return int(name[1:])
-    return None
-
-
-def _canonical_members(toks: list[_Tok], preds: list[PredDef]) -> tuple[str, ...]:
-    order = {p.name: i for i, p in enumerate(preds)}
-    seen = set()
-    members = []
-    for t in toks:
-        if t.text in seen:
-            raise SpecError(f"duplicate member {t.text!r}", t.line, t.col)
-        seen.add(t.text)
-        members.append(t.text)
-    return tuple(sorted(members, key=order.__getitem__))
 
 
 def parse(text: str) -> SpecDocument:
@@ -574,6 +452,15 @@ class CompiledSpec:
     tasks: dict[str, VTask]
 
 
+def _literal_mask(width: int, index: int, value: bool = True) -> int:
+    """States whose bit ``index`` (leftmost 0) equals ``value``, as a state
+    bitmask: runs of 2^(width-1-index) states alternate between 0 and 1."""
+    run = 1 << (width - 1 - index)
+    full = (1 << (1 << width)) - 1
+    ones = ((1 << run) - 1 << run) * (full // ((1 << 2 * run) - 1))
+    return ones if value else full & ~ones
+
+
 def _eval_mask(e: Expr, width: int) -> int:
     """Truth table of a formula as a state bitmask (bit s = state s).
 
@@ -581,12 +468,7 @@ def _eval_mask(e: Expr, width: int) -> int:
     """
     full = (1 << (1 << width)) - 1
     if isinstance(e, BitRef):
-        j = width - 1 - e.index
-        mask = 0
-        for s in range(1 << width):
-            if s >> j & 1:
-                mask |= 1 << s
-        return mask
+        return _literal_mask(width, e.index)
     if isinstance(e, Not):
         return full & ~_eval_mask(e.arg, width)
     if isinstance(e, And):
@@ -611,7 +493,6 @@ def compile_document(
     """Build the language and the named tasks of a parsed document."""
     width = doc.width
     space = StateSpace.bits(width)
-    n_states = 1 << width
     preds = [Predicate(p.name, _eval_mask(p.expr, width)) for p in doc.preds]
     vocab = Vocabulary(tuple(preds))
     index = {p.name: i for i, p in enumerate(doc.preds)}
@@ -619,13 +500,13 @@ def compile_document(
     def to_statement(names: tuple[str, ...]) -> Statement:
         return Statement.of(index[n] for n in names)
 
-    if doc.explicit:
+    if doc.statements:
         by_name: dict[str, Statement] = {}
         bodies: dict[tuple[int, ...], str] = {}
         listed = []
         for sd in doc.statements:
             s = to_statement(sd.members)
-            bits = (1 << n_states) - 1
+            bits = (1 << (1 << width)) - 1
             for i in s.members:
                 bits &= preds[i].truth
             if not bits:
@@ -647,12 +528,29 @@ def compile_document(
         by_name = {}
         language = Language.derive(space, vocab, cap)
 
+    first_with_truth: dict[int, int] = {}
+    for k, p in enumerate(preds):
+        first_with_truth.setdefault(p.truth, k)
+
     def resolve(elem: Elem) -> Statement:
         if isinstance(elem, NameElem):
             return by_name[elem.name]
         if isinstance(elem, SetElem):
             return to_statement(elem.members)
-        return _pattern_statement(elem, doc, preds, n_states)
+        members = []
+        for i, ch in enumerate(elem.text):
+            if ch == "-":
+                continue
+            k = first_with_truth.get(_literal_mask(width, i, ch == "1"))
+            if k is None:
+                raise CompileError(
+                    f"pattern {elem.text!r}: no predicate matches position {i} "
+                    f"value {ch!r} (define one whose truth table is exactly that "
+                    "bit literal)",
+                    *elem.pos,
+                )
+            members.append(k)
+        return Statement.of(members)
 
     tasks: dict[str, VTask] = {}
     for td in doc.tasks:
@@ -665,36 +563,6 @@ def compile_document(
                 f"task {td.name!r}: {exc}", *td.pos
             ) from exc
     return CompiledSpec(doc, language, tasks)
-
-
-def _pattern_statement(
-    elem: PatternElem,
-    doc: SpecDocument,
-    preds: list[Predicate],
-    n_states: int,
-) -> Statement:
-    width = doc.width
-    members = []
-    for i, ch in enumerate(elem.text):
-        if ch == "-":
-            continue
-        j = width - 1 - i
-        want = 0
-        for s in range(1 << width):
-            if (s >> j & 1) == (1 if ch == "1" else 0):
-                want |= 1 << s
-        for k, p in enumerate(preds):
-            if p.truth == want:
-                members.append(k)
-                break
-        else:
-            raise CompileError(
-                f"pattern {elem.text!r}: no predicate matches position {i} "
-                f"value {ch!r} (define one whose truth table is exactly that "
-                "bit literal)",
-                *elem.pos,
-            )
-    return Statement.of(members)
 
 
 def compile_text(text: str, cap: int = DEFAULT_LANGUAGE_CAP) -> CompiledSpec:

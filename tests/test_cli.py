@@ -95,6 +95,29 @@ def test_experiment_io_failure(tmp_path, capsys):
     assert not target.exists()
 
 
+_OUT_CALLS = {
+    "experiment": ["experiment", "--op", "add", "--dk", "16", "--trials", "1",
+                   "--seed", "1"],
+    "verify": ["verify", "--max-states", "1", "--max-vocab", "1"],
+    "induce": ["induce", "--spec", spec_path("tiny.wl"), "--task", "t1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_CALLS))
+def test_out_is_written_atomically_or_exits_74(tmp_path, capsys, command):
+    target = tmp_path / "out.txt"
+    assert run_cli(*_OUT_CALLS[command], "--out", str(target)) == 0
+    assert target.stat().st_size > 0
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]  # no temp file left
+    # induce keeps stdout to its report, so only the others announce the file
+    wrote = f"# wrote {target}" in capsys.readouterr().out
+    assert wrote == (command != "induce")
+    missing = tmp_path / "nosuchdir" / "out.txt"
+    assert run_cli(*_OUT_CALLS[command], "--out", str(missing)) == 74
+    assert "error writing" in capsys.readouterr().err
+    assert not missing.parent.exists()
+
+
 def test_usage_error_is_64():
     proc = run_proc("experiment", "--op", "bogus")
     assert proc.returncode == 64
@@ -110,6 +133,14 @@ _BAD_DIGIT_SPECS = {
     "sup_width": "width \u00b2;\n",
     "sup_bit": "width 1;\npred p := b\u00b2;\n",
     "sup_name": "width 1;\npred b\u00b9 := b0;\n",
+}
+
+# formulas nested past specdsl.MAX_DEPTH, which once overflowed Python's
+# recursion limit in the parser, the evaluator or the printer
+_DEEP_SPECS = {
+    "deep_parens": "width 1;\npred p := " + "(" * 300 + "b0" + ")" * 300 + ";\n",
+    "deep_nots": "width 1;\npred p := " + "!" * 1000 + "b0;\n",
+    "long_or": "width 1;\npred p := " + " | ".join(["b0"] * 1000) + ";\n",
 }
 
 
@@ -129,13 +160,16 @@ _BAD_DIGIT_SPECS = {
         (["induce", "--spec", "{sup_width}", "--task", "t1"], 65),
         (["induce", "--spec", "{sup_bit}", "--task", "t1"], 65),
         (["induce", "--spec", "{sup_name}", "--task", "t1"], 65),
+        (["induce", "--spec", "{deep_parens}", "--task", "t1"], 65),
+        (["induce", "--spec", "{deep_nots}", "--task", "t1"], 65),
+        (["induce", "--spec", "{long_or}", "--task", "t1"], 65),
     ],
 )
 def test_bad_input_ends_in_documented_code(tmp_path, argv, code):
     not_utf8 = tmp_path / "latin1.wl"
     not_utf8.write_bytes("width 1;\npred p := b0; # \xe9\n".encode("latin-1"))
     paths = {"tiny": spec_path("tiny.wl"), "not_utf8": str(not_utf8)}
-    for name, text in _BAD_DIGIT_SPECS.items():
+    for name, text in {**_BAD_DIGIT_SPECS, **_DEEP_SPECS}.items():
         path = tmp_path / f"{name}.wl"
         path.write_text(text, encoding="utf-8")
         paths[name] = str(path)

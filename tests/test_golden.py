@@ -25,6 +25,16 @@ EXPERIMENT_SHA256 = {
     "state": "b46b162bcc4ce9cc4dd52d8054bc9a3228f26d9f9a12a9524aa65460c23bc831",
     "penalized": "458b1a724917903dd449d164fe3308c3ce1803d81caeceb690ac304afdb01786",
 }
+# the same experiments written as CSV and as a table, `verify --format
+# table --out`, and `induce --format table` stdout over the corpus
+EXPERIMENT_TEXT_SHA256 = {
+    ("state", "csv"): "c967dd74d3c204f53ac5c03adfa4e0cc5df320dae100ee831011febf56d6516c",
+    ("state", "table"): "2a16994c98490184d0e6a4d23bd98d0467191af730a5643e2c3dc023cc7d61d2",
+    ("penalized", "csv"): "e0db89d55fdaaa1f67308a9a8c7c2d444b3e2e01a277d7a1d734a00851babd3c",
+    ("penalized", "table"): "e43fcc1c8bbbe02516c33cf7ba3cba615892074995a4fe73dcb6399043f85c72",
+}
+VERIFY_TABLE_SHA256 = "005dea8a7c7111ac222a593ab2300922d910a5b41f7a07415f4ee0e1aa05774c"
+INDUCE_TABLE_SHA256 = "fce5b529a13bc42641d400905bb401625f2e29aab8276d20d6340286f27f4c78"
 
 
 def _corpus():
@@ -76,3 +86,38 @@ def test_induce_corpus_output_is_byte_identical():
             calls += 1
     assert calls == 12
     assert digest.hexdigest() == INDUCE_SHA256
+
+
+@pytest.mark.parametrize("mode, fmt", sorted(EXPERIMENT_TEXT_SHA256))
+def test_experiment_text_formats_are_byte_identical(tmp_path, mode, fmt):
+    out = tmp_path / f"{mode}.{fmt}"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([
+            "experiment", "--op", "both", "--dk", "6,10,14", "--trials", "2",
+            "--seed", "golden-1", "--mode", mode, "--format", fmt,
+            "--out", str(out),
+        ])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPERIMENT_TEXT_SHA256[mode, fmt]
+
+
+def test_verify_table_is_byte_identical(tmp_path):
+    out = tmp_path / "verify.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--format", "table", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_TABLE_SHA256
+
+
+def test_induce_corpus_table_is_byte_identical():
+    digest = hashlib.sha256()
+    for spec, task in _corpus():
+        for proxy in ("weakness", "mdl"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main([
+                    "induce", "--spec", os.path.join(SPEC_DIR, spec),
+                    "--task", task, "--proxy", proxy, "--format", "table",
+                ])
+            digest.update(f"{spec} {task} {proxy} exit={code}\n".encode())
+            digest.update(buf.getvalue().encode())
+    assert digest.hexdigest() == INDUCE_TABLE_SHA256

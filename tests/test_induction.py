@@ -144,9 +144,9 @@ def test_mutually_exclusive_examples(tiny, fx):
 
 def test_family_sums_tiny(tiny):
     rows = [exclusive_family_sum(tiny, s) for s in tiny.statements]
-    assert rows[0].family.members == (S(),)
+    assert rows[0].members == (S(),)
     assert rows[0].total == 1
-    assert rows[1].family.members == (S(0), S(1))
+    assert rows[1].members == (S(0), S(1))
     assert rows[1].total == Fraction(1, 2)
     assert rows[2].total == Fraction(1, 2)
 
@@ -155,17 +155,17 @@ def test_family_sum_fixture_anchor_z(fx):
     # {z} with {j,k} and the two incomparable maximal statements:
     # priors (8 + 32 + 2 + 2) / 256
     rep = exclusive_family_sum(fx.lang, fx.mdl_winner)
-    assert len(rep.family.members) == 4
+    assert len(rep.members) == 4
     assert rep.total == Fraction(11, 64)
-    for a in rep.family.members:
-        for b in rep.family.members:
+    for a in rep.members:
+        for b in rep.members:
             if a != b:
                 assert mutually_exclusive(fx.lang, a, b)
 
 
 def test_family_is_maximal(fx):
     rep = exclusive_family_sum(fx.lang, fx.weakness_winner)
-    fam = set(rep.family.members)
+    fam = set(rep.members)
     for s in fx.lang.statements:
         if s in fam:
             continue

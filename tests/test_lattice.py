@@ -13,7 +13,6 @@ from weaklab import (
     Statement,
     Vocabulary,
     VocabularyError,
-    description_length,
     induce,
     make_task,
 )
@@ -148,16 +147,16 @@ def test_weakness_values(fx, tiny):
 
 
 def test_description_length():
-    assert description_length(S(10)) == 1
-    assert description_length(S(8, 9)) == 2
-    assert description_length(S()) == 0
+    assert len(S(10)) == 1
+    assert len(S(8, 9)) == 2
+    assert len(S()) == 0
 
 
 def test_proxy_values(fx):
     # induce orders models by weakness, or by description length under
     # either of its names; any other name is refused
     assert [fx.lang.weakness(m) for m in fx.models] == [3, 5]
-    assert [description_length(m) for m in fx.models] == [1, 2]
+    assert [len(m) for m in fx.models] == [1, 2]
     assert induce(fx.task, "inverse-description-length") == fx.models[0]
     with pytest.raises(ValueError):
         induce(fx.task, "shortest")
@@ -204,7 +203,7 @@ def _check_laws(lang: Language):
             if a.issubset(b):
                 # antitone
                 assert ext[b] <= ext[a]
-            u = a.union(b)
+            u = S(*a.members, *b.members)
             if lang.is_statement(u):
                 # semantic homomorphism
                 assert lang.sat_set(u) == lang.sat_set(a) & lang.sat_set(b)

@@ -181,7 +181,7 @@ def test_divergence_fixture_self_checks(fx):
 
 def test_prior_report_tiny(tiny):
     rows = oracle.prior_report(tiny)
-    assert [(r.anchor, r.total) for r in rows] == [
+    assert [(r.anchor.members, r.total) for r in rows] == [
         ((), Fraction(1)),
         ((0,), Fraction(1, 2)),
         ((1,), Fraction(1, 2)),

@@ -78,6 +78,58 @@ def test_bitref_cannot_name_predicate():
         specdsl.parse("width 2; pred b1 := b0;")
 
 
+# (category, line, col, message) of the first error in each malformed
+# document; where two categories are listed the error moved between them
+# when pattern characters came to be checked in one place
+_FRONT_END_ERRORS = [
+    ("lone-colon", "width 1;\npred p : b0;\n", ("lexical", 2, 8, "expected ':='")),
+    ("superscript-width", "width \u00b2;\n", ("lexical", 1, 7, "unexpected character '\u00b2'")),
+    ("superscript-name", "width 1;\npred b\u00b9 := b0;\n",
+     ("lexical", 2, 7, "unexpected character '\u00b9'")),
+    ("pattern-0-2", "width 3;\npred p := b0;\ntask t { situations { 0-2 } decisions { 010 } }\n",
+     (("lexical", "syntax"), 3, 23, "malformed bit pattern '0-2'")),
+    ("pattern-0120", "width 4;\npred p := b0;\ntask t { situations { 0120 } decisions { 0100 } }\n",
+     ("syntax", 3, 23, "malformed bit pattern '0120'")),
+    ("no-declaration", "# no declaration\n", ("syntax", 2, 1, "missing width declaration")),
+    ("width-not-first", "pred p := b0;\n", ("syntax", 1, 1, "width must be declared before this")),
+    ("duplicate-width", "width 1;\nwidth 2;\n", ("syntax", 2, 1, "duplicate width declaration")),
+    ("width-0", "width 0;\n", ("width-violation", 1, 7, "width must be between 1 and 16")),
+    ("width-17", "width 17;\n", ("width-violation", 1, 7, "width must be between 1 and 16")),
+    ("unknown-declaration", "width 1;\npredicate p := b0;\n",
+     ("syntax", 2, 1, "unknown declaration 'predicate'")),
+    ("keyword-as-name", "width 1;\npred task := b0;\n", ("syntax", 2, 6, "'task' is a keyword")),
+    ("bit-reference-as-name", "width 2;\npred b1 := b0;\n",
+     ("syntax", 2, 6, "'b1' is reserved for bit references")),
+    ("duplicate-name", "width 1;\npred p := b0;\nstatement p = {p};\n",
+     ("syntax", 3, 11, "duplicate name 'p' (already a pred)")),
+    ("undefined-member", "width 1;\npred p := b0;\nstatement s = {p, q};\n",
+     ("undefined-name", 3, 19, "undefined predicate 'q'")),
+    ("duplicate-member", "width 1;\npred p := b0;\nstatement s = {p, p};\n",
+     ("syntax", 3, 19, "duplicate member 'p'")),
+    ("empty-element-list", "width 1;\npred p := b0;\ntask t {\n  situations { }\n  decisions { {p} }\n}\n",
+     ("syntax", 5, 3, "empty element list")),
+    ("missing-situations", "width 1;\npred p := b0;\ntask t {\n  decisions { {p} }\n}\n",
+     ("syntax", 4, 3, "expected 'situations'")),
+    ("missing-decisions", "width 1;\npred p := b0;\ntask t {\n  situations { {p} }\n}\n",
+     ("syntax", 5, 1, "expected 'decisions', found '}'")),
+    ("end-inside-formula", "width 2;\npred p := b0 & (b1 |",
+     ("syntax", 2, 21, "expected formula atom, found ''")),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected", [c[1:] for c in _FRONT_END_ERRORS],
+    ids=[c[0] for c in _FRONT_END_ERRORS],
+)
+def test_front_end_errors_are_pinned(text, expected):
+    category, line, col, message = expected
+    with pytest.raises(specdsl.SpecError) as err:
+        specdsl.parse(text)
+    e = err.value
+    assert e.category in (category if isinstance(category, tuple) else (category,))
+    assert (e.line, e.col, e.message) == (line, col, message)
+
+
 # ---------------------------------------------------------------------------
 # printing
 
@@ -106,6 +158,33 @@ def test_precedence_printing():
     out = specdsl.print_document(doc)
     assert "(b0 | b1) & !b2" in out
     assert specdsl.parse(out) == doc
+
+
+# formulas exactly MAX_DEPTH = n levels deep
+_AT_DEPTH_LIMIT = {
+    "nots": lambda n: "!" * (n - 1) + "b0",
+    "parens": lambda n: "(" * (n - 1) + "b0" + ")" * (n - 1),
+    "or-chain": lambda n: " | ".join(["b0"] * n),
+    "and-chain": lambda n: " & ".join(["b0"] * n),
+    "right-nested-and": lambda n: "b0 & (" * (n - 2) + "!b0" + ")" * (n - 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_AT_DEPTH_LIMIT))
+def test_formula_at_the_depth_limit_round_trips(shape):
+    formula = _AT_DEPTH_LIMIT[shape](specdsl.MAX_DEPTH)
+    text = f"width 1; pred p := {formula};"
+    cs = specdsl.compile_text(text)
+    printed = specdsl.print_document(cs.doc)
+    assert specdsl.parse(printed) == cs.doc
+    assert specdsl.compile_text(printed).language.vocab[0].truth == (
+        cs.language.vocab[0].truth
+    )
+    # one more level is refused with a location
+    with pytest.raises(specdsl.SpecError) as err:
+        specdsl.parse(f"width 1; pred p := !({formula});")
+    assert "nested deeper" in err.value.message
+    assert err.value.line == 1
 
 
 @pytest.mark.parametrize("name", CORPUS)
