@@ -6,10 +6,10 @@ sweep), ``induce`` (run induction on a task from a spec file).
 
 Exit codes: 0 success; 1 verification violation or empty model set;
 2 flagged trials present (results still written); 64 usage, including a
-negative --tau, an empty --dk and a --trials, --budget, --cap,
---census-cap or --samples-at below 1; 65 spec file errors, including a
-file that is not UTF-8; 74 I/O failure; 75 capacity overflow, including a
---census-cap too small for the fixture language.
+negative --tau, an empty --dk, a --trials, --budget, --cap, --census-cap
+or --samples-at below 1 and a negative --max-vocab; 65 spec file errors,
+including a file that is not UTF-8; 74 I/O failure; 75 capacity overflow,
+including a --census-cap too small for the fixture language.
 """
 
 from __future__ import annotations
@@ -92,14 +92,21 @@ def _parse_tau(text: str) -> Fraction:
     return tau
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
-    return value
+def _int_from(least: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}: {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_from(1)
+_count = _int_from(0)
 
 
 def build_parser() -> _Parser:
@@ -127,7 +134,7 @@ def build_parser() -> _Parser:
                         "weakness-optimality sweep on small languages")
     ve.add_argument("--max-states", type=int, default=3,
                     help="exhaustive sweep bound on |states| (default 3)")
-    ve.add_argument("--max-vocab", type=int, default=3,
+    ve.add_argument("--max-vocab", type=_count, default=3,
                     help="vocabulary size bound (default 3)")
     ve.add_argument("--samples-at", type=_positive_int, default=4, metavar="N",
                     help="additionally sample languages with N states")
@@ -359,6 +366,8 @@ def cmd_induce(args) -> int:
     except CapacityError as exc:
         print(f"weaklab: {exc}; raise --cap", file=sys.stderr)
         return EXIT_CAPACITY
+    for warning in compiled.warnings:
+        print(f"{args.spec}:{warning}", file=sys.stderr)
     if args.task not in compiled.tasks:
         known = ", ".join(sorted(compiled.tasks)) or "(none)"
         print(f"weaklab: no task named {args.task!r}; spec defines: {known}",

@@ -7,11 +7,15 @@ explicit (a universe listed verbatim).  All counting is exact.
 
 Sets of members are bitmasks over statement positions (bit i is the i-th
 statement in global order).  A language keeps one mask per predicate, the
-positions of the members that contain it, built in one pass on first use.
-The extension of any statement of the vocabulary, member or not, is the AND
-of its predicates' masks, so weakness, models and probabilities are
-popcounts.  No mask is stored per statement: a derived language can hold
-thousands of statements, so extensions are computed on demand, and only
+positions of the members that contain it.  Both kinds of language read
+these masks from the same byte rows, one row of member bits per statement
+(``_column_masks``): a derived language packs the rows while it enumerates
+its statements, in the same pass that builds them and their position index;
+an explicit one packs them from its statements on first use.  The
+extension of any statement of the vocabulary, member or not, is the AND of
+its predicates' masks, so weakness, models and probabilities are popcounts.
+No mask is stored per statement: a derived language can hold thousands of
+statements, so extensions are computed on demand, and only
 ``Language.extension_masks`` lists them all, for the oracle's tiny
 languages.
 """
@@ -21,6 +25,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import total_ordering
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .errors import CapacityError, MembershipError, VocabularyError
@@ -101,12 +106,13 @@ class Vocabulary:
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     """Sorted duplicate-free set of predicate indices, read conjunctively.
 
     The order (cardinality, then index tuple) is the global deterministic
-    tie-break used everywhere downstream.
+    tie-break used everywhere downstream.  ``Statement(members)`` validates
+    its tuple; ``_statements`` builds them from tuples known to be valid.
     """
 
     members: tuple[int, ...]
@@ -144,6 +150,35 @@ class Statement:
         return "{" + ",".join(map(str, self.members)) + "}"
 
 
+def _statements(tuples: tuple[tuple[int, ...], ...]) -> list[Statement]:
+    """Statements of tuples already sorted, duplicate-free and non-negative,
+    as ``derive`` generates them, without the checks of ``Statement(...)``
+    and with no Python frame per statement."""
+    out = list(map(object.__new__, repeat(Statement, len(tuples))))
+    any(map(object.__setattr__, out, repeat("members"), tuples))  # each None
+    return out
+
+
+# _BIT_COLUMN[b] maps a byte to ASCII '1' where its bit b is set, else '0'
+_BIT_COLUMN = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+
+
+def _column_masks(rows: bytes, width: int, n_predicates: int) -> list[int]:
+    """Per predicate p, the position mask whose bit i is bit p of row i.
+
+    ``rows`` holds one little-endian row of ``width`` bytes per position.
+    Predicate p's column is every ``width``-th byte from byte p >> 3; the
+    translation to '0'/'1' by bit p & 7, reversed so that position 0 is the
+    last digit, is the mask in base 2.
+    """
+    if not rows:
+        return [0] * n_predicates
+    return [
+        int(rows[p >> 3::width].translate(_BIT_COLUMN[p & 7])[::-1], 2)
+        for p in range(n_predicates)
+    ]
+
+
 @dataclass(eq=False)
 class Language:
     """Finite universe of statements over a vocabulary.
@@ -177,30 +212,41 @@ class Language:
 
         Subsets are generated in the global order.  Satisfiability is
         monotone downward, so each size level extends the previous one.
+        A node of a level is its index tuple, its satisfying states and its
+        member int (bit p for predicate p); one pass over the levels builds
+        the statements, their position index and one chunk of member rows
+        per level, from which the predicate masks are read.
         Raises CapacityError as soon as more than ``cap`` statements exist.
         """
         if cap < 1:
             raise ValueError("cap must be >= 1")
         _check_vocab_space(space, vocab)
+        n = len(vocab)
+        width = (n + 7) >> 3  # bytes in one row of member bits
+        # the one-predicate extensions as (tuple, truth, bit)
+        ext = [((j,), p.truth, 1 << j) for j, p in enumerate(vocab)]
         statements: list[Statement] = []
-        sat_bits: list[tuple[tuple[int, ...], int]] = []
-        if space.size > 0:
-            full = (1 << space.size) - 1
-            level = [((), full)]
-            while level:
-                for members, bits in level:
-                    if len(statements) >= cap:
-                        raise CapacityError("derived language size", cap)
-                    statements.append(Statement(members))
-                nxt = []
-                for members, bits in level:
-                    lo = members[-1] + 1 if members else 0
-                    for j in range(lo, len(vocab)):
-                        b = bits & vocab[j].truth
-                        if b:
-                            nxt.append((members + (j,), b))
-                level = nxt
-        return cls(space, vocab, DERIVED, tuple(statements))
+        index: dict[tuple[int, ...], int] = {}
+        chunks: list[bytes] = []
+        level = [((), (1 << space.size) - 1, 0)] if space.size else []
+        while level:
+            start = len(statements)
+            if start + len(level) > cap:
+                raise CapacityError("derived language size", cap)
+            tuples, _, members = zip(*level)
+            index.update(zip(tuples, range(start, start + len(level))))
+            statements += _statements(tuples)
+            chunks.append(
+                b"".join(map(int.to_bytes, members, repeat(width), repeat("little")))
+            )
+            level = [
+                (t + jt, b, h | bit)
+                for t, sat, h in level
+                for jt, truth, bit in ext[h.bit_length():]
+                if (b := sat & truth)
+            ]
+        pred = _column_masks(b"".join(chunks), width, n)
+        return cls(space, vocab, DERIVED, tuple(statements), index, pred)
 
     @classmethod
     def explicit(
@@ -260,13 +306,15 @@ class Language:
     # -- extensions --------------------------------------------------------
 
     def _predicate_masks(self) -> list[int]:
-        # mask[p] = bitmask over statement positions of the members holding p
+        # mask[p] = bitmask over statement positions of the members holding p;
+        # derive builds them, an explicit language here on first use
         if self._pred is None:
-            rows = [bytearray((self.size + 7) // 8) for _ in self.vocab]
-            for i, s in enumerate(self.statements):
-                for p in s.members:
-                    rows[p][i >> 3] |= 1 << (i & 7)
-            self._pred = [int.from_bytes(row, "little") for row in rows]
+            width = (len(self.vocab) + 7) >> 3
+            rows = b"".join([
+                sum(1 << p for p in s.members).to_bytes(width, "little")
+                for s in self.statements
+            ])
+            self._pred = _column_masks(rows, width, len(self.vocab))
         return self._pred
 
     def extension_mask(self, s: Statement) -> int:

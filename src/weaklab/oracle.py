@@ -376,8 +376,9 @@ def sample_derived_languages(
     census_cap: int = DEFAULT_CENSUS_CAP,
 ) -> list[Language]:
     """Seeded sample of derived languages over ``n_states`` states whose
-    census fits ``census_cap``; oversized draws are skipped, up to 200 per
-    language asked for."""
+    census fits ``census_cap``, each with 1 to ``max_vocab`` predicates of
+    distinct truth tables (so no more than 2^n_states); oversized draws are
+    skipped, up to 200 per language asked for."""
     rng = random.Random(f"weaklab-language-sample|{seed}|{n_states}")
     attempts_left = count * 200
     space = StateSpace(tuple(f"s{i}" for i in range(n_states)))
@@ -386,7 +387,7 @@ def sample_derived_languages(
         if attempts_left <= 0:
             raise CapacityError("language sampling attempts", len(out))
         attempts_left -= 1
-        k = rng.randint(1, max_vocab)
+        k = rng.randint(1, min(max_vocab, 1 << n_states))
         combo = sorted(rng.sample(range(1 << n_states), k))
         lang = Language.derive(space, _numbered_vocabulary(combo))
         try:

@@ -31,6 +31,7 @@ structurally the identity.
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass, field
 from .errors import WeaklabError
 from .lattice import (
@@ -44,8 +45,8 @@ from .lattice import (
 from .tasks import VTask, make_task
 
 MAX_WIDTH = 16
-# keeps the recursive parser, evaluator and printer far from Python's
-# recursion limit
+# keeps the recursive parser, truth-table evaluator (_eval_mask) and
+# printer far from Python's recursion limit
 MAX_DEPTH = 100
 
 
@@ -117,6 +118,7 @@ Elem = NameElem | SetElem | PatternElem
 class PredDef:
     name: str
     expr: Expr
+    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,10 @@ class _Tok:
 
 def _at(t: _Tok, message: str, category: str = "syntax") -> SpecError:
     return SpecError(message, t.line, t.col, category)
+
+
+def _found(t: _Tok) -> str:
+    return repr(t.text) if t.text else "end of input"
 
 
 def _lex(text: str) -> list[_Tok]:
@@ -230,8 +236,7 @@ class _Parser:
     def expect(self, kind: str, what: str | None = None) -> _Tok:
         t = self.peek()
         if t.kind != kind:
-            found = repr(t.text) if t.text else "end of input"
-            raise _at(t, f"expected {what or kind}, found {found}")
+            raise _at(t, f"expected {what or kind}, found {_found(t)}")
         return self.next()
 
     def parse_document(self) -> SpecDocument:
@@ -259,7 +264,8 @@ class _Parser:
             name = self._decl_name(t.text)
             if t.text == "pred":
                 self.expect(":=")
-                preds.append(PredDef(name.text, self._expr()[0]))
+                expr = self._expr()[0]
+                preds.append(PredDef(name.text, expr, (name.line, name.col)))
                 self.preds[name.text] = len(self.preds)
                 self.expect(";")
             elif t.text == "statement":
@@ -315,7 +321,7 @@ class _Parser:
             self.expect(")")
             return e
         if t.kind != "name":
-            raise _at(t, f"expected formula atom, found {t.text!r}")
+            raise _at(t, f"expected formula atom, found {_found(t)}")
         m = _BITREF.fullmatch(t.text)
         if m is None:
             raise _at(t, f"undefined name {t.text!r} in formula (only bit "
@@ -352,7 +358,7 @@ class _Parser:
         kw = self.expect("name", f"{keyword!r}")
         if kw.text != keyword:
             raise _at(kw, f"expected {keyword!r}")
-        self.expect("{")
+        brace = self.expect("{")
         out: list[Elem] = []
         while self.peek().kind != "}":
             t = self.peek()
@@ -374,12 +380,12 @@ class _Parser:
                 out.append(NameElem(t.text))
             else:
                 raise _at(t, "expected statement name, inline set or bit pattern, "
-                          f"found {t.text!r}")
+                          f"found {_found(t)}")
             if self.peek().kind == ",":
                 self.next()
         self.expect("}")
         if not out:
-            raise _at(self.peek(), "empty element list")
+            raise _at(brace, "empty element list")
         return tuple(out)
 
 
@@ -450,6 +456,9 @@ class CompiledSpec:
     doc: SpecDocument
     language: Language
     tasks: dict[str, VTask]
+    # located "line:col: warning: ..." texts, one per predicate whose
+    # truth table an earlier predicate already has
+    warnings: tuple[str, ...] = ()
 
 
 def _literal_mask(width: int, index: int, value: bool = True) -> int:
@@ -476,17 +485,6 @@ def _eval_mask(e: Expr, width: int) -> int:
     return _eval_mask(e.lhs, width) | _eval_mask(e.rhs, width)
 
 
-def evaluate(e: Expr, width: int, state: int) -> bool:
-    """Pointwise evaluation; the independent route against _eval_mask."""
-    if isinstance(e, BitRef):
-        return bool(state >> (width - 1 - e.index) & 1)
-    if isinstance(e, Not):
-        return not evaluate(e.arg, width, state)
-    if isinstance(e, And):
-        return evaluate(e.lhs, width, state) and evaluate(e.rhs, width, state)
-    return evaluate(e.lhs, width, state) or evaluate(e.rhs, width, state)
-
-
 def compile_document(
     doc: SpecDocument, cap: int = DEFAULT_LANGUAGE_CAP
 ) -> CompiledSpec:
@@ -494,7 +492,18 @@ def compile_document(
     width = doc.width
     space = StateSpace.bits(width)
     preds = [Predicate(p.name, _eval_mask(p.expr, width)) for p in doc.preds]
-    vocab = Vocabulary(tuple(preds))
+    first_with_truth: dict[int, int] = {}
+    notes = []
+    for k, p in enumerate(preds):
+        first = first_with_truth.setdefault(p.truth, k)
+        if first != k:
+            line, col = doc.preds[k].pos
+            notes.append(f"{line}:{col}: warning: predicate {p.name!r} has the "
+                         f"same truth table as {preds[first].name!r}")
+    with warnings.catch_warnings():
+        # reported above, with the location Vocabulary cannot know
+        warnings.filterwarnings("ignore", "vocabulary contains distinct predicates")
+        vocab = Vocabulary(tuple(preds))
     index = {p.name: i for i, p in enumerate(doc.preds)}
 
     def to_statement(names: tuple[str, ...]) -> Statement:
@@ -528,10 +537,6 @@ def compile_document(
         by_name = {}
         language = Language.derive(space, vocab, cap)
 
-    first_with_truth: dict[int, int] = {}
-    for k, p in enumerate(preds):
-        first_with_truth.setdefault(p.truth, k)
-
     def resolve(elem: Elem) -> Statement:
         if isinstance(elem, NameElem):
             return by_name[elem.name]
@@ -562,7 +567,7 @@ def compile_document(
             raise CompileError(
                 f"task {td.name!r}: {exc}", *td.pos
             ) from exc
-    return CompiledSpec(doc, language, tasks)
+    return CompiledSpec(doc, language, tasks, tuple(notes))
 
 
 def compile_text(text: str, cap: int = DEFAULT_LANGUAGE_CAP) -> CompiledSpec:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from weaklab import CapacityError, Language, VTask, make_task
+from weaklab.specdsl import And, BitRef, Not
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +36,40 @@ def naive_language(truth: list[set[int]], n_states: int) -> list[frozenset[int]]
             if naive_sat_states(truth, frozenset(combo), n_states):
                 out.append(frozenset(combo))
     return out
+
+
+def naive_derived_statements(tables: list[int], n_states: int) -> list[tuple[int, ...]]:
+    """Every satisfiable predicate subset, as sorted index tuples in the
+    global order (size, then tuple): the subsets of the predicates holding
+    at one state, collected state by state."""
+    found = set()
+    for state in range(n_states):
+        holding = [p for p, t in enumerate(tables) if t >> state & 1]
+        for r in range(len(holding) + 1):
+            found.update(itertools.combinations(holding, r))
+    return sorted(found, key=lambda m: (len(m), m))
+
+
+def naive_predicate_masks(statements: list[tuple[int, ...]], n_predicates: int) -> list[int]:
+    """Per predicate, the positions of the statements holding it, bit by bit."""
+    masks = [0] * n_predicates
+    for i, members in enumerate(statements):
+        for p in members:
+            masks[p] |= 1 << i
+    return masks
+
+
+def naive_evaluate(e, width: int, state: int) -> bool:
+    """Pointwise value of a spec formula at one state (bit position i,
+    leftmost 0, is ``state >> (width-1-i) & 1``); the route the spec
+    compiler's truth-table evaluation is checked against."""
+    if isinstance(e, BitRef):
+        return bool(state >> (width - 1 - e.index) & 1)
+    if isinstance(e, Not):
+        return not naive_evaluate(e.arg, width, state)
+    if isinstance(e, And):
+        return naive_evaluate(e.lhs, width, state) and naive_evaluate(e.rhs, width, state)
+    return naive_evaluate(e.lhs, width, state) or naive_evaluate(e.rhs, width, state)
 
 
 def naive_extension(universe: list[frozenset[int]], s: frozenset[int]) -> set[frozenset[int]]:

@@ -157,6 +157,9 @@ _DEEP_SPECS = {
         (["verify", "--census-cap", "0"], 64),
         (["verify", "--census-cap", "-3"], 64),
         (["verify", "--samples-at", "0", "--max-states", "1"], 64),
+        (["verify", "--max-vocab", "-1", "--max-states", "1"], 64),
+        # more predicates asked for than one state has truth tables
+        (["verify", "--max-states", "1", "--samples-at", "1", "--samples", "2"], 0),
         (["induce", "--spec", "{sup_width}", "--task", "t1"], 65),
         (["induce", "--spec", "{sup_bit}", "--task", "t1"], 65),
         (["induce", "--spec", "{sup_name}", "--task", "t1"], 65),
@@ -289,6 +292,19 @@ def test_induce_empty_model_set(tmp_path, capsys):
     code = run_cli("induce", "--spec", str(spec), "--task", "t")
     assert code == 1
     assert "model set empty" in capsys.readouterr().out
+
+
+def test_induce_duplicate_truth_table_is_one_located_warning(tmp_path):
+    spec = tmp_path / "dup.wl"
+    spec.write_text(
+        "width 1;\npred p := b0;\npred q := !!b0;\n"
+        "task t { situations { {} } decisions { {p}, {p, q} } }\n"
+    )
+    proc = run_proc("induce", "--spec", str(spec), "--task", "t")
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        f"{spec}:3:6: warning: predicate 'q' has the same truth table as 'p'\n"
+    )
 
 
 def test_induce_compile_error_exit_65(tmp_path, capsys):

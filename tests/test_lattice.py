@@ -18,7 +18,13 @@ from weaklab import (
 )
 from conftest import random_language
 
-from _oracles import naive_extension, naive_language, naive_models
+from _oracles import (
+    naive_derived_statements,
+    naive_extension,
+    naive_language,
+    naive_models,
+    naive_predicate_masks,
+)
 
 
 def S(*idx):
@@ -289,3 +295,53 @@ def test_explicit_universe_masks_match_naive_route(rng):
     )
     assert [frozenset(m.members) for m in task.models()] == expected
     assert [h for h in lang.statements if task.is_model(h)] == list(task.models())
+
+
+# ---------------------------------------------------------------------------
+# derive: statements, index and predicate masks in one pass
+
+
+@st.composite
+def _windowed_tables(draw, n):
+    """Truth tables of n predicates over n + 3 states, each inside a window
+    of 4 states, so no state holds more than 4 predicates and the language
+    stays small at any n; shuffled so that predicates sharing a state lie
+    in different bytes of a member row."""
+    tables = [draw(st.integers(0, 15)) << s for s in range(n)]
+    return draw(st.permutations(tables))
+
+
+# 8 predicates fill one byte of a member row; 65 need more than 64 bits
+@pytest.mark.parametrize("n", [0, 1, 8, 9, 16, 17, 65])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_derive_matches_naive_route(n, data):
+    tables = data.draw(_windowed_tables(n))
+    space = StateSpace(tuple(f"s{i}" for i in range(n + 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero or shifted tables can repeat
+        vocab = Vocabulary(tuple(Predicate(f"p{i}", t) for i, t in enumerate(tables)))
+    lang = Language.derive(space, vocab)
+    expected = naive_derived_statements(tables, space.size)
+    assert [s.members for s in lang.statements] == expected
+    assert lang.statements == tuple(Statement(m) for m in expected)
+    assert [lang.position(s) for s in lang.statements] == list(range(len(expected)))
+    masks = naive_predicate_masks(expected, n)
+    assert lang._predicate_masks() == masks
+    # an explicit universe builds the same masks through the same rows
+    assert Language.explicit(space, vocab, lang.statements)._predicate_masks() == masks
+    # the cap admits exactly N statements
+    N = len(expected)
+    assert Language.derive(space, vocab, cap=N).same_as(lang)
+    if N > 1:
+        with pytest.raises(CapacityError):
+            Language.derive(space, vocab, cap=N - 1)
+
+
+def test_derived_statements_are_slotted_and_still_validated():
+    lang = Language.derive(StateSpace(("s0", "s1")), Vocabulary((Predicate("p", 1),)))
+    assert not hasattr(lang.statements[1], "__dict__")
+    with pytest.raises(ValueError):
+        Statement((1, 0))
+    with pytest.raises(ValueError):
+        Statement((-1,))

@@ -9,7 +9,6 @@ import contextlib
 import io
 import os
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from weaklab import cli
@@ -58,8 +57,6 @@ def _non_ascii_digit(draw):
     return (data[:i] + draw(st.sampled_from("²¹٣Ⅻ½")) + data[i:]).encode()
 
 
-# mutations often give two predicates one truth table, which warns
-@pytest.mark.filterwarnings("ignore:vocabulary contains distinct predicates")
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.one_of(_mutated(), _deep(), _non_ascii_digit(), st.binary(max_size=300)))
 def test_spec_files_end_in_documented_codes(tmp_path_factory, data):

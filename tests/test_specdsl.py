@@ -1,10 +1,12 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from weaklab import induce, generalisation_probability, prior, specdsl
 from conftest import spec_path
+from _oracles import naive_evaluate
 
 CORPUS = ["tiny.wl", "divergence.wl", "add8.wl", "mul8.wl"]
 
@@ -107,13 +109,13 @@ _FRONT_END_ERRORS = [
     ("duplicate-member", "width 1;\npred p := b0;\nstatement s = {p, p};\n",
      ("syntax", 3, 19, "duplicate member 'p'")),
     ("empty-element-list", "width 1;\npred p := b0;\ntask t {\n  situations { }\n  decisions { {p} }\n}\n",
-     ("syntax", 5, 3, "empty element list")),
+     ("syntax", 4, 14, "empty element list")),
     ("missing-situations", "width 1;\npred p := b0;\ntask t {\n  decisions { {p} }\n}\n",
      ("syntax", 4, 3, "expected 'situations'")),
     ("missing-decisions", "width 1;\npred p := b0;\ntask t {\n  situations { {p} }\n}\n",
      ("syntax", 5, 1, "expected 'decisions', found '}'")),
     ("end-inside-formula", "width 2;\npred p := b0 & (b1 |",
-     ("syntax", 2, 21, "expected formula atom, found ''")),
+     ("syntax", 2, 21, "expected formula atom, found end of input")),
 ]
 
 
@@ -218,7 +220,7 @@ def test_eval_routes_agree(width):
         e = _random_expr(rng, width, 4)
         mask = specdsl._eval_mask(e, width)
         for s in range(1 << width):
-            assert bool(mask >> s & 1) == specdsl.evaluate(e, width, s)
+            assert bool(mask >> s & 1) == naive_evaluate(e, width, s)
 
 
 def test_printed_expr_reparses_equal():
@@ -287,6 +289,18 @@ def test_compile_invalid_task_reports_location():
     with pytest.raises(specdsl.CompileError) as err:
         specdsl.compile_text(text)
     assert err.value.line == 2
+
+
+def test_duplicate_truth_tables_are_located_warnings():
+    text = "width 1;\npred p := b0;\npred q := !!b0;\npred r := b0 & b0;\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # Vocabulary's own warning is not raised
+        cs = specdsl.compile_text(text)
+    assert cs.warnings == (
+        "3:6: warning: predicate 'q' has the same truth table as 'p'",
+        "4:6: warning: predicate 'r' has the same truth table as 'p'",
+    )
+    assert specdsl.compile_text(read_spec("tiny.wl")).warnings == ()
 
 
 def test_compile_pattern_requires_literal_predicate():
