@@ -233,11 +233,11 @@ class Language:
             start = len(statements)
             if start + len(level) > cap:
                 raise CapacityError("derived language size", cap)
-            tuples, _, members = zip(*level)
+            tuples, _, ints = zip(*level)
             index.update(zip(tuples, range(start, start + len(level))))
             statements += _statements(tuples)
             chunks.append(
-                b"".join(map(int.to_bytes, members, repeat(width), repeat("little")))
+                b"".join(map(int.to_bytes, ints, repeat(width), repeat("little")))
             )
             level = [
                 (t + jt, b, h | bit)
