@@ -157,15 +157,15 @@ _DEEP_SPECS = {
         (["verify", "--census-cap", "0"], 64),
         (["verify", "--census-cap", "-3"], 64),
         (["verify", "--samples-at", "0", "--max-states", "1"], 64),
-        (["verify", "--max-vocab", "-1", "--max-states", "1"], 64),
-        # more predicates asked for than one state has truth tables
-        (["verify", "--max-states", "1", "--samples-at", "1", "--samples", "2"], 0),
         (["induce", "--spec", "{sup_width}", "--task", "t1"], 65),
         (["induce", "--spec", "{sup_bit}", "--task", "t1"], 65),
         (["induce", "--spec", "{sup_name}", "--task", "t1"], 65),
         (["induce", "--spec", "{deep_parens}", "--task", "t1"], 65),
         (["induce", "--spec", "{deep_nots}", "--task", "t1"], 65),
         (["induce", "--spec", "{long_or}", "--task", "t1"], 65),
+        (["verify", "--max-vocab", "-1", "--max-states", "1"], 64),
+        # more predicates asked for than one state has truth tables
+        (["verify", "--max-states", "1", "--samples-at", "1", "--samples", "2"], 0),
     ],
 )
 def test_bad_input_ends_in_documented_code(tmp_path, argv, code):
