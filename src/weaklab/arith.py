@@ -20,8 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .minimize import (
     DEFAULT_NODE_BUDGET,
@@ -98,7 +97,6 @@ class BinOpTask:
     deleted_bit: int
     decisions: tuple[int, ...]
     situations: tuple[int, ...]
-    cand: Mapping[int, tuple[int, int]]  # read-only: tasks are shared
     decisions_mask: int
     reach_mask: int  # union of completion sets over all parent situations
 
@@ -119,8 +117,7 @@ def gen_parent_task(op: str, deleted_bit: int, width: int = 8) -> BinOpTask:
         )
     )
     situations, d_mask, reach = _project(decisions, deleted_bit, width)
-    cand = MappingProxyType({s: completions(s, deleted_bit, width) for s in situations})
-    return BinOpTask(op, width, deleted_bit, decisions, situations, cand, d_mask, reach)
+    return BinOpTask(op, width, deleted_bit, decisions, situations, d_mask, reach)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ sweep), ``induce`` (run induction on a task from a spec file).
 Exit codes: 0 success; 1 verification violation or empty model set;
 2 flagged trials present (results still written); 64 usage, including a
 negative --tau, an empty --dk, a --trials, --budget, --cap, --census-cap
-or --samples-at below 1 and a negative --max-vocab; 65 spec file errors,
-including a file that is not UTF-8; 74 I/O failure; 75 capacity overflow,
-including a --census-cap too small for the fixture language.
+or --samples-at below 1 and a negative --max-states, --max-vocab or
+--samples; 65 spec file errors, including a file that is not UTF-8; 74 I/O
+failure; 75 capacity overflow, including a --census-cap too small for the
+fixture language.
 """
 
 from __future__ import annotations
@@ -132,13 +133,13 @@ def build_parser() -> _Parser:
 
     ve = sub.add_parser("verify", help="fixture checks and the exhaustive "
                         "weakness-optimality sweep on small languages")
-    ve.add_argument("--max-states", type=int, default=3,
+    ve.add_argument("--max-states", type=_count, default=3,
                     help="exhaustive sweep bound on |states| (default 3)")
     ve.add_argument("--max-vocab", type=_count, default=3,
                     help="vocabulary size bound (default 3)")
     ve.add_argument("--samples-at", type=_positive_int, default=4, metavar="N",
                     help="additionally sample languages with N states")
-    ve.add_argument("--samples", type=int, default=50,
+    ve.add_argument("--samples", type=_count, default=50,
                     help="number of sampled languages (default 50)")
     ve.add_argument("--census-cap", type=_positive_int,
                     default=oracle.DEFAULT_CENSUS_CAP)
@@ -228,9 +229,8 @@ def cmd_verify(args) -> int:
           f"mdl->{out['fixture']['mdl_winner']}")
 
     try:
-        # fixture-language sweep, with the fixture task as an extra row
         fx_report = oracle.verify_weakness_optimality(
-            fx.lang, census_cap=args.census_cap, extra_tasks=[fx.task], max_rows=64
+            fx.lang, census_cap=args.census_cap
         )
     except CapacityError:
         # the fixture language is fixed, so only a larger cap lets it through
@@ -267,9 +267,7 @@ def cmd_verify(args) -> int:
     tasks_checked = fx_report.tasks_checked
     for lang in sweep:
         try:
-            rep = oracle.verify_weakness_optimality(
-                lang, census_cap=args.census_cap, max_rows=0
-            )
+            rep = oracle.verify_weakness_optimality(lang, census_cap=args.census_cap)
         except CapacityError:
             skipped += 1
             continue

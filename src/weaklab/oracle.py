@@ -3,9 +3,10 @@
 Enumerates the full task census of a language (every nonempty proper
 situation set with every nonempty reachable decision set), then checks, for
 every task with models, that the weakest models are never beaten on the
-count of census parents they generalise to.  Probability-formula values are
-recorded against empirical parent fractions without being asserted equal:
-the formula counts decision subsets, the census counts concrete tasks.
+count of census parents they generalise to.  Disagreements between the
+probability formula and the empirical parent fraction are counted, not
+recorded per row or asserted away: the formula counts decision subsets, the
+census counts concrete tasks.  ``census_tasks`` yields the record per task.
 
 Also home of the two built-in fixtures: the two-state language, and the
 explicit-universe language on which the weakness and description-length
@@ -17,8 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, FixtureError
 from .induction import (
@@ -38,7 +38,6 @@ from .lattice import (
 from .tasks import VTask, make_task
 
 DEFAULT_CENSUS_CAP = 1_000_000
-DEFAULT_REPORT_ROWS = 2_000
 PRIOR_REPORT_CAP = 4_096
 
 
@@ -84,17 +83,52 @@ def _census(lang: Language, cap: int) -> tuple[list[int], list[int], int]:
 
 
 @dataclass(frozen=True)
-class OptimalityRow:
-    """One (task, model) pair of the verification sweep."""
+class CensusTask:
+    """One census task with models, as position masks and counts."""
 
-    situations: tuple[tuple[int, ...], ...]
-    decisions: tuple[tuple[int, ...], ...]
-    model: tuple[int, ...]
-    weakness: int
-    parent_count: int
+    situations: int
+    decisions: int
+    models: tuple[int, ...]  # positions, in global order
+    parent_counts: tuple[int, ...]  # census parents each model is a model of
     total_parents: int
-    formula: Fraction
-    empirical: Fraction | None
+
+
+def census_tasks(
+    lang: Language, census_cap: int = DEFAULT_CENSUS_CAP
+) -> Iterator[CensusTask]:
+    """Every census task with models, with its parent counts; raises
+    CapacityError at the call, not at the first ``next``."""
+    ext, reach, _ = _census(lang, census_cap)
+    return _census_tasks(ext, reach)
+
+
+def _census_tasks(ext: list[int], reach: list[int]) -> Iterator[CensusTask]:
+    n = len(ext)
+    full = (1 << n) - 1
+    for s_mask in range(1, full):
+        zs = reach[s_mask]
+        groups: dict[int, list[int]] = {}
+        for h in range(n):
+            d = zs & ext[h]
+            if d:
+                groups.setdefault(d, []).append(h)
+        comp = full & ~s_mask
+        for d_mask, model_idx in groups.items():
+            d_pc = d_mask.bit_count()
+            counts = [0] * len(model_idx)
+            total = 0
+            # a parent's situation set adds a nonempty t to s_mask, short of full
+            t = comp
+            while t:
+                big = s_mask | t
+                if big != full:
+                    zt = reach[big]
+                    total += 1 << (zt.bit_count() - d_pc)
+                    for pos, h in enumerate(model_idx):
+                        if zt & ext[h] & d_mask == d_mask:
+                            counts[pos] += 1
+                t = (t - 1) & comp
+            yield CensusTask(s_mask, d_mask, tuple(model_idx), tuple(counts), total)
 
 
 @dataclass(frozen=True)
@@ -114,131 +148,49 @@ class Violation:
 class OptimalityReport:
     census_size: int
     tasks_checked: int
-    rows_total: int
-    rows: list[OptimalityRow]
     violations: list[Violation]
     deviation_count: int
 
 
 def verify_weakness_optimality(
-    lang: Language,
-    census_cap: int = DEFAULT_CENSUS_CAP,
-    extra_tasks: Sequence[VTask] = (),
-    max_rows: int = DEFAULT_REPORT_ROWS,
+    lang: Language, census_cap: int = DEFAULT_CENSUS_CAP
 ) -> OptimalityReport:
     """Sweep every census task with a nonempty model set.
 
-    For each model h of each task, counts the census parents the task has
-    and how many of them h generalises to, then checks that every
-    weakness-maximal model attains the task's maximum parent count.
-    ``extra_tasks`` adds rows for tasks of interest (e.g. fixtures) that are
-    not themselves census members.
+    Checks that every weakness-maximal model of a task attains the task's
+    maximum parent count, and counts the (task, model) pairs whose parent
+    fraction differs from the formula value 2^|Z̄_S ∩ Z_h| / 2^|Z̄_S|.
     """
     ext, reach, total_census = _census(lang, census_cap)
-    n = lang.size
-    full = (1 << n) - 1
-
-    rows: list[OptimalityRow] = []
-    rows_total = 0
     tasks_checked = 0
     violations: list[Violation] = []
     deviation_count = 0
-
-    def sweep_task(
-        situations: tuple[tuple[int, ...], ...],
-        s_mask: int,
-        zs: int,
-        d_mask: int,
-        model_idx: list[int],
-    ) -> None:
-        # s_mask 0 marks situations outside the universe: census situation
-        # sets are drawn from the universe, so such a task has no parents.
-        nonlocal rows_total, deviation_count
-        d_pc = d_mask.bit_count()
-        counts = [0] * len(model_idx)
-        total_parents = 0
-        comp = full & ~s_mask if s_mask else 0
-        t = comp
-        while t:
-            big = s_mask | t
-            if big != full:
-                zt = reach[big]
-                total_parents += 1 << (zt.bit_count() - d_pc)
-                for pos, h in enumerate(model_idx):
-                    if zt & ext[h] & d_mask == d_mask:
-                        counts[pos] += 1
-            t = (t - 1) & comp
+    for task in _census_tasks(ext, reach):
+        tasks_checked += 1
+        zs = reach[task.situations]
+        outside = lang.size - zs.bit_count()
+        total = task.total_parents
+        counts = task.parent_counts
+        w_max = max(ext[h].bit_count() for h in task.models)
         best = max(counts)
-        weaknesses = [ext[h].bit_count() for h in model_idx]
-        w_max = max(weaknesses)
-        decisions = tuple(s.members for s in lang.statements_of(d_mask))
-        outside_pc = n - zs.bit_count()
-        for pos, h in enumerate(model_idx):
-            a = (ext[h] & ~zs).bit_count()
-            formula = Fraction(1 << a, 1 << outside_pc)
-            empirical = (
-                Fraction(counts[pos], total_parents) if total_parents else None
-            )
-            row = OptimalityRow(
-                situations,
-                decisions,
-                lang.statements[h].members,
-                weaknesses[pos],
-                counts[pos],
-                total_parents,
-                formula,
-                empirical,
-            )
-            rows_total += 1
-            if len(rows) < max_rows:
-                rows.append(row)
-            if empirical is not None and empirical != formula:
+        for h, count in zip(task.models, counts):
+            # count / total != 2^a / 2^outside, in integers; a task without
+            # parents has count = total = 0, so it never counts
+            if count << outside != total << (ext[h] & ~zs).bit_count():
                 deviation_count += 1
-        for pos, h in enumerate(model_idx):
-            if weaknesses[pos] == w_max and counts[pos] < best:
-                best_pos = counts.index(best)
+            if count < best and ext[h].bit_count() == w_max:
+                best_h = task.models[counts.index(best)]
                 violations.append(
                     Violation(
-                        situations,
-                        decisions,
+                        tuple(s.members for s in lang.statements_of(task.situations)),
+                        tuple(s.members for s in lang.statements_of(task.decisions)),
                         lang.statements[h].members,
-                        counts[pos],
-                        lang.statements[model_idx[best_pos]].members,
+                        count,
+                        lang.statements[best_h].members,
                         best,
                     )
                 )
-
-    for s_mask in range(1, full):
-        zs = reach[s_mask]
-        situations = tuple(s.members for s in lang.statements_of(s_mask))
-        groups: dict[int, list[int]] = {}
-        for h in range(n):
-            d = zs & ext[h]
-            if d:
-                groups.setdefault(d, []).append(h)
-        for d_mask, model_idx in groups.items():
-            tasks_checked += 1
-            sweep_task(situations, s_mask, zs, d_mask, model_idx)
-
-    # extra tasks add rows but are not census tasks, so not tasks_checked
-    for task in extra_tasks:
-        model_idx = [lang.position(h) for h in task.models()]
-        if not model_idx:
-            continue
-        s_mask = 0
-        if all(s in lang for s in task.situations):
-            s_mask = sum(1 << lang.position(s) for s in task.situations)
-        situations = tuple(s.members for s in task.situations)
-        sweep_task(situations, s_mask, task.reach, task.decided, model_idx)
-
-    return OptimalityReport(
-        census_size=total_census,
-        tasks_checked=tasks_checked,
-        rows_total=rows_total,
-        rows=rows,
-        violations=violations,
-        deviation_count=deviation_count,
-    )
+    return OptimalityReport(total_census, tasks_checked, violations, deviation_count)
 
 
 # ---------------------------------------------------------------------------

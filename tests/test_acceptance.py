@@ -111,7 +111,7 @@ def test_criterion_3_theorem_oracle(tmp_path):
     sampled = oracle.sample_derived_languages(4, 50, seed="acceptance-oracle")
     tasks_checked = 0
     for lang in langs + sampled:
-        rep = oracle.verify_weakness_optimality(lang, max_rows=0)
+        rep = oracle.verify_weakness_optimality(lang)
         tasks_checked += rep.tasks_checked
         if rep.violations:
             violations.append((lang, rep.violations))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -39,7 +40,8 @@ def test_add_parent_structure_every_bit():
         assert len(t.decisions) == 16
         assert len(t.situations) == 16
         dset = set(t.decisions)
-        for pair in t.cand.values():
+        for s in t.situations:
+            pair = arith.completions(s, bit, 8)
             assert len(pair) == 2
             assert sum(1 for p in pair if p in dset) == 1
 
@@ -47,8 +49,8 @@ def test_add_parent_structure_every_bit():
 def test_parent_task_is_shared_and_read_only():
     t = arith.gen_parent_task("mul", 5)
     assert arith.gen_parent_task("mul", 5) is t
-    with pytest.raises(TypeError):
-        t.cand[t.situations[0]] = (0, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.situations = ()
 
 
 def test_parent_arithmetic_invariant():

@@ -8,10 +8,13 @@ weaklab's own tests, so this test runs both against the current sources.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 from pathlib import Path
 
-from weaklab import arith
+from weaklab import arith, cli
+from conftest import spec_path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -39,3 +42,33 @@ def test_benchmark_names_exist(monkeypatch):
     )
     assert errors == []
     assert {c: n[0] for c, n in cells.items()} == {"add-6": 2, "mul-6": 2}
+
+
+def test_traced_verify_and_induce_read_their_results(monkeypatch):
+    # the traced wrappers read `tasks_checked` off verify's reports and
+    # `language.size` off a compiled spec
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    worker = importlib.import_module("worker")
+
+    tracer = tracing.Tracer()
+    try:
+        worker.install_tracing(tracer)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--max-states", "1", "--max-vocab", "1"]) == 0
+            assert cli.main(["induce", "--spec", spec_path("tiny.wl"), "--task", "t1"]) == 0
+    finally:
+        tracer.restore()
+    spans = {}
+    for s in tracer.spans:
+        spans.setdefault(s.name, []).append(s)
+    assert set(spans) >= {
+        "oracle.verify_weakness_optimality",
+        "specdsl.compile_document",
+        "tasks.models",
+        "induction.induce",
+    }
+    tasks = [s.data["tasks"] for s in spans["oracle.verify_weakness_optimality"]]
+    assert tasks and all(isinstance(n, int) for n in tasks) and sum(tasks) > 0
+    (compiled,) = spans["specdsl.compile_document"]
+    assert compiled.data["statements"] > 0

@@ -166,6 +166,8 @@ _DEEP_SPECS = {
         (["verify", "--max-vocab", "-1", "--max-states", "1"], 64),
         # more predicates asked for than one state has truth tables
         (["verify", "--max-states", "1", "--samples-at", "1", "--samples", "2"], 0),
+        (["verify", "--max-states", "-1"], 64),
+        (["verify", "--max-states", "1", "--samples", "-1"], 64),
     ],
 )
 def test_bad_input_ends_in_documented_code(tmp_path, argv, code):
@@ -214,14 +216,15 @@ def test_verify_trivial_caps(capsys):
 def test_verify_violation_path(tmp_path, capsys, monkeypatch):
     # no real language violates weakness optimality, so fake one violation
     # to exercise the reproducer dump and exit code
-    from weaklab import oracle, cli as cli_mod
+    from weaklab import lattice, oracle, cli as cli_mod
 
     real = oracle.verify_weakness_optimality
     violation = oracle.Violation(((0,),), ((0,),), (0,), 0, (1,), 1)
 
     def tampered(lang, **kwargs):
         rep = real(lang, **kwargs)
-        if kwargs.get("extra_tasks"):
+        # the fixture language is the only explicit one verify checks
+        if lang.mode == lattice.EXPLICIT:
             rep.violations.append(violation)
         return rep
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from weaklab import CapacityError, Statement, StateSpace, Vocabulary, oracle
+from weaklab import CapacityError, Statement, StateSpace, Vocabulary, make_task, oracle
+from weaklab.induction import generalisation_probability
 from conftest import random_language
 from _oracles import enumerate_tasks, naive_census_count, naive_extension
 
@@ -64,58 +65,62 @@ def test_tiny_verify_no_violations(tiny):
     assert rep.violations == []
     assert rep.census_size == 26
     assert rep.tasks_checked == 14
-    assert rep.rows_total == sum(1 for _ in rep.rows)
+
+
+def _task_of(lang, record):
+    return make_task(
+        lang, lang.statements_of(record.situations), lang.statements_of(record.decisions)
+    )
 
 
 def test_tiny_verify_known_row(tiny):
     # task S={{p}}, D={{p}} has models {} and {p}; both generalise to the
     # same 2 of its 6 census parents; formula values 1 and 1/4
-    rep = oracle.verify_weakness_optimality(tiny)
-    rows = [
-        r
-        for r in rep.rows
-        if r.situations == ((0,),) and r.decisions == ((0,),)
+    p = 1 << tiny.position(S(0))
+    (record,) = [
+        r for r in oracle.census_tasks(tiny) if r.situations == p and r.decisions == p
     ]
-    assert len(rows) == 2
-    by_model = {r.model: r for r in rows}
-    empty, single = by_model[()], by_model[(0,)]
-    assert empty.parent_count == single.parent_count == 2
-    assert empty.total_parents == single.total_parents == 6
-    assert empty.formula == 1
-    assert single.formula == Fraction(1, 4)
-    assert empty.empirical == single.empirical == Fraction(1, 3)
+    models = [tiny.statements[h] for h in record.models]
+    assert models == [S(), S(0)]
+    assert record.parent_counts == (2, 2)
+    assert record.total_parents == 6
+    task = _task_of(tiny, record)
+    assert [generalisation_probability(task, h) for h in models] == [1, Fraction(1, 4)]
+    assert Fraction(record.parent_counts[0], record.total_parents) == Fraction(1, 3)
 
 
 def test_models_share_parent_counts(tiny, fx):
     # observed in exhaustive sweeps: under the census measure every model of
     # a task attains the same parent count, which is why violations are zero
     for lang in (tiny, fx.lang):
-        rep = oracle.verify_weakness_optimality(lang, max_rows=10**6)
-        per_task = {}
-        for r in rep.rows:
-            per_task.setdefault((r.situations, r.decisions), set()).add(r.parent_count)
-        assert all(len(counts) == 1 for counts in per_task.values())
-
-
-def test_fixture_language_sweep(fx):
-    rep = oracle.verify_weakness_optimality(fx.lang, extra_tasks=[fx.task])
-    assert rep.violations == []
-    extra = [r for r in rep.rows if r.situations == tuple(s.members for s in fx.task.situations)]
-    assert len(extra) == 2
-    by_model = {r.model: r for r in extra}
-    pair = by_model[fx.weakness_winner.members]
-    single = by_model[fx.mdl_winner.members]
-    # the fixture's situations live outside the universe, so it has no
-    # census parents; the order check still holds
-    assert pair.parent_count >= single.parent_count
-    assert pair.formula == Fraction(1, 4)
-    assert single.formula == Fraction(1, 16)
+        records = list(oracle.census_tasks(lang))
+        assert len(records) == oracle.verify_weakness_optimality(lang).tasks_checked
+        assert all(len(set(r.parent_counts)) == 1 for r in records)
 
 
 def test_single_model_tasks_trivially_clean(tiny):
-    rep = oracle.verify_weakness_optimality(tiny)
-    for r in rep.rows:
-        assert r.parent_count <= r.total_parents
+    for r in oracle.census_tasks(tiny):
+        assert all(count <= r.total_parents for count in r.parent_counts)
+
+
+def test_deviation_count_matches_fractions(tiny):
+    # the check counts deviations with shifted integers; recount them with
+    # Fractions from the record and the task-level formula
+    rng = random.Random(811)
+    while True:
+        lang = random_language(rng, max_states=3, max_vocab=3)
+        if lang.size >= 4 and oracle.census_size(lang) <= 2_000:
+            break
+    for lang in (tiny, lang):
+        expected = 0
+        for r in oracle.census_tasks(lang):
+            task = _task_of(lang, r)
+            for h, count in zip(r.models, r.parent_counts):
+                formula = generalisation_probability(task, lang.statements[h])
+                if r.total_parents and Fraction(count, r.total_parents) != formula:
+                    expected += 1
+        assert expected > 0
+        assert oracle.verify_weakness_optimality(lang).deviation_count == expected
 
 
 def test_parent_counts_match_object_level_scan(tiny):
@@ -131,19 +136,19 @@ def test_parent_counts_match_object_level_scan(tiny):
             langs.append(cand)
     for lang in langs:
         census = enumerate_tasks(lang).tasks
-        rep = oracle.verify_weakness_optimality(lang, max_rows=10**6)
-        for r in rep.rows:
+        for r in oracle.census_tasks(lang):
+            situations = lang.statements_of(r.situations)
+            decisions = lang.statements_of(r.decisions)
             task = next(
-                t
-                for t in census
-                if tuple(s.members for s in t.situations) == r.situations
-                and tuple(d.members for d in t.decisions) == r.decisions
+                t for t in census if t.situations == situations and t.decisions == decisions
             )
-            h = oracle.Statement(r.model)
-            assert task.is_model(h)
             parents = [w for w in census if w is not task and is_child(task, w)]
             assert r.total_parents == len(parents)
-            assert r.parent_count == sum(1 for w in parents if w.is_model(h))
+            for h, count in zip(r.models, r.parent_counts):
+                h = lang.statements[h]
+                assert task.is_model(h)
+                assert count == sum(1 for w in parents if w.is_model(h))
+            assert [lang.statements[h] for h in r.models] == list(task.models())
 
 
 def test_exhaustive_small_sweep_clean():
