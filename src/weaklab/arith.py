@@ -264,9 +264,22 @@ def wald_ci(rate: float, trials: int) -> float:
     return Z95 * math.sqrt(rate * (1.0 - rate) / trials)
 
 
+# Per-side report columns: CSV suffix, JSON key, table header, format, CellStats field
+COLUMNS = (
+    ("rate", "rate", "Rate", ">5.2f", "rate"),
+    ("ci", "ci95", "+-95%", ">6.3f", "ci"),
+    ("ext", "avg_extent", "AvgExt", ">6.2f", "avg_extent"),
+    ("se", "stderr", "StdErr", ">6.3f", "stderr"),
+)
+SIDES = (("w", "weakness", "weak"), ("mdl", "mdl", "mdl"))  # CSV, JSON/table, CellRow
+
+
+def _json(x):
+    return [x.numerator, x.denominator] if isinstance(x, Fraction) else x
+
+
 @dataclass(frozen=True)
 class CellStats:
-    trials: int
     rate: Fraction
     ci: float
     avg_extent: Fraction
@@ -283,6 +296,13 @@ class CellRow:
     mdl: CellStats
     flagged: int  # trials where either search exhausted its budget
 
+    def cells(self, fmt: str | None = None) -> list[list[str]]:
+        """Per side, each column's value formatted by ``fmt`` or its table format."""
+        return [
+            [format(float(getattr(side, c[4])), fmt or c[3]) for c in COLUMNS]
+            for side in (getattr(self, attr) for *_, attr in SIDES)
+        ]
+
 
 @dataclass
 class ExperimentReport:
@@ -291,48 +311,32 @@ class ExperimentReport:
     tau: Fraction
     width: int
     rows: list[CellRow]
-    trial_results: list[TrialResult]
+    trial_results: list[TrialResult]  # every trial, in seed order
 
     def to_csv(self) -> str:
-        lines = [
-            "op,dk,trials,rate_w,ci_w,ext_w,se_w,rate_mdl,ci_mdl,ext_mdl,se_mdl,flagged_trials"
-        ]
+        head = ",".join(f"{c[0]}_{side}" for side, _, _ in SIDES for c in COLUMNS)
+        lines = [f"op,dk,trials,{head},flagged_trials"]
         for r in self.rows:
-            w, l = r.weak, r.mdl
-            lines.append(
-                f"{r.op},{r.dk},{r.trials},"
-                f"{float(w.rate):.3f},{w.ci:.3f},{float(w.avg_extent):.3f},{w.stderr:.3f},"
-                f"{float(l.rate):.3f},{l.ci:.3f},{float(l.avg_extent):.3f},{l.stderr:.3f},"
-                f"{r.flagged}"
-            )
+            cells = ",".join(x for side in r.cells(".3f") for x in side)
+            lines.append(f"{r.op},{r.dk},{r.trials},{cells},{r.flagged}")
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
-        def frac(x: Fraction) -> list[int]:
-            return [x.numerator, x.denominator]
-
-        def cell(c: CellStats) -> dict:
-            return {
-                "trials": c.trials,
-                "rate": frac(c.rate),
-                "ci95": c.ci,
-                "avg_extent": frac(c.avg_extent),
-                "stderr": c.stderr,
-                "flagged": c.flagged,
-            }
+        def cell(r: CellRow, c: CellStats) -> dict:
+            columns = {key: _json(getattr(c, field)) for _, key, _, _, field in COLUMNS}
+            return {"trials": r.trials, **columns, "flagged": c.flagged}
 
         return {
             "master_seed": self.master_seed,
             "mode": self.mode,
-            "tau": [self.tau.numerator, self.tau.denominator],
+            "tau": _json(self.tau),
             "width": self.width,
             "rows": [
                 {
                     "op": r.op,
                     "dk": r.dk,
                     "trials": r.trials,
-                    "weakness": cell(r.weak),
-                    "mdl": cell(r.mdl),
+                    **{key: cell(r, getattr(r, attr)) for _, key, attr in SIDES},
                     "flagged_trials": r.flagged,
                 }
                 for r in self.rows
@@ -340,21 +344,16 @@ class ExperimentReport:
         }
 
     def to_table(self) -> str:
+        heads = "".join(f" {c[2]:{c[3].split('.')[0]}}" for c in COLUMNS)
         lines = [
             f"mode={self.mode} tau={self.tau} seed={self.master_seed}",
-            f"{'op':<4} {'|Dk|':>4} {'trials':>6} |"
-            f" {'Rate':>5} {'+-95%':>6} {'AvgExt':>6} {'StdErr':>6} |"
-            f" {'Rate':>5} {'+-95%':>6} {'AvgExt':>6} {'StdErr':>6} | {'flag':>4}",
-            f"{'':<4} {'':<4} {'':<6} | {'weakness':^27} | {'mdl':^27} |",
+            f"{'op':<4} {'|Dk|':>4} {'trials':>6} |{heads} |{heads} | {'flag':>4}",
+            f"{'':<4} {'':<4} {'':<6} |"
+            + "".join(f" {label:^{len(heads)}} |" for _, label, _ in SIDES),
         ]
         for r in self.rows:
-            w, l = r.weak, r.mdl
-            lines.append(
-                f"{r.op:<4} {r.dk:>4} {r.trials:>6} |"
-                f" {float(w.rate):>5.2f} {w.ci:>6.3f} {float(w.avg_extent):>6.2f} {w.stderr:>6.3f} |"
-                f" {float(l.rate):>5.2f} {l.ci:>6.3f} {float(l.avg_extent):>6.2f} {l.stderr:>6.3f} |"
-                f" {r.flagged:>4}"
-            )
+            sides = "".join("".join(f" {x}" for x in side) + " |" for side in r.cells())
+            lines.append(f"{r.op:<4} {r.dk:>4} {r.trials:>6} |{sides} {r.flagged:>4}")
         return "\n".join(lines) + "\n"
 
 
@@ -371,7 +370,6 @@ def _cell_stats(outcomes: Sequence[HypothesisOutcome]) -> CellStats:
     else:
         stderr = 0.0
     return CellStats(
-        trials=n,
         rate=rate,
         ci=wald_ci(float(rate), n),
         avg_extent=avg,
@@ -393,7 +391,6 @@ def run_experiment(
     tau: Fraction = Fraction(1),
     budget: int = DEFAULT_NODE_BUDGET,
     width: int = 8,
-    keep_trials: bool = False,
 ) -> ExperimentReport:
     """Run ``trials`` seeded trials per (op, |D_k|) cell.
 
@@ -403,15 +400,14 @@ def run_experiment(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rows = []
-    kept: list[TrialResult] = []
+    results: list[TrialResult] = []
     for op in ops:
         for m in m_list:
-            cell: list[TrialResult] = []
             for i in range(trials):
                 seed = trial_seed(master_seed, op, m, i)
                 rng = random.Random(seed)
                 deleted_bit = rng.randrange(width)
-                cell.append(
+                results.append(
                     run_trial(
                         op,
                         deleted_bit,
@@ -424,6 +420,7 @@ def run_experiment(
                         seed_label=seed,
                     )
                 )
+            cell = results[-trials:]
             rows.append(
                 CellRow(
                     op=op,
@@ -436,13 +433,11 @@ def run_experiment(
                     ),
                 )
             )
-            if keep_trials:
-                kept.extend(cell)
     return ExperimentReport(
         master_seed=str(master_seed),
         mode=mode,
         tau=tau,
         width=width,
         rows=rows,
-        trial_results=kept,
+        trial_results=results,
     )

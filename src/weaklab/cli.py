@@ -22,6 +22,7 @@ import os
 import random
 import sys
 import tempfile
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import arith, induction, oracle, specdsl
@@ -134,9 +135,10 @@ def build_parser() -> _Parser:
     ve = sub.add_parser("verify", help="fixture checks and the exhaustive "
                         "weakness-optimality sweep on small languages")
     ve.add_argument("--max-states", type=_count, default=3,
-                    help="exhaustive sweep bound on |states| (default 3)")
+                    help="sweep every language of at most min(this, 3) states; if this "
+                    "is at least --samples-at, sample at that many states (default 3)")
     ve.add_argument("--max-vocab", type=_count, default=3,
-                    help="vocabulary size bound (default 3)")
+                    help="predicates per swept language; samples draw up to this + 1")
     ve.add_argument("--samples-at", type=_positive_int, default=4, metavar="N",
                     help="additionally sample languages with N states")
     ve.add_argument("--samples", type=_count, default=50,
@@ -228,16 +230,15 @@ def cmd_verify(args) -> int:
           f"weakness->{out['fixture']['weakness_winner']} "
           f"mdl->{out['fixture']['mdl_winner']}")
 
+    cap = args.census_cap
     try:
-        fx_report = oracle.verify_weakness_optimality(
-            fx.lang, census_cap=args.census_cap
-        )
+        fx_report = oracle.verify_weakness_optimality(fx.lang, census_cap=cap)
     except CapacityError:
         # the fixture language is fixed, so only a larger cap lets it through
         census = oracle.census_size(fx.lang, cap=math.inf)
         print(f"capacity: the fixture language's census has {census} tasks, "
-              f"over --census-cap {args.census_cap}; raise --census-cap to at "
-              f"least {census}", file=sys.stderr)
+              f"over --census-cap {cap}; raise --census-cap to at least {census}",
+              file=sys.stderr)
         return EXIT_CAPACITY
     try:
         sweep: list = list(oracle.all_derived_languages(
@@ -249,7 +250,7 @@ def cmd_verify(args) -> int:
                 args.samples,
                 seed=args.seed,
                 max_vocab=args.max_vocab + 1,
-                census_cap=args.census_cap,
+                census_cap=cap,
             )
     except CapacityError as exc:
         print(f"capacity: {exc}; lower --max-states/--max-vocab", file=sys.stderr)
@@ -261,28 +262,24 @@ def cmd_verify(args) -> int:
         "deviations": fx_report.deviation_count,
     }
 
-    violations = list(fx_report.violations)
-    langs_checked = 0
-    skipped = 0
-    tasks_checked = fx_report.tasks_checked
+    reports = [fx_report]  # then one record per swept language within the cap
     for lang in sweep:
         try:
-            rep = oracle.verify_weakness_optimality(lang, census_cap=args.census_cap)
+            reports.append(oracle.verify_weakness_optimality(lang, census_cap=cap))
         except CapacityError:
-            skipped += 1
             continue
-        langs_checked += 1
-        tasks_checked += rep.tasks_checked
-        violations.extend(rep.violations)
+    violations = [{"states": rep.states, "truth_tables": rep.truth_tables, **asdict(v)}
+                  for rep in reports for v in rep.violations]
     out["optimality"] = {
-        "languages_checked": langs_checked,
-        "languages_skipped_over_cap": skipped,
-        "tasks_checked": tasks_checked,
-        "violations": [v.__dict__ for v in violations],
+        "languages_checked": len(reports) - 1,
+        "languages_skipped_over_cap": len(sweep) + 1 - len(reports),
+        "tasks_checked": sum(rep.tasks_checked for rep in reports),
+        "violations": violations,
         "violation_count": len(violations),
     }
-    print(f"optimality: {langs_checked} languages, {tasks_checked} tasks, "
-          f"{len(violations)} violations ({skipped} skipped over census cap)")
+    print("optimality: {languages_checked} languages, {tasks_checked} tasks, "
+          "{violation_count} violations ({languages_skipped_over_cap} skipped "
+          "over census cap)".format(**out["optimality"]))
 
     # prior reports for the two fixture languages
     tiny = oracle.tiny_language()
@@ -297,10 +294,7 @@ def cmd_verify(args) -> int:
     reproducer_path = None
     if violations:
         reproducer_path = os.path.abspath("weaklab-violations.json")
-        if not _write_out(
-            reproducer_path,
-            json.dumps(out["optimality"]["violations"], indent=2, default=str) + "\n",
-        ):
+        if not _write_out(reproducer_path, json.dumps(violations, indent=2) + "\n"):
             return EXIT_IO
         print(f"VIOLATIONS FOUND; minimal reproducers: {reproducer_path}")
     out["violation_reproducer"] = reproducer_path
@@ -331,9 +325,8 @@ def _prior_rows(lang) -> list[dict]:
 def _verify_table(out: dict) -> str:
     lines = [
         f"fixture: {'PASS' if out['fixture']['passed'] else 'FAIL'}",
-        f"optimality: languages={out['optimality']['languages_checked']} "
-        f"tasks={out['optimality']['tasks_checked']} "
-        f"violations={out['optimality']['violation_count']}",
+        "optimality: languages={languages_checked} tasks={tasks_checked} "
+        "violations={violation_count}".format(**out["optimality"]),
     ]
     for name, rows in out["prior_reports"].items():
         lines.append(f"prior[{name}]:")

@@ -1,16 +1,17 @@
 """Exhaustive brute-force verification on small languages.
 
 Enumerates the full task census of a language (every nonempty proper
-situation set with every nonempty reachable decision set), then checks, for
+situation set with every nonempty reachable decision set) and checks, for
 every task with models, that the weakest models are never beaten on the
-count of census parents they generalise to.  Disagreements between the
-probability formula and the empirical parent fraction are counted, not
-recorded per row or asserted away: the formula counts decision subsets, the
-census counts concrete tasks.  ``census_tasks`` yields the record per task.
+count of census parents they generalise to.  ``census_tasks`` yields one
+record per task; ``verify_weakness_optimality`` returns one per language:
+state count and truth tables (which rebuild a derived language), census
+size, tasks checked, violations, and a count of the (task, model) pairs
+whose parent fraction differs from the formula, which counts decision
+subsets where the census counts concrete tasks.
 
 Also home of the two built-in fixtures: the two-state language, and the
-explicit-universe language on which the weakness and description-length
-proxies pick different models.
+explicit-universe language on which the two proxies pick different models.
 """
 
 from __future__ import annotations
@@ -146,6 +147,8 @@ class Violation:
 
 @dataclass
 class OptimalityReport:
+    states: int
+    truth_tables: tuple[int, ...]
     census_size: int
     tasks_checked: int
     violations: list[Violation]
@@ -162,11 +165,10 @@ def verify_weakness_optimality(
     fraction differs from the formula value 2^|Z̄_S ∩ Z_h| / 2^|Z̄_S|.
     """
     ext, reach, total_census = _census(lang, census_cap)
-    tasks_checked = 0
-    violations: list[Violation] = []
-    deviation_count = 0
+    tables = tuple(p.truth for p in lang.vocab)
+    rep = OptimalityReport(lang.space.size, tables, total_census, 0, [], 0)
     for task in _census_tasks(ext, reach):
-        tasks_checked += 1
+        rep.tasks_checked += 1
         zs = reach[task.situations]
         outside = lang.size - zs.bit_count()
         total = task.total_parents
@@ -177,10 +179,10 @@ def verify_weakness_optimality(
             # count / total != 2^a / 2^outside, in integers; a task without
             # parents has count = total = 0, so it never counts
             if count << outside != total << (ext[h] & ~zs).bit_count():
-                deviation_count += 1
+                rep.deviation_count += 1
             if count < best and ext[h].bit_count() == w_max:
                 best_h = task.models[counts.index(best)]
-                violations.append(
+                rep.violations.append(
                     Violation(
                         tuple(s.members for s in lang.statements_of(task.situations)),
                         tuple(s.members for s in lang.statements_of(task.decisions)),
@@ -190,7 +192,7 @@ def verify_weakness_optimality(
                         best,
                     )
                 )
-    return OptimalityReport(total_census, tasks_checked, violations, deviation_count)
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ red on purpose; the failure output explains the mechanism.  Everything
 else must pass.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -105,28 +106,23 @@ def test_criterion_2_lattice_laws():
 
 def test_criterion_3_theorem_oracle(tmp_path):
     t0 = time.time()
-    violations = []
     langs = list(oracle.all_derived_languages(3, 3))
     assert len(langs) == 112
     sampled = oracle.sample_derived_languages(4, 50, seed="acceptance-oracle")
-    tasks_checked = 0
-    for lang in langs + sampled:
-        rep = oracle.verify_weakness_optimality(lang)
-        tasks_checked += rep.tasks_checked
-        if rep.violations:
-            violations.append((lang, rep.violations))
+    reports = [oracle.verify_weakness_optimality(lang) for lang in langs + sampled]
+    tasks_checked = sum(rep.tasks_checked for rep in reports)
     elapsed = time.time() - t0
+    violations = [rep for rep in reports if rep.violations]
     if violations:
         path = tmp_path / "violations.json"
-        payload = []
-        for lang, vs in violations:
-            payload.append(
-                {
-                    "states": lang.space.size,
-                    "truth_tables": [p.truth for p in lang.vocab],
-                    "violations": [v.__dict__ for v in vs],
-                }
-            )
+        payload = [
+            {
+                "states": rep.states,
+                "truth_tables": rep.truth_tables,
+                "violations": [dataclasses.asdict(v) for v in rep.violations],
+            }
+            for rep in violations
+        ]
         path.write_text(json.dumps(payload, indent=2, default=str))
         _report(3, False, f"violations; reproducer at {path}")
         pytest.fail(f"weakness-optimality violations; reproducer: {path}")
@@ -301,7 +297,6 @@ def test_criterion_8_table_reproduction():
         master_seed="acceptance-tables",
         mode="penalized",
         tau=Fraction(1),
-        keep_trials=True,
     )
     print()
     print(rep.to_table())

@@ -277,6 +277,22 @@ def test_experiment_structured_rationals():
     assert cell["mdl"]["avg_extent"] == [1, 1]
 
 
+def test_experiment_keeps_every_trial_record():
+    # the report carries every TrialResult in seed order, and each row is
+    # a recount of its cell's records
+    rep = arith.run_experiment(["add", "mul"], [4, 6], trials=3, master_seed="rec")
+    seeds = [
+        arith.trial_seed("rec", op, m, i) for op in ("add", "mul") for m in (4, 6) for i in range(3)
+    ]
+    assert [t.seed for t in rep.trial_results] == seeds
+    for k, row in enumerate(rep.rows):
+        cell = rep.trial_results[3 * k : 3 * k + 3]
+        assert {(t.op, t.m) for t in cell} == {(row.op, row.dk)}
+        assert row.weak.rate == Fraction(sum(t.weak.generalised for t in cell), 3)
+        assert row.mdl.rate == Fraction(sum(t.mdl.generalised for t in cell), 3)
+        assert row.flagged == sum(t.weak.flagged or t.mdl.flagged for t in cell)
+
+
 def test_experiment_aggregation_exact():
     rep = arith.run_experiment(["add"], [6], trials=5, master_seed="agg")
     row = rep.rows[0]

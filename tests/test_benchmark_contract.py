@@ -29,9 +29,7 @@ def test_benchmark_names_exist(monkeypatch):
     try:
         worker.install_tracing(tracer)
         # a traced run goes through every wrapper on the experiment path
-        report = arith.run_experiment(
-            ["add", "mul"], [6], trials=2, master_seed="contract", keep_trials=True
-        )
+        report = arith.run_experiment(["add", "mul"], [6], trials=2, master_seed="contract")
     finally:
         tracer.restore()
     assert {s.name for s in tracer.spans} >= {"arith.run_trial", "arith.d_recon"}
@@ -72,3 +70,26 @@ def test_traced_verify_and_induce_read_their_results(monkeypatch):
     assert tasks and all(isinstance(n, int) for n in tasks) and sum(tasks) > 0
     (compiled,) = spans["specdsl.compile_document"]
     assert compiled.data["statements"] > 0
+
+
+def test_traced_experiment_renders_through_the_report(monkeypatch, tmp_path):
+    # `arith.report` is the benchmark's rendering layer: the printed table
+    # and the results file, in every format, go through the traced
+    # ExperimentReport methods, one span each
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    worker = importlib.import_module("worker")
+
+    for fmt in ("csv", "table", "structured"):
+        tracer = tracing.Tracer()
+        try:
+            worker.install_tracing(tracer)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main([
+                    "experiment", "--op", "add", "--dk", "2", "--trials", "1",
+                    "--seed", "contract", "--width", "4", "--format", fmt,
+                    "--out", str(tmp_path / f"r.{fmt}"),
+                ]) == 0
+        finally:
+            tracer.restore()
+        assert [s.name for s in tracer.spans].count("arith.report") == 2, fmt

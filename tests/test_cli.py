@@ -215,26 +215,49 @@ def test_verify_trivial_caps(capsys):
 
 def test_verify_violation_path(tmp_path, capsys, monkeypatch):
     # no real language violates weakness optimality, so fake one violation
-    # to exercise the reproducer dump and exit code
+    # in the explicit fixture language and one in a derived language, to
+    # exercise the reproducer dump and exit code
+    from weaklab import Language, Predicate, StateSpace, Statement, Vocabulary
     from weaklab import lattice, oracle, cli as cli_mod
 
     real = oracle.verify_weakness_optimality
-    violation = oracle.Violation(((0,),), ((0,),), (0,), 0, (1,), 1)
+    fixture_violation = oracle.Violation(((0,),), ((0,),), (0,), 0, (1,), 1)
+    tampered_langs = []
 
     def tampered(lang, **kwargs):
         rep = real(lang, **kwargs)
-        # the fixture language is the only explicit one verify checks
         if lang.mode == lattice.EXPLICIT:
-            rep.violations.append(violation)
+            rep.violations.append(fixture_violation)
+        elif lang.space.size == 2 and lang.size >= 3 and not tampered_langs:
+            # members of the derived language's own statements, largest first
+            s = [st.members for st in reversed(lang.statements)]
+            rep.violations.append(oracle.Violation((s[0],), (s[0], s[1]), s[0], 0, s[-1], 1))
+            tampered_langs.append(lang)
         return rep
 
     monkeypatch.setattr(cli_mod.oracle, "verify_weakness_optimality", tampered)
     monkeypatch.chdir(tmp_path)
-    code = run_cli("verify", "--max-states", "1", "--max-vocab", "1")
+    code = run_cli("verify", "--max-states", "2", "--max-vocab", "2", "--out", "v.json")
     assert code == 1
     out = capsys.readouterr().out
     assert "VIOLATIONS FOUND" in out
-    assert (tmp_path / "weaklab-violations.json").exists()
+    entries = json.loads((tmp_path / "weaklab-violations.json").read_text())
+    assert entries == json.loads((tmp_path / "v.json").read_text())["optimality"]["violations"]
+    fixture_entry, derived_entry = entries
+    assert fixture_entry["states"] == 6 and fixture_entry["weak_model"] == [0]
+    # the derived language is rebuilt from the reproducer file alone
+    (lang,) = tampered_langs
+    n, tables = derived_entry["states"], derived_entry["truth_tables"]
+    rebuilt = Language.derive(
+        StateSpace(tuple(f"s{i}" for i in range(n))),
+        Vocabulary(tuple(Predicate(f"p{i}", t) for i, t in enumerate(tables))),
+    )
+    assert rebuilt.statements == lang.statements
+    members = [
+        *derived_entry["situations"], *derived_entry["decisions"],
+        derived_entry["weak_model"], derived_entry["best_model"],
+    ]
+    assert all(rebuilt.is_statement(Statement.of(m)) for m in members)
 
 
 def test_experiment_width4(tmp_path):
