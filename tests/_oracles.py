@@ -12,8 +12,10 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from weaklab import CapacityError, Language, VTask, make_task
+from weaklab.oracle import CensusTask
 from weaklab.specdsl import And, BitRef, Not
 
 
@@ -135,6 +137,44 @@ def enumerate_tasks(lang: Language, cap: int = 1_000_000) -> TaskCensus:
                         raise CapacityError("task census", cap)
                     tasks.append(make_task(lang, situations, decisions))
     return TaskCensus(lang, tuple(tasks), len(tasks))
+
+
+def walk_census_tasks(lang: Language) -> Iterator[CensusTask]:
+    """The census-task records by walking every proper superset T of every
+    situation set S, 3^n steps for n members; the reach table is ORed
+    member by member from the public extension masks."""
+    ext = lang.extension_masks()
+    n = len(ext)
+    full = (1 << n) - 1
+    reach = [0] * full
+    for mask in range(full):
+        for i in range(n):
+            if mask >> i & 1:
+                reach[mask] |= ext[i]
+    for s_mask in range(1, full):
+        zs = reach[s_mask]
+        groups: dict[int, list[int]] = {}
+        for h in range(n):
+            d = zs & ext[h]
+            if d:
+                groups.setdefault(d, []).append(h)
+        comp = full & ~s_mask
+        for d_mask, model_idx in groups.items():
+            d_pc = d_mask.bit_count()
+            counts = [0] * len(model_idx)
+            total = 0
+            # a parent's situation set adds a nonempty t to s_mask, short of full
+            t = comp
+            while t:
+                big = s_mask | t
+                if big != full:
+                    zt = reach[big]
+                    total += 1 << (zt.bit_count() - d_pc)
+                    for pos, h in enumerate(model_idx):
+                        if zt & ext[h] & d_mask == d_mask:
+                            counts[pos] += 1
+                t = (t - 1) & comp
+            yield CensusTask(s_mask, d_mask, tuple(model_idx), tuple(counts), total)
 
 
 # ---------------------------------------------------------------------------

@@ -221,18 +221,20 @@ def test_verify_violation_path(tmp_path, capsys, monkeypatch):
     from weaklab import lattice, oracle, cli as cli_mod
 
     real = oracle.verify_weakness_optimality
-    fixture_violation = oracle.Violation(((0,),), ((0,),), (0,), 0, (1,), 1)
-    tampered_langs = []
+    tampered_langs = {}  # mode -> the one language given a fake violation
 
     def tampered(lang, **kwargs):
         rep = real(lang, **kwargs)
         if lang.mode == lattice.EXPLICIT:
-            rep.violations.append(fixture_violation)
-        elif lang.space.size == 2 and lang.size >= 3 and not tampered_langs:
+            # members of the fixture's own statements, smallest first
+            s = [st.members for st in lang.statements]
+            rep.violations.append(oracle.Violation((s[-1],), (s[-1],), s[0], 0, s[1], 1))
+            tampered_langs[lang.mode] = lang
+        elif lang.space.size == 2 and lang.size >= 3 and lattice.DERIVED not in tampered_langs:
             # members of the derived language's own statements, largest first
             s = [st.members for st in reversed(lang.statements)]
             rep.violations.append(oracle.Violation((s[0],), (s[0], s[1]), s[0], 0, s[-1], 1))
-            tampered_langs.append(lang)
+            tampered_langs[lang.mode] = lang
         return rep
 
     monkeypatch.setattr(cli_mod.oracle, "verify_weakness_optimality", tampered)
@@ -244,20 +246,25 @@ def test_verify_violation_path(tmp_path, capsys, monkeypatch):
     entries = json.loads((tmp_path / "weaklab-violations.json").read_text())
     assert entries == json.loads((tmp_path / "v.json").read_text())["optimality"]["violations"]
     fixture_entry, derived_entry = entries
-    assert fixture_entry["states"] == 6 and fixture_entry["weak_model"] == [0]
-    # the derived language is rebuilt from the reproducer file alone
-    (lang,) = tampered_langs
-    n, tables = derived_entry["states"], derived_entry["truth_tables"]
-    rebuilt = Language.derive(
-        StateSpace(tuple(f"s{i}" for i in range(n))),
-        Vocabulary(tuple(Predicate(f"p{i}", t) for i, t in enumerate(tables))),
-    )
-    assert rebuilt.statements == lang.statements
-    members = [
-        *derived_entry["situations"], *derived_entry["decisions"],
-        derived_entry["weak_model"], derived_entry["best_model"],
-    ]
-    assert all(rebuilt.is_statement(Statement.of(m)) for m in members)
+    assert fixture_entry["states"] == 6 and "universe" not in derived_entry
+    # both languages are rebuilt from the reproducer file alone: the explicit
+    # fixture from its listed universe, the derived one from its tables
+    for entry, original in zip(entries, tampered_langs.values()):
+        space = StateSpace(tuple(f"s{i}" for i in range(entry["states"])))
+        vocab = Vocabulary(
+            tuple(Predicate(f"p{i}", t) for i, t in enumerate(entry["truth_tables"]))
+        )
+        if "universe" in entry:
+            rebuilt = Language.explicit(space, vocab, map(Statement.of, entry["universe"]))
+        else:
+            rebuilt = Language.derive(space, vocab)
+        assert rebuilt.mode == original.mode
+        assert rebuilt.statements == original.statements
+        members = [
+            *entry["situations"], *entry["decisions"],
+            entry["weak_model"], entry["best_model"],
+        ]
+        assert all(rebuilt.is_statement(Statement.of(m)) for m in members)
 
 
 def test_experiment_width4(tmp_path):

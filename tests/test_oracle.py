@@ -6,7 +6,7 @@ import pytest
 from weaklab import CapacityError, Statement, StateSpace, Vocabulary, make_task, oracle
 from weaklab.induction import generalisation_probability
 from conftest import random_language
-from _oracles import enumerate_tasks, naive_census_count, naive_extension
+from _oracles import enumerate_tasks, naive_census_count, naive_extension, walk_census_tasks
 
 
 def S(*idx):
@@ -149,6 +149,26 @@ def test_parent_counts_match_object_level_scan(tiny):
                 assert task.is_model(h)
                 assert count == sum(1 for w in parents if w.is_model(h))
             assert [lang.statements[h] for h in r.models] == list(task.models())
+
+
+def test_census_tasks_match_superset_walk(tiny, fx):
+    # the superset-sum transform against the 3^n walk over every proper
+    # superset, record for record, on the languages criterion 3 sweeps
+    edge = [
+        oracle.Language.derive(StateSpace(states), Vocabulary(()))
+        for states in ((), ("s0",))
+    ]
+    assert [lang.size for lang in edge] == [0, 1]
+    langs = [
+        tiny,
+        fx.lang,
+        *edge,
+        *oracle.all_derived_languages(3, 3),
+        *oracle.sample_derived_languages(4, 50, seed="acceptance-oracle"),
+    ]
+    assert len(langs) == 4 + 112 + 50
+    for lang in langs:
+        assert list(oracle.census_tasks(lang)) == list(walk_census_tasks(lang))
 
 
 def test_exhaustive_small_sweep_clean():
