@@ -3,7 +3,9 @@
 Everything here is deliberately naive: plain set algebra, exhaustive
 enumeration, and uniform-cost search.  None of it shares code with the
 package's own algorithms; the task census only hands its naively
-enumerated tasks to the public ``make_task`` for validation.
+enumerated tasks to the public ``make_task`` for validation, and the
+census walk starts from the public extension masks and yields the
+package's ``CensusTask`` records so they compare field for field.
 """
 
 from __future__ import annotations
