@@ -27,7 +27,6 @@ from .induction import (
     exclusive_family_sum,
     generalisation_probability,
     induce,
-    mutually_exclusive,
     prior,
 )
 from .lattice import (
@@ -73,7 +72,6 @@ __all__ = [
     "induce",
     "is_child",
     "make_task",
-    "mutually_exclusive",
     "prior",
     "__version__",
 ]

@@ -4,7 +4,8 @@ A parent task fixes an operation (add or mul) over all 2-bit operand pairs,
 encoded as 8-bit strings: a1 a0 b1 b0 o3 o2 o1 o0, with the output the low
 bits of the arithmetic result (position 0 is the leftmost character).
 Deleting one string position from every correct string yields the parent
-situations; a child samples m of the 16 correct strings.  Hypotheses are
+situations; a child samples m of the 16 correct strings.  One record,
+``BinOpTask``, serves parent and child alike.  Hypotheses are
 cube covers constrained to match the child's decisions exactly on the
 states reachable from its situations; prediction keeps the satisfying
 states whose deleted-bit projection is a parent situation.
@@ -65,32 +66,10 @@ def delete_position(state: int, pos: int, width: int) -> int:
     return (high << j) | low
 
 
-def completions(pattern: int, pos: int, width: int) -> tuple[int, int]:
-    """The two states whose ``pos``-deleted projection is ``pattern``."""
-    j = width - 1 - pos
-    high = pattern >> j
-    low = pattern & ((1 << j) - 1)
-    base = (high << (j + 1)) | low
-    return (base, base | (1 << j))
-
-
-def _project(
-    decisions: tuple[int, ...], deleted_bit: int, width: int
-) -> tuple[tuple[int, ...], int, int]:
-    """Situations (the sorted deleted-bit projections of the decisions), the
-    decisions mask, and the reach mask: both completions of every situation."""
-    flip = 1 << (width - 1 - deleted_bit)
-    d_mask = reach = 0
-    for d in decisions:
-        d_mask |= 1 << d
-        reach |= 1 << d | 1 << (d ^ flip)
-    situations = tuple(sorted({delete_position(d, deleted_bit, width) for d in decisions}))
-    return situations, d_mask, reach
-
-
 @dataclass(frozen=True)
 class BinOpTask:
-    """Parent task: all correct strings of one operation, one deleted bit."""
+    """Correct strings of one operation under one deleted bit: all of them
+    for the parent task, m of them for a child (``sample_child``)."""
 
     op: str
     width: int
@@ -98,7 +77,28 @@ class BinOpTask:
     decisions: tuple[int, ...]
     situations: tuple[int, ...]
     decisions_mask: int
-    reach_mask: int  # union of completion sets over all parent situations
+    reach_mask: int  # union of completion sets over the situations
+
+    @classmethod
+    def of(
+        cls, op: str, width: int, deleted_bit: int, decisions: tuple[int, ...]
+    ) -> "BinOpTask":
+        """The task of sorted ``decisions``: situations are their sorted
+        deleted-bit projections, the reach both completions of each."""
+        flip = 1 << (width - 1 - deleted_bit)
+        d_mask = reach = 0
+        for d in decisions:
+            d_mask |= 1 << d
+            reach |= 1 << d | 1 << (d ^ flip)
+        situations = tuple(sorted({delete_position(d, deleted_bit, width) for d in decisions}))
+        return cls(op, width, deleted_bit, decisions, situations, d_mask, reach)
+
+    @property
+    def on(self) -> int:
+        return self.decisions_mask
+
+    def off(self) -> int:
+        return self.reach_mask & ~self.decisions_mask
 
 
 # every trial of an experiment asks for one of 2 * width tasks
@@ -116,43 +116,24 @@ def gen_parent_task(op: str, deleted_bit: int, width: int = 8) -> BinOpTask:
             for b in range(1 << operand_bits)
         )
     )
-    situations, d_mask, reach = _project(decisions, deleted_bit, width)
-    return BinOpTask(op, width, deleted_bit, decisions, situations, d_mask, reach)
-
-
-@dataclass(frozen=True)
-class ChildSample:
-    """m sampled correct strings and their projections."""
-
-    m: int
-    decisions: tuple[int, ...]
-    situations: tuple[int, ...]
-    decisions_mask: int
-    reach_mask: int  # union of completion sets over the child's situations
-
-    @property
-    def on(self) -> int:
-        return self.decisions_mask
-
-    def off(self) -> int:
-        return self.reach_mask & ~self.decisions_mask
+    return BinOpTask.of(op, width, deleted_bit, decisions)
 
 
 def sample_child(
     task: BinOpTask, m: int, seed: int | str | random.Random
-) -> ChildSample:
-    """Uniform m-subset of the parent decisions; situations are its
-    projections.  Deterministic for a fixed seed."""
+) -> BinOpTask:
+    """Uniform m-subset of the parent decisions, with the parent's op, width
+    and deleted bit.  Deterministic for a fixed seed."""
     if not 1 <= m <= len(task.decisions):
         raise ValueError(f"m must be in 1..{len(task.decisions)}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     decisions = tuple(sorted(rng.sample(task.decisions, m)))
-    return ChildSample(m, decisions, *_project(decisions, task.deleted_bit, task.width))
+    return BinOpTask.of(task.op, task.width, task.deleted_bit, decisions)
 
 
 def weakest_model_state(
     task: BinOpTask,
-    child: ChildSample,
+    child: BinOpTask,
     mode: str = MODE_PENALIZED,
     tau: Fraction = Fraction(1),
     budget: int = DEFAULT_NODE_BUDGET,
@@ -173,14 +154,6 @@ def weakest_model_state(
     if mode == MODE_PENALIZED:
         return max_weakness_cover(task.width, on, off, tau=tau, budget=budget)
     raise ValueError(f"unknown weakness mode {mode!r}")
-
-
-def mdl_model_state(
-    task: BinOpTask, child: ChildSample, budget: int = DEFAULT_NODE_BUDGET
-) -> Cover:
-    """Minimum total-literal cover of the child decisions, unreachable
-    states free as don't-cares."""
-    return min_literal_cover(task.width, child.on, child.off(), budget=budget)
 
 
 def d_recon(task: BinOpTask, hyp: Cover) -> int:
@@ -231,8 +204,9 @@ def run_trial(
     seed_label: str | None = None,
 ) -> TrialResult:
     """Training phase (parent, child, both hypotheses) then testing phase
-    (reconstruction against the parent decisions).  Search fallbacks flag
-    the trial; no trial is dropped."""
+    (reconstruction against the parent decisions).  The MDL side is the
+    minimum total-literal cover of the child decisions, unreachable states
+    free.  Search fallbacks flag the trial; no trial is dropped."""
     if seed_label is None:
         if isinstance(seed, random.Random):
             seed_label = "external-rng"
@@ -241,7 +215,7 @@ def run_trial(
     task = gen_parent_task(op, deleted_bit, width)
     child = sample_child(task, m, seed)
     hyp_w = weakest_model_state(task, child, mode=mode, tau=tau, budget=budget)
-    hyp_mdl = mdl_model_state(task, child, budget=budget)
+    hyp_mdl = min_literal_cover(width, child.on, child.off(), budget=budget)
     return TrialResult(
         op=op,
         width=width,

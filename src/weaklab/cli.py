@@ -2,7 +2,9 @@
 
 Subcommands: ``experiment`` (arithmetic trials and table/CSV/JSON reports),
 ``verify`` (fixture self-checks and the exhaustive weakness-optimality
-sweep), ``induce`` (run induction on a task from a spec file).
+sweep), ``induce`` (run induction on a task from a spec file).  ``verify``'s
+task count includes the fixture language's tasks, its language count does
+not: ``--max-states 0 --max-vocab 0`` checks 0 languages and 1520 tasks.
 
 Exit codes: 0 success; 1 verification violation or empty model set;
 2 flagged trials present (results still written); 64 usage, including a

@@ -53,14 +53,6 @@ def prior(lang: Language, h: Statement) -> Fraction:
     return Fraction(1 << lang.weakness(h), 1 << lang.size)
 
 
-def mutually_exclusive(lang: Language, a: Statement, b: Statement) -> bool:
-    """True iff neither statement's extension contains the other, i.e.
-    neither is a superset of the other."""
-    lang.position(a)
-    lang.position(b)
-    return not a.issubset(b) and not b.issubset(a)
-
-
 @dataclass(frozen=True)
 class ExclusiveFamily:
     """A pairwise mutually exclusive family anchored at one statement, with

@@ -11,13 +11,13 @@ positions of the members that contain it.  Both kinds of language read
 these masks from the same byte rows, one row of member bits per statement
 (``_column_masks``): a derived language packs the rows while it enumerates
 its statements, in the same pass that builds them and their position index;
-an explicit one packs them from its statements on first use.  The
-extension of any statement of the vocabulary, member or not, is the AND of
-its predicates' masks, so weakness, models and probabilities are popcounts.
-No mask is stored per statement: a derived language can hold thousands of
-statements, so extensions are computed on demand, and only
-``Language.extension_masks`` lists them all, for the oracle's tiny
-languages.
+an explicit one packs them from its checked statements at construction,
+so every language is complete once built.  The extension of any statement
+of the vocabulary, member or not, is the AND of its predicates' masks, so
+weakness, models and probabilities are popcounts.  No mask is stored per
+statement: a derived language can hold thousands of statements, so
+extensions are computed on demand, and only ``Language.extension_masks``
+lists them all, for the oracle's tiny languages.
 """
 
 from __future__ import annotations
@@ -38,16 +38,13 @@ EXPLICIT = "explicit"
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Ordered finite set of states; bit-string spaces carry their width."""
+    """Ordered finite set of states."""
 
     states: tuple[str, ...]
-    width: int | None = None
 
     def __post_init__(self):
         if len(set(self.states)) != len(self.states):
             raise ValueError("state identifiers must be unique")
-        if self.width is not None and len(self.states) != 1 << self.width:
-            raise ValueError("bit-string space must have 2^width states")
 
     @classmethod
     def bits(cls, width: int) -> "StateSpace":
@@ -55,7 +52,7 @@ class StateSpace:
             raise ValueError("width must be >= 0")
         if width > 20:
             raise ValueError("bit-string spaces wider than 20 are not supported")
-        return cls(tuple(format(i, f"0{width}b") for i in range(1 << width)), width)
+        return cls(tuple(format(i, f"0{width}b") for i in range(1 << width)))
 
     @property
     def size(self) -> int:
@@ -143,9 +140,6 @@ class Statement:
     def __contains__(self, index: int) -> bool:
         return index in self.members
 
-    def issubset(self, other: "Statement") -> bool:
-        return set(self.members) <= set(other.members)
-
     def __repr__(self):
         return "{" + ",".join(map(str, self.members)) + "}"
 
@@ -192,12 +186,8 @@ class Language:
     vocab: Vocabulary
     mode: str
     statements: tuple[Statement, ...]
-    _index: dict[tuple[int, ...], int] = field(repr=False, default_factory=dict)
-    _pred: list[int] | None = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if not self._index:
-            self._index = {s.members: i for i, s in enumerate(self.statements)}
+    _index: dict[tuple[int, ...], int] = field(repr=False)
+    _pred: list[int] = field(repr=False)  # per predicate, the members holding it
 
     # -- construction ------------------------------------------------------
 
@@ -255,20 +245,24 @@ class Language:
         vocab: Vocabulary,
         statements: Iterable[Statement],
     ) -> "Language":
-        """Build a language from a verbatim statement universe."""
+        """Build a language from a verbatim statement universe; each
+        statement is checked before its row of member bits is packed."""
         _check_vocab_space(space, vocab)
-        seen = set()
-        listed = []
+        listed: dict[tuple[int, ...], Statement] = {}
         for s in statements:
-            if s.members in seen:
+            if s.members in listed:
                 raise ValueError(f"duplicate statement {s!r} in explicit universe")
-            seen.add(s.members)
-            listed.append(s)
-        lang = cls(space, vocab, EXPLICIT, tuple(sorted(listed)))
-        for s in lang.statements:
-            if not lang.sat_set(s):
+            listed[s.members] = s
+        ordered = tuple(sorted(listed.values()))
+        for s in ordered:
+            if not _sat_set(space, vocab, s):
                 raise ValueError(f"explicit statement {s!r} is unsatisfiable")
-        return lang
+        width = (len(vocab) + 7) >> 3
+        ints = [sum(1 << p for p in s.members) for s in ordered]
+        rows = b"".join(map(int.to_bytes, ints, repeat(width), repeat("little")))
+        index = {s.members: i for i, s in enumerate(ordered)}
+        pred = _column_masks(rows, width, len(vocab))
+        return cls(space, vocab, EXPLICIT, ordered, index, pred)
 
     # -- membership --------------------------------------------------------
 
@@ -290,12 +284,7 @@ class Language:
     def sat_set(self, s: Statement) -> int:
         """Bitmask of the states satisfying every member predicate; all
         states for the empty statement."""
-        bits = (1 << self.space.size) - 1
-        for i in s.members:
-            if not 0 <= i < len(self.vocab):
-                raise IndexError(f"predicate index {i} out of range")
-            bits &= self.vocab[i].truth
-        return bits
+        return _sat_set(self.space, self.vocab, s)
 
     def is_statement(self, s: Statement) -> bool:
         """True iff ``s`` indexes into the vocabulary and is satisfiable."""
@@ -305,24 +294,12 @@ class Language:
 
     # -- extensions --------------------------------------------------------
 
-    def _predicate_masks(self) -> list[int]:
-        # mask[p] = bitmask over statement positions of the members holding p;
-        # derive builds them, an explicit language here on first use
-        if self._pred is None:
-            width = (len(self.vocab) + 7) >> 3
-            rows = b"".join([
-                sum(1 << p for p in s.members).to_bytes(width, "little")
-                for s in self.statements
-            ])
-            self._pred = _column_masks(rows, width, len(self.vocab))
-        return self._pred
-
     def extension_mask(self, s: Statement) -> int:
         """Bitmask over statement positions of the members containing ``s``,
         a statement of the vocabulary that need not be a member itself: the
         AND of the masks of its predicates, every position when ``s`` is
         empty."""
-        pred = self._predicate_masks()
+        pred = self._pred
         mask = (1 << self.size) - 1
         for p in s.members:
             mask &= pred[p]
@@ -332,7 +309,7 @@ class Language:
         """Bitmask over statement positions of the members contained in
         ``s``: those holding no predicate outside it."""
         mask = (1 << self.size) - 1
-        for p, held in enumerate(self._predicate_masks()):
+        for p, held in enumerate(self._pred):
             if p not in s:
                 mask &= ~held
         return mask
@@ -353,17 +330,6 @@ class Language:
         self.position(s)
         return self.statements_of(self.extension_mask(s))
 
-    def extension_of_set(self, stmts: Iterable[Statement]) -> tuple[Statement, ...]:
-        """Union of the extensions of ``stmts``, in global order."""
-        mask = 0
-        for s in stmts:
-            if not self.is_statement(s):
-                raise MembershipError(
-                    f"{s!r} is not a statement of this language's vocabulary"
-                )
-            mask |= self.extension_mask(s)
-        return self.statements_of(mask)
-
     def weakness(self, s: Statement) -> int:
         """Cardinality of the extension of a member statement (exact)."""
         self.position(s)
@@ -373,7 +339,7 @@ class Language:
         return "{" + ",".join(self.vocab[i].name for i in s.members) + "}"
 
     def same_as(self, other: "Language") -> bool:
-        """Structural identity, ignoring memoized caches."""
+        """Structural identity, ignoring the position index and masks."""
         return (
             self is other
             or (
@@ -383,6 +349,15 @@ class Language:
                 and self.statements == other.statements
             )
         )
+
+
+def _sat_set(space: StateSpace, vocab: Vocabulary, s: Statement) -> int:
+    bits = (1 << space.size) - 1
+    for i in s.members:
+        if not 0 <= i < len(vocab):
+            raise IndexError(f"predicate index {i} out of range")
+        bits &= vocab[i].truth
+    return bits
 
 
 def _check_vocab_space(space: StateSpace, vocab: Vocabulary) -> None:

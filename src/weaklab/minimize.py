@@ -61,10 +61,6 @@ class Cube:
     def literal_count(self) -> int:
         return self.care.bit_count()
 
-    @property
-    def extent(self) -> int:
-        return cube_extent(self.n, self.care, self.value)
-
     def text(self) -> str:
         """Positional rendering, leftmost position first ('1', '0' or '-')."""
         out = []

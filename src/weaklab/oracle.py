@@ -42,7 +42,6 @@ from .lattice import (
 from .tasks import VTask, make_task
 
 DEFAULT_CENSUS_CAP = 1_000_000
-PRIOR_REPORT_CAP = 4_096
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +210,9 @@ def verify_weakness_optimality(
 # prior report
 
 
-def prior_report(lang: Language, cap: int = PRIOR_REPORT_CAP) -> list[ExclusiveFamily]:
+def prior_report(lang: Language) -> list[ExclusiveFamily]:
     """One exclusive-family sum per statement; totals recorded, never
     asserted equal to 1."""
-    if lang.size > cap:
-        raise CapacityError("prior report language size", cap)
     return [exclusive_family_sum(lang, s) for s in lang.statements]
 
 

@@ -55,11 +55,6 @@ class VTask:
     decided: int
     _models: tuple[Statement, ...] | None = field(default=None, repr=False)
 
-    @property
-    def reachable(self) -> tuple[Statement, ...]:
-        """Z_S in global order."""
-        return self.lang.statements_of(self.reach)
-
     def models(self) -> tuple[Statement, ...]:
         """All statements h of the language with Z_S ∩ Z_h = D, in global
         order; computed once and cached.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from weaklab import CapacityError, Language, VTask, make_task
+from weaklab import CapacityError, Language, Statement, VTask, make_task
 from weaklab.oracle import CensusTask
 from weaklab.specdsl import And, BitRef, Not
 
@@ -93,6 +93,15 @@ def naive_models(
         for h in universe
         if reach & naive_extension(universe, h) == decisions
     ]
+
+
+def mutually_exclusive(lang: Language, a: Statement, b: Statement) -> bool:
+    """True iff ``a`` and ``b`` are members of ``lang`` and neither is a
+    subset of the other, so neither's extension contains the other; the
+    reference for ``exclusive_family_sum``."""
+    lang.position(a)
+    lang.position(b)
+    return not set(a) <= set(b) and not set(b) <= set(a)
 
 
 def naive_census_count(universe: list[frozenset[int]]) -> int:
@@ -177,6 +186,17 @@ def walk_census_tasks(lang: Language) -> Iterator[CensusTask]:
                             counts[pos] += 1
                 t = (t - 1) & comp
             yield CensusTask(s_mask, d_mask, tuple(model_idx), tuple(counts), total)
+
+
+# ---------------------------------------------------------------------------
+# arithmetic strings
+
+
+def completions(pattern: int, pos: int, width: int) -> tuple[int, int]:
+    """The two width-bit states whose ``pos``-deleted projection (position
+    0 leftmost) is ``pattern``: the deleted bit put back as 0, then as 1."""
+    text = format(pattern, f"0{width - 1}b")
+    return tuple(int(text[:pos] + bit + text[pos:], 2) for bit in "01")
 
 
 # ---------------------------------------------------------------------------

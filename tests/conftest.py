@@ -6,6 +6,7 @@ import pytest
 from weaklab import Language, Predicate, StateSpace, Vocabulary, oracle
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
+SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 # filled by test_acceptance._report; echoed after the run so the one-line
 # criterion verdicts survive pytest's output capture
@@ -27,6 +28,14 @@ def tiny():
 @pytest.fixture(scope="session")
 def fx():
     return oracle.divergence_fixture()
+
+
+def cli_env() -> dict[str, str]:
+    """The environment with this checkout's ``src/`` first on PYTHONPATH, so
+    that a ``python -m weaklab.cli`` subprocess runs the sources under test,
+    as pytest's own ``pythonpath`` setting does for the test process."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC_DIR + (os.pathsep + path if path else "")}
 
 
 def spec_path(name: str) -> str:

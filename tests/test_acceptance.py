@@ -30,7 +30,7 @@ from weaklab import (
     prior,
     specdsl,
 )
-from conftest import random_language, spec_path
+from conftest import cli_env, random_language, spec_path
 from _oracles import (
     all_cubes_extents,
     enumerate_tasks,
@@ -360,8 +360,9 @@ def test_criterion_9_determinism(tmp_path):
         sys.executable, "-m", "weaklab.cli", "experiment",
         "--op", "both", "--dk", "6,16", "--trials", "5", "--seed", "99",
     ]
-    r1 = subprocess.run(args + ["--out", str(out_a)], capture_output=True, text=True)
-    r2 = subprocess.run(args + ["--out", str(out_b)], capture_output=True, text=True)
+    run = dict(capture_output=True, text=True, env=cli_env())
+    r1 = subprocess.run(args + ["--out", str(out_a)], **run)
+    r2 = subprocess.run(args + ["--out", str(out_b)], **run)
     assert r1.returncode == 0 and r2.returncode == 0, (r1.stderr, r2.stderr)
     assert out_a.read_bytes() == out_b.read_bytes()
     control = [

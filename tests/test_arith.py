@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from weaklab import arith
-from _oracles import wald_interval
+from weaklab.minimize import min_literal_cover
+from _oracles import completions, wald_interval
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +30,7 @@ def test_delete_and_complete_roundtrip():
         state = rng.randrange(256)
         pos = rng.randrange(8)
         pat = arith.delete_position(state, pos, 8)
-        assert state in arith.completions(pat, pos, 8)
+        assert state in completions(pat, pos, 8)
         s = format(state, "08b")
         assert format(pat, "07b") == s[:pos] + s[pos + 1 :]
 
@@ -41,7 +42,7 @@ def test_add_parent_structure_every_bit():
         assert len(t.situations) == 16
         dset = set(t.decisions)
         for s in t.situations:
-            pair = arith.completions(s, bit, 8)
+            pair = completions(s, bit, 8)
             assert len(pair) == 2
             assert sum(1 for p in pair if p in dset) == 1
 
@@ -80,6 +81,16 @@ def test_child_full_subset_equals_parent():
     c = arith.sample_child(t, 16, seed=1)
     assert c.decisions == t.decisions
     assert c.situations == t.situations
+    # one record serves both: the full child is the parent field for field
+    assert c == t
+
+
+def test_child_carries_parent_identity():
+    for op, bit, width, m in (("add", 2, 8, 5), ("mul", 7, 8, 16), ("mul", 3, 4, 2)):
+        t = arith.gen_parent_task(op, bit, width)
+        c = arith.sample_child(t, m, seed=op)
+        assert (c.op, c.width, c.deleted_bit) == (op, width, bit)
+        assert len(c.decisions) == m
 
 
 def test_child_sampling_deterministic():
@@ -154,7 +165,7 @@ def test_models_satisfy_model_condition():
         c = arith.sample_child(t, rng.randint(4, 14), seed=rng.random())
         for h in (
             arith.weakest_model_state(t, c, mode="penalized"),
-            arith.mdl_model_state(t, c),
+            min_literal_cover(8, c.on, c.off()),
         ):
             assert h.sat & c.reach_mask == c.decisions_mask
             assert c.on & ~h.sat == 0
@@ -198,7 +209,7 @@ def test_penalized_score_dominates_mdl_cover():
         t = arith.gen_parent_task(op, bit)
         c = arith.sample_child(t, rng.randint(4, 14), seed=rng.random())
         hw = arith.weakest_model_state(t, c, mode="penalized", budget=3_000_000)
-        hl = arith.mdl_model_state(t, c, budget=3_000_000)
+        hl = min_literal_cover(8, c.on, c.off(), budget=3_000_000)
         if not (hw.proven_optimal and hl.proven_optimal):
             continue
         assert _score_cmp(

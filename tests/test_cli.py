@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from weaklab import cli
-from conftest import spec_path
+from weaklab import cli, oracle
+from conftest import cli_env, spec_path
 
 
 def run_cli(*argv):
@@ -18,6 +18,7 @@ def run_proc(*argv):
         [sys.executable, "-m", "weaklab.cli", *argv],
         capture_output=True,
         text=True,
+        env=cli_env(),
     )
 
 
@@ -207,6 +208,25 @@ def test_verify_defaults_clean(tmp_path, capsys):
     assert data["optimality"]["violation_count"] == 0
     tiny_rows = {r["anchor"]: r["total"] for r in data["prior_reports"]["tiny"]}
     assert tiny_rows == {"{}": "1", "{p}": "1/2", "{q}": "1/2"}
+
+
+def test_verify_task_count_includes_the_fixture_language(tmp_path, capsys):
+    # languages_checked counts the swept languages only; tasks_checked also
+    # counts the fixture language's tasks
+    out = tmp_path / "v.json"
+    assert run_cli("verify", "--max-states", "2", "--max-vocab", "2",
+                   "--out", str(out)) == 0
+    data = json.loads(out.read_text())
+    swept = [oracle.verify_weakness_optimality(lang)
+             for lang in oracle.all_derived_languages(2, 2)]
+    assert data["optimality"]["languages_checked"] == len(swept)
+    assert data["optimality"]["tasks_checked"] == (
+        data["fixture_language"]["tasks_checked"]
+        + sum(rep.tasks_checked for rep in swept)
+    )
+    capsys.readouterr()
+    assert run_cli("verify", "--max-states", "0", "--max-vocab", "0") == 0
+    assert "optimality: 0 languages, 1520 tasks," in capsys.readouterr().out
 
 
 def test_verify_trivial_caps(capsys):

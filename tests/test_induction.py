@@ -11,11 +11,10 @@ from weaklab import (
     generalisation_probability,
     induce,
     make_task,
-    mutually_exclusive,
     prior,
 )
 from conftest import random_language
-from _oracles import enumerate_tasks
+from _oracles import enumerate_tasks, mutually_exclusive
 
 
 def S(*idx):
@@ -104,7 +103,7 @@ def test_probability_in_unit_interval():
             for h in task.models():
                 p = generalisation_probability(task, h)
                 assert 0 < p <= 1
-                outside = set(lang.statements) - set(task.reachable)
+                outside = set(lang.statements) - set(lang.statements_of(task.reach))
                 covers_outside = outside <= set(lang.extension(h))
                 assert (p == 1) == covers_outside
 

@@ -15,6 +15,7 @@ from weaklab import (
     VocabularyError,
     induce,
     make_task,
+    specdsl,
 )
 from conftest import random_language
 
@@ -58,6 +59,14 @@ def test_sat_set_bad_index(tiny):
         tiny.sat_set(S(7))
 
 
+@pytest.mark.parametrize("index", [2, 9])
+def test_explicit_bad_index(tiny, index):
+    # checked before the member rows are packed: 1 << 9 does not fit the
+    # one-byte row of a two-predicate vocabulary, 1 << 2 would fit unseen
+    with pytest.raises(IndexError):
+        Language.explicit(tiny.space, tiny.vocab, [S(), S(0, index)])
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -88,6 +97,16 @@ def test_derived_equals_naive_subset_enumeration():
         truth = [{i for i in range(n) if p.truth >> i & 1} for p in lang.vocab]
         expected = naive_language(truth, lang.space.size)
         assert sorted(frozenset(s.members) for s in lang.statements) == sorted(expected)
+
+
+def test_bit_space_is_its_state_names():
+    # a bit-string space carries nothing beyond its names, so a
+    # spec-compiled language is the same as one built by hand
+    names = ("00", "01", "10", "11")
+    assert StateSpace.bits(2) == StateSpace(names)
+    spec = specdsl.compile_text("width 2; pred p := b0; pred q := !b1;").language
+    vocab = Vocabulary((Predicate("p", 0b1100), Predicate("q", 0b0101)))
+    assert spec.same_as(Language.derive(StateSpace(names), vocab))
 
 
 def test_enumeration_deterministic():
@@ -126,7 +145,7 @@ def test_extension_requires_membership(fx):
 
 def test_extension_of_set_fixture_situations(fx):
     lang = fx.lang
-    got = lang.extension_of_set(fx.task.situations)
+    got = lang.statements_of(fx.task.reach)
     assert {lang.format_statement(s) for s in got} == {
         "{a,b,c,d,j,k,z}",
         "{b,c,d,e,k}",
@@ -135,11 +154,12 @@ def test_extension_of_set_fixture_situations(fx):
 
 
 def test_extension_of_set_empty(tiny):
-    assert tiny.extension_of_set([]) == ()
+    # the union of no extension masks is the empty mask
+    assert tiny.statements_of(0) == ()
 
 
 def test_extension_of_set_singleton(tiny):
-    assert tiny.extension_of_set([S(0)]) == (S(0),)
+    assert tiny.statements_of(make_task(tiny, [S(0)], [S(0)]).reach) == (S(0),)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +226,7 @@ def _check_laws(lang: Language):
         # reflexivity
         assert a in ext[a]
         for b in stmts:
-            if a.issubset(b):
+            if set(a) <= set(b):
                 # antitone
                 assert ext[b] <= ext[a]
             u = S(*a.members, *b.members)
@@ -218,7 +238,7 @@ def _check_laws(lang: Language):
     for s in stmts:
         w = lang.weakness(s)
         assert w >= 1
-        maximal = all(not (s.issubset(t) and s != t) for t in stmts)
+        maximal = all(not (set(s) < set(t)) for t in stmts)
         assert (w == 1) == maximal
 
 
@@ -272,18 +292,24 @@ def test_explicit_universe_masks_match_naive_route(rng):
             out |= naive_extension(universe, frozenset(s.members))
         return out
 
+    def extension_of_set(stmts):
+        mask = 0
+        for s in stmts:
+            mask |= lang.extension_mask(s)
+        return lang.statements_of(mask)
+
     for s in vocab_stmts:
         got = lang.statements_of(lang.extension_mask(s))
         assert {frozenset(t.members) for t in got} == naive([s])
     picked = rng.sample(vocab_stmts, rng.randint(0, len(vocab_stmts)))
-    got = lang.extension_of_set(picked)
+    got = extension_of_set(picked)
     assert list(got) == sorted(got)
     assert {frozenset(t.members) for t in got} == naive(picked)
 
     situations = rng.sample(vocab_stmts, rng.randint(1, len(vocab_stmts)))
     if set(situations) == set(lang.statements):
         situations.pop()
-    reachable = lang.extension_of_set(situations)
+    reachable = extension_of_set(situations)
     if not reachable:  # no member contains any situation: no task
         return
     decisions = rng.sample(reachable, rng.randint(1, len(reachable)))
@@ -327,9 +353,9 @@ def test_derive_matches_naive_route(n, data):
     assert lang.statements == tuple(Statement(m) for m in expected)
     assert [lang.position(s) for s in lang.statements] == list(range(len(expected)))
     masks = naive_predicate_masks(expected, n)
-    assert lang._predicate_masks() == masks
+    assert lang._pred == masks
     # an explicit universe builds the same masks through the same rows
-    assert Language.explicit(space, vocab, lang.statements)._predicate_masks() == masks
+    assert Language.explicit(space, vocab, lang.statements)._pred == masks
     # the cap admits exactly N statements
     N = len(expected)
     assert Language.derive(space, vocab, cap=N).same_as(lang)

@@ -24,7 +24,7 @@ def test_cube_text_and_extent():
     assert c.text() == "01-"
     assert c.literal_count == 2
     # states with bit2(pos0)=0 and bit1(pos1)=1: '010' and '011' -> 2,3
-    assert c.extent == (1 << 2) | (1 << 3)
+    assert minimize.cube_extent(3, c.care, c.value) == (1 << 2) | (1 << 3)
 
 
 def test_all_cubes_count(cubes8):
@@ -33,7 +33,10 @@ def test_all_cubes_count(cubes8):
 
 
 def _prime_triples(n, off):
-    return [(p.care, p.value, p.extent) for p in minimize.prime_cubes(n, off)]
+    return [
+        (p.care, p.value, minimize.cube_extent(n, p.care, p.value))
+        for p in minimize.prime_cubes(n, off)
+    ]
 
 
 @settings(max_examples=300, deadline=None)
@@ -71,7 +74,7 @@ def test_primes_are_maximal_and_valid():
         primes = minimize.prime_cubes(n, off)
         seen = set()
         for p in primes:
-            assert p.extent & off == 0
+            assert minimize.cube_extent(n, p.care, p.value) & off == 0
             assert (p.care, p.value) not in seen
             seen.add((p.care, p.value))
             j = p.care

@@ -37,7 +37,7 @@ def test_fixture_task_valid(fx):
 
 def test_make_task_tiny_valid(tiny):
     t = make_task(tiny, [S()], [S(0)])
-    assert t.reachable == tiny.statements
+    assert tiny.statements_of(t.reach) == tiny.statements
 
 
 def test_make_task_unreachable_decision(tiny):
