@@ -132,7 +132,6 @@ def sample_child(
 
 
 def weakest_model_state(
-    task: BinOpTask,
     child: BinOpTask,
     mode: str = MODE_PENALIZED,
     tau: Fraction = Fraction(1),
@@ -145,14 +144,12 @@ def weakest_model_state(
     prime cover.  ``penalized`` mode searches covers of the child decisions
     for the maximum of log2(|sat|) - tau*terms.
     """
-    full = (1 << (1 << task.width)) - 1
-    on = child.on
-    off = child.off()
+    width, on = child.width, child.on
     if mode == MODE_STATE:
-        target = on | (full & ~child.reach_mask)
-        return exact_cover_of(task.width, target)
+        full = (1 << (1 << width)) - 1
+        return exact_cover_of(width, on | (full & ~child.reach_mask))
     if mode == MODE_PENALIZED:
-        return max_weakness_cover(task.width, on, off, tau=tau, budget=budget)
+        return max_weakness_cover(width, on, child.off(), tau=tau, budget=budget)
     raise ValueError(f"unknown weakness mode {mode!r}")
 
 
@@ -214,7 +211,7 @@ def run_trial(
             seed_label = str(seed)
     task = gen_parent_task(op, deleted_bit, width)
     child = sample_child(task, m, seed)
-    hyp_w = weakest_model_state(task, child, mode=mode, tau=tau, budget=budget)
+    hyp_w = weakest_model_state(child, mode=mode, tau=tau, budget=budget)
     hyp_mdl = min_literal_cover(width, child.on, child.off(), budget=budget)
     return TrialResult(
         op=op,

@@ -12,26 +12,33 @@ counts and text ranks; every search reads it.
 One branch-and-bound engine serves both proxies.  It branches on the
 uncovered ON state with the fewest covering primes: child k takes that
 state's k-th coverer and bans the earlier ones in its subtree, so each
-selection lies in exactly one subtree.  A node that covers ON is scored,
-then branched the same way over the extra primes its proxy admits.  The
-exact integer score is compared first; the tie-break key is built only
-when two scores tie.  A greedy max-gain cover is the first incumbent, so a
-search that runs out of nodes still returns a cover, flagged as unproven.
+selection lies in exactly one subtree.  A node that covers ON is scored
+in its parent's loop, then branched the same way over the extra primes
+its proxy admits.  The exact integer score is compared first; the
+tie-break key is built only when two scores tie.  A greedy max-gain cover
+is the first incumbent, so a search that runs out of nodes still returns a
+cover, flagged as unproven; it and the coverers of each ON state are built
+once for the two searches of a trial.
 
 * Description length: fewest total literals, then fewest terms, over the
   primes that meet ON.  No extras.  Bound: the cheapest literal count of
   each of a set of uncovered ON states no prime covers two of.
 * Weakness: greatest log2(|union|) - tau * terms, then fewest literals,
-  over all primes.  An extra is admitted only if it raises the score on
-  its own.  Nothing is lost: j extras with gains g_i reach at most
-  |U| + sum(g_i), and 2^(tau*j) - 1 >= j * (2^tau - 1), so a set of extras
-  that beats none holds a member that beats none alone.  Bound: at least
-  as many more terms as the disjoint ON states, each term adding at most
-  one of the largest marginal gains left.  A node is pruned before any
-  gain is counted when too few primes are left or when the union of all
-  of them, at the fewest terms, cannot reach the incumbent; otherwise the
-  largest gains are selected lazily, widest primes first, and never
-  sorted in full.
+  over all primes.  An extra is admitted only if it adds at least the
+  least gain of the union's size u, the fewest new states g with
+  (u + g)^den > u^den * 2^num for tau = num/den; least gains are kept in
+  one module-level list per (n, tau), filled as searches ask.  Nothing is
+  lost: j extras with gains g_i reach at most |U| + sum(g_i), and
+  2^(tau*j) - 1 >= j * (2^tau - 1), so a set of extras that beats none
+  holds a member that beats none alone.  Bound: at least as many more
+  terms as the disjoint ON states, each term adding at most one of the
+  largest marginal gains left, and no more than the cap, the union of
+  every unbanned prime.  A node is pruned before any gain is counted when
+  too few primes are left or when the cap, at the fewest terms, cannot
+  reach the incumbent; otherwise the largest gains are popped lazily from
+  a heap, widest primes first.  The cap is carried down the path: a node
+  ORs the primes free outside its branching coverers once, and child k
+  adds the coverers from k on.
 
 Remaining ties go to the lexicographically first cube texts.
 """
@@ -40,7 +47,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from heapq import heappop, heappush
+from itertools import accumulate, compress, repeat
+from operator import or_
 
 DEFAULT_NODE_BUDGET = 500_000
 
@@ -71,6 +81,10 @@ class Cube:
             else:
                 out.append("-")
         return "".join(out)
+
+
+# the slot setters of Cube, which bypass its frozen __setattr__
+_SET_N, _SET_CARE, _SET_VALUE = Cube.n.__set__, Cube.care.__set__, Cube.value.__set__
 
 
 @lru_cache(maxsize=None)
@@ -199,13 +213,19 @@ def prime_cubes(n: int, off: int) -> tuple[Cube, ...]:
         for shift, having in widen:
             primes &= ~(here << shift & having)
         while primes:
-            low = primes & -primes
-            k = low.bit_length() - 1
+            k = primes.bit_length() - 1
+            primes ^= 1 << k
             care, value = k >> n << low_bits | lo, k & state_mask
-            found.append((weights[care] + weights[value], care, value))
-            primes ^= low
+            # the text weight orders the cubes and is unique to each
+            found.append((weights[care] + weights[value]) << 2 * n | care << n | value)
     found.sort()
-    return tuple(Cube(n, care, value) for _, care, value in found)
+    # each value lies within its care mask by construction, so the cubes
+    # are built without Cube's check and with no Python frame per cube
+    cubes = list(map(object.__new__, repeat(Cube, len(found))))
+    any(map(_SET_N, cubes, repeat(n)))  # each None
+    any(map(_SET_CARE, cubes, [key >> n & state_mask for key in found]))
+    any(map(_SET_VALUE, cubes, [key & state_mask for key in found]))
+    return tuple(cubes)
 
 
 # both sides of a trial ask for its child's table; other trials rarely
@@ -219,9 +239,9 @@ def _prime_table(n: int, off: int):
     primes = prime_cubes(n, off)
     lits = [p.care.bit_count() for p in primes]
     ranks = tuple(sorted(range(len(primes)), key=lits.__getitem__))
-    cubes = tuple(primes[r] for r in ranks)
+    cubes = tuple(map(primes.__getitem__, ranks))
     extents = tuple(cube_extent(n, p.care, p.value) for p in cubes)
-    return cubes, extents, tuple(lits[r] for r in ranks), ranks
+    return cubes, extents, tuple(map(lits.__getitem__, ranks)), ranks
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,47 +265,71 @@ class Cover:
 
 def _greedy_cover(extents: list[int], target: int) -> list[int]:
     """Indices of a cover of ``target``: each step takes the first extent
-    that covers the most still-uncovered states."""
+    that covers the most still-uncovered states.  Gains only shrink as
+    ``target`` does, so each extent keeps a bound on its gain, first its
+    size: a step recounts only the extents whose bound beats the most
+    found so far, and picks what a recount of every extent would pick."""
+    bounds = [e.bit_count() for e in extents]
     chosen = []
     while target:
         most = 0
-        for i, e in enumerate(extents):
-            gain = (e & target).bit_count()
-            if gain > most:
-                most, pick = gain, i
+        for i, bound in enumerate(bounds):
+            if bound > most:
+                gain = bounds[i] = (extents[i] & target).bit_count()
+                if gain > most:
+                    most, pick = gain, i
         chosen.append(pick)
         target &= ~extents[pick]
     return chosen
 
 
-def _search(
-    n: int, table, on: int, budget: int, score, tie, extras, hopeless
-) -> Cover:
-    """Branch and bound over the selections of ``table`` primes that cover
-    ``on``; returns the selection with the least (score, tie) key.
-
-    ``score(chosen, union)`` is an integer compared first; ``tie(chosen)``
-    orders selections of equal score and is built only for them.
-    ``extras(chosen, union, banned)`` lists the primes a node that covers
-    ``on`` may add.  ``hopeless(chosen, union, banned, pool, need, best)``
-    prunes a node whose subtree can neither beat nor tie the incumbent
-    score ``best``.  At a node that covers ``on``, ``pool`` lists its extras
-    and ``need`` is empty; elsewhere ``pool`` is empty and ``need`` holds
-    the cheapest coverer of each of some uncovered ON states no prime
-    covers two of, so any completion adds at least len(need) terms.
-    """
-    primes, extents, _, ranks = table
-    coverers: dict[int, int] = {}  # ON state bit -> mask of prime indices
-    reach: dict[int, int] = {}  # ON state bit -> union of its coverers
+# the two searches of a trial run back to back on the same ON and OFF sets;
+# a cleared _prime_table still reaches prime_cubes, as no table is kept here
+@lru_cache(maxsize=4)
+def _cover_setup(n: int, off: int, on: int):
+    """What a search of ``on`` reads of ``_prime_table(n, off)`` before its
+    first node: per ON state bit, the mask of its coverers, their union and
+    its first (fewest-literal) coverer; and a greedy cover of ``on``."""
+    extents = _prime_table(n, off)[1]
+    coverers: dict[int, int] = {}
+    reach: dict[int, int] = {}
+    cheapest: dict[int, int] = {}
     for i, e in enumerate(extents):
         hit = e & on
         while hit:
             s = hit & -hit
-            coverers[s] = coverers.get(s, 0) | 1 << i
-            reach[s] = reach.get(s, 0) | e
+            if s in coverers:
+                coverers[s] |= 1 << i
+                reach[s] |= e
+            else:
+                coverers[s], reach[s], cheapest[s] = 1 << i, e, i
             hit ^= s
-    # ON state bit -> its first coverer, which has the fewest literals
-    cheapest = {s: (c & -c).bit_length() - 1 for s, c in coverers.items()}
+    return coverers, reach, cheapest, tuple(_greedy_cover(extents, on))
+
+
+def _search(
+    n: int, on: int, off: int, budget: int, score, tie, extras, hopeless, capped: bool
+) -> Cover:
+    """Branch and bound over the selections of primes of ``off`` (indices
+    into its ``_prime_table``) that cover ``on``; returns the selection with
+    the least (score, tie) key.
+
+    ``score(chosen, union)`` is an integer compared first; ``tie(chosen)``
+    orders selections of equal score and is built only for them.
+    ``extras(chosen, union, banned)`` lists the primes a node that covers
+    ``on`` may add.  ``hopeless(chosen, union, pool, size, need, reachable,
+    best)`` prunes a node whose subtree can neither beat nor tie the
+    incumbent score ``best``.  At a node that covers ``on``, ``pool`` lists
+    its ``size`` extras, ``need`` is empty and ``reachable`` is the union of
+    ``union`` and the extras.  Elsewhere ``need`` holds the cheapest coverer
+    of each of some uncovered ON states no prime covers two of, so any
+    completion adds at least len(need) terms; if ``capped``, ``pool``
+    iterates the ``size`` unbanned primes in table order and ``reachable``
+    is the union of ``union`` and their extents, else all three are None.
+    """
+    primes, extents, _, ranks = _prime_table(n, off)
+    coverers, reach, cheapest, seed = _cover_setup(n, off, on)
+    m = len(extents)
 
     def union_of(chosen) -> int:
         union = 0
@@ -293,71 +337,113 @@ def _search(
             union |= extents[i]
         return union
 
-    seed = tuple(_greedy_cover(extents, on))
     best = [score(seed, union_of(seed)), seed, None]  # the tie is built on demand
     left = budget  # nodes; below zero once the budget is exhausted
+    # if capped, free[i] is 1 while prime i is unbanned at the uncovered
+    # node being expanded
+    free = bytearray(b"\x01") * m if capped else None
 
-    def dfs(chosen: tuple[int, ...], union: int, uncovered: int, banned: int):
-        nonlocal left
-        left -= 1
-        if left < 0:
+    def consider(chosen, sc):
+        # a selection that covers on and scores sc <= the incumbent's
+        if sc < best[0]:
+            best[:] = sc, chosen, None
             return
-        need = []
+        t = tie(chosen)
+        if best[2] is None:
+            best[2] = tie(best[1])
+        if t < best[2]:
+            best[:] = sc, chosen, t
+
+    def expand(chosen, union, uncovered, banned, reachable, pool):
+        # a counted node: one that leaves some of on uncovered, or one that
+        # covers on and has extras ``pool``; children that cover on are
+        # scored here and entered only to branch over their extras
+        nonlocal left
         if uncovered:
-            pool = []
+            need = []
             rem = uncovered
             while rem:
                 s = rem & -rem
                 need.append(cheapest[s])
                 rem &= ~reach[s]
-        else:
-            sc = score(chosen, union)
-            if sc < best[0]:
-                best[:] = sc, chosen, None
-            elif sc == best[0]:
-                t = tie(chosen)
-                if best[2] is None:
-                    best[2] = tie(best[1])
-                if t < best[2]:
-                    best[:] = sc, chosen, t
-            pool = extras(chosen, union, banned)
-            if not pool:
+            if capped:
+                unbanned, size = compress(range(m), free), m - banned.bit_count()
+            else:
+                unbanned = size = None
+            if hopeless(chosen, union, unbanned, size, need, reachable, best[0]):
                 return
-        if hopeless(chosen, union, banned, pool, need, best[0]):
-            return
-        if uncovered:
             # branch on the uncovered state with the fewest unbanned coverers
             allowed, fewest = ~banned, None
             rem = uncovered
             while rem:
                 s = rem & -rem
-                free = coverers[s] & allowed
-                count = free.bit_count()
+                c = coverers[s] & allowed
+                count = c.bit_count()
                 if not count:
                     return
                 if fewest is None or count < fewest:
-                    fewest, pick = count, free
+                    fewest, pick = count, c
                 rem ^= s
+            pool = []
             while pick:
                 low = pick & -pick
                 pool.append(low.bit_length() - 1)
                 pick ^= low
-        for i in pool:
-            dfs(chosen + (i,), union | extents[i], uncovered & ~extents[i], banned)
-            banned |= 1 << i
+        elif hopeless(chosen, union, pool, len(pool), (), reachable, best[0]):
+            return
+        # child t takes pool[t] and bans pool[:t], so an uncovered child can
+        # still reach the primes free outside the pool, found once, and
+        # pool[t:]
+        outside = None
+        for t, i in enumerate(pool):
+            left -= 1
             if left < 0:
                 return
+            e = extents[i]
+            child, joined, rest = chosen + (i,), union | e, uncovered & ~e
+            if rest:
+                if capped and outside is None:
+                    for j in pool[t:]:
+                        free[j] = 0
+                    outside = reduce(or_, compress(extents, free), union)
+                    for j in pool[t:]:
+                        free[j] = 1
+                    tails = list(accumulate(map(extents.__getitem__, pool[::-1]), or_))
+                reachable = outside | tails[~t] if capped else None
+                expand(child, joined, rest, banned, reachable, None)
+                if left < 0:
+                    return
+            else:
+                sc = score(child, joined)
+                if sc <= best[0]:
+                    consider(child, sc)
+                more = extras(child, joined, banned)
+                if more:
+                    reachable = reduce(or_, map(extents.__getitem__, more), joined)
+                    expand(child, joined, 0, banned, reachable, more)
+                    if left < 0:
+                        return
+            banned |= 1 << i
+            if capped and uncovered:
+                free[i] = 0
+        if capped and uncovered:
+            for i in pool:
+                free[i] = 1
 
-    dfs((), 0, on, 0)
+    left -= 1
+    if left >= 0:
+        if on:
+            expand((), 0, on, 0, reduce(or_, extents, 0) if capped else None, None)
+        else:  # the root covers on, as its children do
+            sc = score((), 0)
+            if sc <= best[0]:
+                consider((), sc)
+            more = extras((), 0, 0)
+            if more:
+                expand((), 0, 0, 0, reduce(or_, map(extents.__getitem__, more)), more)
     chosen = best[1]
     cubes = tuple(primes[i] for i in sorted(chosen, key=ranks.__getitem__))
     return Cover(n, cubes, union_of(chosen), left >= 0, budget - left)
-
-
-def _meeting(table, on: int):
-    """The rows of ``table`` whose extent meets ``on``, order kept."""
-    keep = [i for i, e in enumerate(table[1]) if e & on]
-    return tuple([column[i] for i in keep] for column in table)
 
 
 def min_literal_cover(
@@ -370,30 +456,43 @@ def min_literal_cover(
         raise ValueError("ON and OFF sets intersect")
     if on == 0:
         return Cover(n, (), 0, True, 0)
-    table = _meeting(_prime_table(n, off), on)
-    _, _, lits, ranks = table
+    # every prime, though only those that meet ON are ever chosen
+    _, _, lits, ranks = _prime_table(n, off)
 
     def score(chosen, union):
-        return sum(lits[i] for i in chosen)
+        return sum(map(lits.__getitem__, chosen))
 
     def tie(chosen):
         return len(chosen), sorted(ranks[i] for i in chosen)
 
-    def hopeless(chosen, union, banned, pool, need, best):
-        return sum(lits[i] for i in chosen) + sum(lits[i] for i in need) > best
+    def hopeless(chosen, union, pool, size, need, reachable, best):
+        return score(chosen, union) + sum(map(lits.__getitem__, need)) > best
 
-    return _search(n, table, on, budget, score, tie, lambda *_: [], hopeless)
+    return _search(n, on, off, budget, score, tie, lambda *_: [], hopeless, False)
 
 
-def _score_cmp(
-    u_a: int, k_a: int, u_b: int, k_b: int, tau_num: int, tau_den: int
-) -> int:
-    # sign of (log2(u_a) - tau*k_a) - (log2(u_b) - tau*k_b), exactly, for
-    # u >= 0 and tau = tau_num/tau_den; two empty unions tie
-    shift = tau_num * (k_b - k_a)
-    lhs = u_a**tau_den << max(0, shift)
-    rhs = u_b**tau_den << max(0, -shift)
-    return (lhs > rhs) - (lhs < rhs)
+def _iroot(x: int, k: int) -> int:
+    """floor(x ** (1/k)) for x >= 0 and k >= 1, by Newton's method from above."""
+    if x < 2 or k == 1:
+        return x
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _least_gain(n: int, num: int, den: int, u: int) -> int:
+    """The fewest new states g that let one more term raise log2(u) - tau *
+    terms (tau = num/den): the least u + g with (u + g)^den > u^den * 2^num,
+    at most 2^n."""
+    return min(_iroot(u**den << num, den) + 1 - u, 1 << n)
+
+
+# (n, tau numerator, tau denominator) -> slot u holds _least_gain of u, or
+# None until a search asks for it
+_LEAST_GAINS: dict[tuple[int, int, int], list[int | None]] = {}
 
 
 def max_weakness_cover(
@@ -416,87 +515,69 @@ def max_weakness_cover(
         raise ValueError("tau must be >= 0")
     num, den = tau.numerator, tau.denominator
     # every prime, since an extra term may miss ON
-    table = _prime_table(n, off)
-    _, extents, lits, ranks = table
+    _, extents, lits, ranks = _prime_table(n, off)
     m = len(extents)
     sizes = [e.bit_count() for e in extents]  # non-increasing
-
-    def value(u: int, k: int) -> int:
-        # 2^(den * score) * 2^(num * m), for k <= m: an exact integer that
-        # orders selections as their scores do
-        return u**den << num * (m - k)
-
-    @lru_cache(maxsize=None)
-    def least_gain(u: int) -> int:
-        # the fewest new states that let one more term raise the score from
-        # a union of u states; the sign of _score_cmp(u + g, k + 1, u, k)
-        # does not depend on k
-        lo, hi = 1, 1 << n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _score_cmp(u + mid, 1, u, 0, num, den) > 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+    gains = _LEAST_GAINS.get((n, num, den))
+    if gains is None:
+        gains = _LEAST_GAINS[n, num, den] = [None] * ((1 << n) + 1)
 
     def score(chosen, union):
-        return -value(union.bit_count(), len(chosen))
+        # k terms over u states: -(2^(den * (log2(u) - tau * k)) * 2^(num * m)),
+        # for k <= m an exact integer, least for the best selection
+        return -(union.bit_count() ** den << num * (m - len(chosen)))
 
     def tie(chosen):
         return sum(lits[i] for i in chosen), sorted(ranks[i] for i in chosen)
 
     def extras(chosen, union, banned):
-        g = least_gain(union.bit_count())
+        u = union.bit_count()
+        g = gains[u]
+        if g is None:
+            g = gains[u] = _least_gain(n, num, den, u)
+        missing = ~union
         admitted = []
         for i in range(m):
             if sizes[i] < g:
                 break
-            if not banned >> i & 1 and (extents[i] & ~union).bit_count() >= g:
+            if not banned >> i & 1 and (extents[i] & missing).bit_count() >= g:
                 admitted.append(i)
         return admitted
 
-    def hopeless(chosen, union, banned, pool, need, best):
+    def hopeless(chosen, union, pool, size, need, reachable, best):
         # j more terms reach at most |union| plus the j largest marginal
-        # gains, and never more than cap, the union of every prime left
+        # gains, and never more than cap, the size of reachable
         k = len(chosen)
         j_min = max(1, len(need))
-        if need:
-            pool = [i for i in range(m) if not banned >> i & 1]
-        j_max = min(len(pool), m - k)
+        j_max = min(size, m - k)
         if j_min > j_max:
             return True
-        reachable = union
-        for i in pool:
-            reachable |= extents[i]
         cap, target = reachable.bit_count(), -best
-        if value(cap, k + j_min) < target:
+        if cap**den << num * (m - k - j_min) < target:
             return True
         # the gains in decreasing order, taken lazily: no gain exceeds its
         # prime's size, so a pending gain at least the size of the next
         # prime in the pool is the largest left
-        pending: list[int] = []  # gains of the primes scanned, not yet taken
-        scanned = 0
+        pending: list[int] = []  # negated gains of the primes scanned, not yet taken
+        pool = iter(pool)
+        nxt = next(pool, None)
+        missing = ~union
         u = union.bit_count()
         for j in range(1, j_max + 1):
-            while scanned < len(pool) and (
-                not pending or max(pending) < sizes[pool[scanned]]
-            ):
-                pending.append((extents[pool[scanned]] & ~union).bit_count())
-                scanned += 1
-            gain = max(pending)
-            pending.remove(gain)
-            u += gain
+            while nxt is not None and (not pending or -pending[0] < sizes[nxt]):
+                heappush(pending, -(extents[nxt] & missing).bit_count())
+                nxt = next(pool, None)
+            u -= heappop(pending)
             if j < j_min:
                 continue
             u = min(cap, u)
-            if value(u, k + j) >= target:
+            if u**den << num * (m - k - j) >= target:
                 return False
             if u == cap:
                 break
         return True
 
-    return _search(n, table, on, budget, score, tie, extras, hopeless)
+    return _search(n, on, off, budget, score, tie, extras, hopeless, True)
 
 
 def exact_cover_of(n: int, target: int) -> Cover:

@@ -278,6 +278,52 @@ def min_literals_search(n: int, on: int, off: int, cubes=None) -> int | None:
 
 
 # ---------------------------------------------------------------------------
+# the greedy seed and the least gain of the cover searches, recomputed in full
+
+
+def first_max_greedy(extents: list[int], target: int) -> list[int]:
+    """Indices of a cover of ``target``: each step recounts every extent and
+    takes the first that covers the most still-uncovered states."""
+    chosen = []
+    while target:
+        most = 0
+        for i, e in enumerate(extents):
+            gain = (e & target).bit_count()
+            if gain > most:
+                most, pick = gain, i
+        chosen.append(pick)
+        target &= ~extents[pick]
+    return chosen
+
+
+def score_cmp(
+    u_a: int, k_a: int, u_b: int, k_b: int, tau_num: int, tau_den: int
+) -> int:
+    """Sign of (log2(u_a) - tau*k_a) - (log2(u_b) - tau*k_b), exactly, for
+    u >= 0 and tau = tau_num/tau_den; two empty unions tie."""
+    shift = tau_num * (k_b - k_a)
+    lhs = u_a**tau_den << max(0, shift)
+    rhs = u_b**tau_den << max(0, -shift)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def least_gain_search(n: int, u: int, tau: Fraction) -> int:
+    """The fewest new states g, at most 2^n, that let one more term raise
+    log2(u) - tau * terms from a union of u states, by binary search over g:
+    log2(u + g) - tau > log2(u) exactly when (u + g)^den > u^den * 2^num for
+    tau = num/den."""
+    num, den = tau.numerator, tau.denominator
+    lo, hi = 1, 1 << n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (u + mid) ** den > u**den * 2**num:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+# ---------------------------------------------------------------------------
 # wald interval recomputed from first principles
 
 

@@ -226,7 +226,7 @@ def test_criterion_7_state_mode_sweep():
                 bit = rng.randrange(8)
                 task = arith.gen_parent_task(op, bit)
                 child = arith.sample_child(task, m, rng)
-                h = arith.weakest_model_state(task, child, mode="state")
+                h = arith.weakest_model_state(child, mode="state")
                 full = (1 << 256) - 1
                 expected_sat = child.on | (full & ~child.reach_mask)
                 if h.sat != expected_sat:
@@ -243,7 +243,7 @@ def test_criterion_7_state_mode_sweep():
         bit = rng.randrange(4)
         task = arith.gen_parent_task(op, bit, width=4)
         child = arith.sample_child(task, rng.randint(1, 4), rng.random())
-        h = arith.weakest_model_state(task, child, mode="state")
+        h = arith.weakest_model_state(child, mode="state")
         best = max(
             cand.bit_count()
             for cand in range(1 << 16)

@@ -6,7 +6,7 @@ import pytest
 
 from weaklab import arith
 from weaklab.minimize import min_literal_cover
-from _oracles import completions, wald_interval
+from _oracles import completions, score_cmp, wald_interval
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ def test_state_mode_closed_form():
     t = arith.gen_parent_task("add", 3)
     c = arith.sample_child(t, 2, seed=42)
     assert len(c.situations) == 2
-    h = arith.weakest_model_state(t, c, mode="state")
+    h = arith.weakest_model_state(c, mode="state")
     assert h.sat.bit_count() == 256 - c.reach_mask.bit_count() + 2
     assert h.sat & c.reach_mask == c.decisions_mask
 
@@ -136,7 +136,7 @@ def test_state_mode_brute_force_width4():
         t = arith.gen_parent_task(op, bit, width=4)
         m = rng.randint(1, 4)
         c = arith.sample_child(t, m, seed=rng.random())
-        h = arith.weakest_model_state(t, c, mode="state")
+        h = arith.weakest_model_state(c, mode="state")
         best = -1
         for cand in range(1 << 16):
             if cand & c.reach_mask == c.decisions_mask:
@@ -148,7 +148,7 @@ def test_state_mode_brute_force_width4():
 def test_state_mode_full_child_reconstructs():
     t = arith.gen_parent_task("mul", 1)
     c = arith.sample_child(t, 16, seed=5)
-    h = arith.weakest_model_state(t, c, mode="state")
+    h = arith.weakest_model_state(c, mode="state")
     assert arith.d_recon(t, h) == t.decisions_mask
 
 
@@ -164,7 +164,7 @@ def test_models_satisfy_model_condition():
         t = arith.gen_parent_task(op, bit)
         c = arith.sample_child(t, rng.randint(4, 14), seed=rng.random())
         for h in (
-            arith.weakest_model_state(t, c, mode="penalized"),
+            arith.weakest_model_state(c, mode="penalized"),
             min_literal_cover(8, c.on, c.off()),
         ):
             assert h.sat & c.reach_mask == c.decisions_mask
@@ -187,7 +187,7 @@ def test_state_mode_recon_superset():
     for _ in range(10):
         t = arith.gen_parent_task("add", rng.randrange(8))
         c = arith.sample_child(t, rng.randint(4, 14), seed=rng.random())
-        h = arith.weakest_model_state(t, c, mode="state")
+        h = arith.weakest_model_state(c, mode="state")
         recon = arith.d_recon(t, h)
         assert t.decisions_mask & ~recon == 0
 
@@ -200,19 +200,17 @@ def test_penalized_score_dominates_mdl_cover():
     # the mdl cover is drawn from the same prime universe, so a correct
     # weakness search can never score below it; and a minimum-literal cover
     # can never use more literals than the weakness selection
-    from weaklab.minimize import _score_cmp
-
     rng = random.Random(47)
     for _ in range(30):
         op = rng.choice(["add", "mul"])
         bit = rng.randrange(8)
         t = arith.gen_parent_task(op, bit)
         c = arith.sample_child(t, rng.randint(4, 14), seed=rng.random())
-        hw = arith.weakest_model_state(t, c, mode="penalized", budget=3_000_000)
+        hw = arith.weakest_model_state(c, mode="penalized", budget=3_000_000)
         hl = min_literal_cover(8, c.on, c.off(), budget=3_000_000)
         if not (hw.proven_optimal and hl.proven_optimal):
             continue
-        assert _score_cmp(
+        assert score_cmp(
             hl.sat.bit_count(), hl.term_count,
             hw.sat.bit_count(), hw.term_count, 1, 1,
         ) <= 0
@@ -252,7 +250,7 @@ def test_state_mode_extent_is_maximum_possible():
         m = rng.randint(4, 14)
         t = arith.gen_parent_task(op, bit)
         c = arith.sample_child(t, m, seed=rng.random())
-        h = arith.weakest_model_state(t, c, mode="state")
+        h = arith.weakest_model_state(c, mode="state")
         trapped = (t.decisions_mask & c.off()).bit_count()
         recon = arith.d_recon(t, h)
         got = Fraction((recon & t.decisions_mask).bit_count(), 16)

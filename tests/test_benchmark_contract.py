@@ -11,9 +11,10 @@ from __future__ import annotations
 import contextlib
 import importlib
 import io
+import random
 from pathlib import Path
 
-from weaklab import arith, cli
+from weaklab import arith, cli, minimize
 from conftest import spec_path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -40,6 +41,38 @@ def test_benchmark_names_exist(monkeypatch):
     )
     assert errors == []
     assert {c: n[0] for c, n in cells.items()} == {"add-6": 2, "mul-6": 2}
+
+
+def test_traced_experiment_reaches_the_wrapped_minimize_names(monkeypatch):
+    # the benchmark clears only minimize._prime_table between an untraced
+    # and a traced run of the same trials; the traced run must still reach
+    # prime_cubes and both searches through the names it wraps, or a table
+    # or cache refactor that bypasses them zeroes the per-layer metrics
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    worker = importlib.import_module("worker")
+
+    def run():
+        return arith.run_experiment(["add", "mul"], [6], trials=2, master_seed="contract")
+
+    run()
+    minimize._prime_table.cache_clear()
+    tracer = tracing.Tracer()
+    try:
+        worker.install_tracing(tracer)
+        report = run()
+    finally:
+        tracer.restore()
+    names = [s.name for s in tracer.spans]
+    trials = len(report.trial_results)
+    assert names.count("minimize.max_weakness_cover") == trials == 4
+    assert names.count("minimize.min_literal_cover") == trials
+    offs = set()
+    for t in report.trial_results:
+        rng = random.Random(t.seed)  # as run_experiment derives the trial
+        task = arith.gen_parent_task(t.op, rng.randrange(t.width))
+        offs.add(arith.sample_child(task, t.m, rng).off())
+    assert names.count("minimize.prime_cubes") == len(offs)
 
 
 def test_traced_verify_and_induce_read_their_results(monkeypatch):

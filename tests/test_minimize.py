@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 from weaklab import arith, minimize
 from _oracles import (
     all_cubes_extents,
+    first_max_greedy,
+    least_gain_search,
     min_literals_search,
     naive_cube_text,
     naive_prime_cubes,
+    score_cmp,
 )
 
 
@@ -148,7 +151,7 @@ def _brute_weakness_argmax(n, on, off, tau):
         if best is None:
             best = (u, k, lits, texts)
             continue
-        cmp = minimize._score_cmp(
+        cmp = score_cmp(
             u.bit_count(), k, best[0].bit_count(), best[1], tau.numerator, tau.denominator
         )
         if cmp > 0 or cmp == 0 and (lits, texts) < (best[2], best[3]):
@@ -222,8 +225,8 @@ def test_max_weakness_cover_matches_brute_force():
         assert got.sat & off == 0 and on & ~got.sat == 0
         exp_u, exp_k = _brute_best_weakness(n, on, off, Fraction(1))
         got_u = got.sat.bit_count()
-        assert minimize._score_cmp(exp_u, exp_k, got_u, got.term_count, 1, 1) <= 0
-        assert minimize._score_cmp(got_u, got.term_count, exp_u, exp_k, 1, 1) <= 0
+        assert score_cmp(exp_u, exp_k, got_u, got.term_count, 1, 1) <= 0
+        assert score_cmp(got_u, got.term_count, exp_u, exp_k, 1, 1) <= 0
 
 
 def test_max_weakness_fractional_tau():
@@ -254,7 +257,63 @@ def test_weakness_cover_of_once_flagged_trial_is_proven_and_better():
     child = arith.sample_child(task, 14, rng)
     got = minimize.max_weakness_cover(8, child.on, child.off())
     assert got.proven_optimal
-    assert minimize._score_cmp(got.sat.bit_count(), got.term_count, 128, 9, 1, 1) > 0
+    assert score_cmp(got.sat.bit_count(), got.term_count, 128, 9, 1, 1) > 0
+
+
+def _golden_children():
+    # the children of the golden experiment grid in test_golden.py, derived
+    # as run_experiment derives them
+    for op in ("add", "mul"):
+        for m in (6, 10, 14):
+            for i in range(2):
+                rng = random.Random(arith.trial_seed("golden-1", op, m, i))
+                task = arith.gen_parent_task(op, rng.randrange(8))
+                yield arith.sample_child(task, m, rng)
+
+
+def test_greedy_seed_picks_as_a_first_max_scan():
+    # both searches cover ON over the child's table; state mode covers its
+    # target over the table of the target's complement
+    full = (1 << 256) - 1
+    for child in _golden_children():
+        target = child.on | (full & ~child.reach_mask)
+        for off, on in ((child.off(), child.on), (full & ~target, target)):
+            extents = list(minimize._prime_table(8, off)[1])
+            got = minimize._greedy_cover(extents, on)
+            assert got == first_max_greedy(extents, on)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 2**16 - 1), min_size=1, max_size=12), st.data())
+def test_greedy_cover_picks_as_a_first_max_scan_in_any_order(extents, data):
+    # extents of any sizes, in any order, with ties between gains
+    union = 0
+    for e in extents:
+        union |= e
+    target = data.draw(st.integers(0, union)) & union
+    assert minimize._greedy_cover(extents, target) == first_max_greedy(extents, target)
+
+
+TAUS = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("tau", TAUS, ids=str)
+def test_least_gain_matches_binary_search(n, tau):
+    num, den = tau.numerator, tau.denominator
+    for u in range((1 << n) + 1):
+        assert minimize._least_gain(n, num, den, u) == least_gain_search(n, u, tau)
+
+
+def test_least_gains_are_cached_per_width_and_tau_on_demand():
+    tau = Fraction(5, 7)  # no other test searches at this tau
+    minimize._LEAST_GAINS.pop((8, 5, 7), None)
+    child = next(_golden_children())
+    minimize.max_weakness_cover(8, child.on, child.off(), tau=tau)
+    gains = minimize._LEAST_GAINS[8, 5, 7]
+    filled = [u for u, g in enumerate(gains) if g is not None]
+    assert len(gains) == 257 and 0 < len(filled) < 257
+    assert all(gains[u] == least_gain_search(8, u, tau) for u in filled)
 
 
 # (trial seed, weakness nodes, weakness cubes, mdl nodes, mdl cubes) as the
@@ -432,14 +491,14 @@ def test_exact_cover_hypothesis(target):
 
 def test_score_comparison_exactness():
     # log2(6)-1 == log2(3) exactly; the integer comparison must see a tie
-    assert minimize._score_cmp(6, 1, 3, 0, 1, 1) == 0
-    assert minimize._score_cmp(3, 0, 6, 1, 1, 1) == 0
-    assert minimize._score_cmp(7, 1, 3, 0, 1, 1) == 1
-    assert minimize._score_cmp(3, 0, 7, 1, 1, 1) == -1
+    assert score_cmp(6, 1, 3, 0, 1, 1) == 0
+    assert score_cmp(3, 0, 6, 1, 1, 1) == 0
+    assert score_cmp(7, 1, 3, 0, 1, 1) == 1
+    assert score_cmp(3, 0, 7, 1, 1, 1) == -1
     # tau = 3/2: u_a=8,k=2 scores 0; u_b=2,k=0 scores 1 -> b wins
-    assert minimize._score_cmp(2, 0, 8, 2, 3, 2) == 1
-    assert minimize._score_cmp(8, 2, 2, 0, 3, 2) == -1
+    assert score_cmp(2, 0, 8, 2, 3, 2) == 1
+    assert score_cmp(8, 2, 2, 0, 3, 2) == -1
     # an empty union scores -inf: below any nonempty one, tied with another
-    assert minimize._score_cmp(0, 0, 1, 5, 1, 1) == -1
-    assert minimize._score_cmp(1, 5, 0, 0, 1, 1) == 1
-    assert minimize._score_cmp(0, 0, 0, 3, 1, 1) == 0
+    assert score_cmp(0, 0, 1, 5, 1, 1) == -1
+    assert score_cmp(1, 5, 0, 0, 1, 1) == 1
+    assert score_cmp(0, 0, 0, 3, 1, 1) == 0
