@@ -5,28 +5,27 @@ sorted tuple of its predicate indices.  A language is a finite universe of
 statements, either derived (every satisfiable subset of the vocabulary) or
 explicit (a universe listed verbatim).  All counting is exact.
 
-Sets of members are bitmasks over statement positions (bit i is the i-th
-statement in global order).  A language keeps one mask per predicate, the
-positions of the members that contain it.  Both kinds of language read
-these masks from the same byte rows, one row of member bits per statement
-(``_column_masks``): a derived language packs the rows while it enumerates
-its statements, in the same pass that builds them and their position index;
-an explicit one packs them from its checked statements at construction,
-so every language is complete once built.  The extension of any statement
-of the vocabulary, member or not, is the AND of its predicates' masks, so
-weakness, models and probabilities are popcounts.  No mask is stored per
-statement: a derived language can hold thousands of statements, so
-extensions are computed on demand, and only ``Language.extension_masks``
-lists them all, for the oracle's tiny languages.
+A language is rows plus masks.  ``rows`` holds one member int per
+statement position, in global order (bit p set when predicate p is in the
+statement); ``_pred`` holds one position mask per predicate, the members
+that contain it, read from the rows packed as bytes (``_column_masks``).
+The extension of any statement of the vocabulary, member or not, is the AND
+of its predicates' masks, so weakness, models and probabilities are
+popcounts.  Global order puts a statement before all its proper supersets,
+so a member's position is the lowest set bit of its extension, and a
+statement is a member exactly when the row there is its own member int.
+``Statement`` objects are built only on demand: ``statements`` on first
+access, ``statements_of`` at the set bits of a mask.  A derived language
+can hold thousands of statements, of which a task reads a handful.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import total_ordering
-from itertools import repeat
-from typing import Iterable, Iterator
+from functools import cached_property, total_ordering
+from itertools import compress, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, MembershipError, VocabularyError
 
@@ -109,7 +108,7 @@ class Statement:
 
     The order (cardinality, then index tuple) is the global deterministic
     tie-break used everywhere downstream.  ``Statement(members)`` validates
-    its tuple; ``_statements`` builds them from tuples known to be valid.
+    its tuple; ``_statements`` builds them from member ints.
     """
 
     members: tuple[int, ...]
@@ -124,12 +123,8 @@ class Statement:
     def of(cls, indices: Iterable[int] = ()) -> "Statement":
         return cls(tuple(sorted(set(indices))))
 
-    @property
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (len(self.members), self.members)
-
     def __lt__(self, other: "Statement") -> bool:
-        return self.sort_key < other.sort_key
+        return (len(self.members), self.members) < (len(other.members), other.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -144,49 +139,58 @@ class Statement:
         return "{" + ",".join(map(str, self.members)) + "}"
 
 
-def _statements(tuples: tuple[tuple[int, ...], ...]) -> list[Statement]:
-    """Statements of tuples already sorted, duplicate-free and non-negative,
-    as ``derive`` generates them, without the checks of ``Statement(...)``
-    and with no Python frame per statement."""
+def row_members(h: int) -> tuple[int, ...]:
+    """The predicate indices of a member int, sorted: its set bits."""
+    return tuple(p for p in range(h.bit_length()) if h >> p & 1)
+
+
+def _statements(rows: Iterable[int]) -> tuple[Statement, ...]:
+    """Statements of member ints, with no Python frame per statement and
+    without the checks of ``Statement(...)``, which ``row_members`` meets."""
+    tuples = list(map(row_members, rows))
     out = list(map(object.__new__, repeat(Statement, len(tuples))))
     any(map(object.__setattr__, out, repeat("members"), tuples))  # each None
-    return out
+    return tuple(out)
 
 
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")  # base-2 digits to compress selectors
 # _BIT_COLUMN[b] maps a byte to ASCII '1' where its bit b is set, else '0'
 _BIT_COLUMN = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
 
 
-def _column_masks(rows: bytes, width: int, n_predicates: int) -> list[int]:
+def _column_masks(rows: Sequence[int], n_predicates: int) -> list[int]:
     """Per predicate p, the position mask whose bit i is bit p of row i.
 
-    ``rows`` holds one little-endian row of ``width`` bytes per position.
+    The rows are packed as one little-endian run of ``width`` bytes each.
     Predicate p's column is every ``width``-th byte from byte p >> 3; the
     translation to '0'/'1' by bit p & 7, reversed so that position 0 is the
     last digit, is the mask in base 2.
     """
     if not rows:
         return [0] * n_predicates
+    width = (n_predicates + 7) >> 3
+    packed = b"".join(map(int.to_bytes, rows, repeat(width), repeat("little")))
     return [
-        int(rows[p >> 3::width].translate(_BIT_COLUMN[p & 7])[::-1], 2)
+        int(packed[p >> 3::width].translate(_BIT_COLUMN[p & 7])[::-1], 2)
         for p in range(n_predicates)
     ]
 
 
 @dataclass(eq=False)
 class Language:
-    """Finite universe of statements over a vocabulary.
-
-    ``statements`` is always in the global order (size, then lexicographic on
-    indices).  Derived languages contain exactly the satisfiable subsets of
-    the vocabulary; explicit languages contain a listed universe.
+    """Finite universe of statements over a vocabulary, held as rows plus
+    masks: ``rows``, the member int of each position (bit p for predicate
+    p), and ``_pred``, the position mask of each predicate.  Positions follow
+    the global order (size, then lexicographic on indices), so a member's
+    position is the lowest bit of its extension.  Derived languages contain
+    exactly the satisfiable subsets of the vocabulary; explicit languages
+    contain a listed universe.  ``statements`` is built on first access.
     """
 
     space: StateSpace
     vocab: Vocabulary
     mode: str
-    statements: tuple[Statement, ...]
-    _index: dict[tuple[int, ...], int] = field(repr=False)
+    rows: tuple[int, ...]
     _pred: list[int] = field(repr=False)  # per predicate, the members holding it
 
     # -- construction ------------------------------------------------------
@@ -202,41 +206,30 @@ class Language:
 
         Subsets are generated in the global order.  Satisfiability is
         monotone downward, so each size level extends the previous one.
-        A node of a level is its index tuple, its satisfying states and its
-        member int (bit p for predicate p); one pass over the levels builds
-        the statements, their position index and one chunk of member rows
-        per level, from which the predicate masks are read.
+        A node of a level is its satisfying states and its member int; it
+        extends by the predicates above its highest one, read from a suffix
+        table of (truth, bit) pairs.  The member ints of the levels are the
+        rows, from which the predicate masks are read.
         Raises CapacityError as soon as more than ``cap`` statements exist.
         """
         if cap < 1:
             raise ValueError("cap must be >= 1")
         _check_vocab_space(space, vocab)
-        n = len(vocab)
-        width = (n + 7) >> 3  # bytes in one row of member bits
-        # the one-predicate extensions as (tuple, truth, bit)
-        ext = [((j,), p.truth, 1 << j) for j, p in enumerate(vocab)]
-        statements: list[Statement] = []
-        index: dict[tuple[int, ...], int] = {}
-        chunks: list[bytes] = []
-        level = [((), (1 << space.size) - 1, 0)] if space.size else []
+        pairs = [(p.truth, 1 << j) for j, p in enumerate(vocab)]
+        above = [tuple(pairs[k:]) for k in range(len(pairs) + 1)]  # predicates k and up
+        rows: list[int] = []
+        level = [((1 << space.size) - 1, 0)] if space.size else []
         while level:
-            start = len(statements)
-            if start + len(level) > cap:
+            if len(rows) + len(level) > cap:
                 raise CapacityError("derived language size", cap)
-            tuples, _, ints = zip(*level)
-            index.update(zip(tuples, range(start, start + len(level))))
-            statements += _statements(tuples)
-            chunks.append(
-                b"".join(map(int.to_bytes, ints, repeat(width), repeat("little")))
-            )
+            rows += [h for _, h in level]
             level = [
-                (t + jt, b, h | bit)
-                for t, sat, h in level
-                for jt, truth, bit in ext[h.bit_length():]
+                (b, h | bit)
+                for sat, h in level
+                for truth, bit in above[h.bit_length()]
                 if (b := sat & truth)
             ]
-        pred = _column_masks(b"".join(chunks), width, n)
-        return cls(space, vocab, DERIVED, tuple(statements), index, pred)
+        return cls(space, vocab, DERIVED, tuple(rows), _column_masks(rows, len(vocab)))
 
     @classmethod
     def explicit(
@@ -246,38 +239,55 @@ class Language:
         statements: Iterable[Statement],
     ) -> "Language":
         """Build a language from a verbatim statement universe; each
-        statement is checked before its row of member bits is packed."""
+        statement is checked before its row is packed."""
         _check_vocab_space(space, vocab)
         listed: dict[tuple[int, ...], Statement] = {}
         for s in statements:
             if s.members in listed:
                 raise ValueError(f"duplicate statement {s!r} in explicit universe")
             listed[s.members] = s
-        ordered = tuple(sorted(listed.values()))
+        ordered = sorted(listed.values())
         for s in ordered:
             if not _sat_set(space, vocab, s):
                 raise ValueError(f"explicit statement {s!r} is unsatisfiable")
-        width = (len(vocab) + 7) >> 3
-        ints = [sum(1 << p for p in s.members) for s in ordered]
-        rows = b"".join(map(int.to_bytes, ints, repeat(width), repeat("little")))
-        index = {s.members: i for i, s in enumerate(ordered)}
-        pred = _column_masks(rows, width, len(vocab))
-        return cls(space, vocab, EXPLICIT, ordered, index, pred)
+        rows = tuple(sum(1 << p for p in s.members) for s in ordered)
+        return cls(space, vocab, EXPLICIT, rows, _column_masks(rows, len(vocab)))
 
     # -- membership --------------------------------------------------------
 
     @property
     def size(self) -> int:
-        return len(self.statements)
+        return len(self.rows)
+
+    @cached_property
+    def statements(self) -> tuple[Statement, ...]:
+        """Every member, in global order."""
+        return _statements(self.rows)
+
+    def _member_extension(self, s: Statement) -> int:
+        """The extension mask of ``s`` if it is a member, else 0: a member's
+        extension holds it at the lowest bit, where the row is its int ``h``."""
+        pred, mask, h = self._pred, (1 << len(self.rows)) - 1, 0
+        for p in s.members:
+            if p >= len(pred):
+                return 0
+            mask &= pred[p]
+            h |= 1 << p
+        return mask if mask and self.rows[(mask & -mask).bit_length() - 1] == h else 0
 
     def __contains__(self, s: Statement) -> bool:
-        return s.members in self._index
+        return bool(self._member_extension(s))
+
+    def _checked_extension(self, s: Statement) -> int:
+        if mask := self._member_extension(s):
+            return mask
+        raise MembershipError(f"statement {s!r} is not in the language")
 
     def position(self, s: Statement) -> int:
-        try:
-            return self._index[s.members]
-        except KeyError:
-            raise MembershipError(f"statement {s!r} is not in the language") from None
+        """Index of the member ``s`` in global order: the lowest bit of its
+        extension."""
+        mask = self._checked_extension(s)
+        return (mask & -mask).bit_length() - 1
 
     # -- semantics ---------------------------------------------------------
 
@@ -322,31 +332,29 @@ class Language:
 
     def statements_of(self, mask: int) -> tuple[Statement, ...]:
         """Members at the set bits of a position mask, in global order."""
-        bits = bin(mask)[:1:-1]  # character i is bit i
-        return tuple(s for s, b in zip(self.statements, bits) if b == "1")
+        bits = bin(mask)[:1:-1].encode().translate(_SELECTORS)  # byte i is bit i
+        return _statements(compress(self.rows, bits))
 
     def extension(self, s: Statement) -> tuple[Statement, ...]:
         """All members containing the member statement ``s`` (itself included)."""
-        self.position(s)
-        return self.statements_of(self.extension_mask(s))
+        return self.statements_of(self._checked_extension(s))
 
     def weakness(self, s: Statement) -> int:
         """Cardinality of the extension of a member statement (exact)."""
-        self.position(s)
-        return self.extension_mask(s).bit_count()
+        return self._checked_extension(s).bit_count()
 
     def format_statement(self, s: Statement) -> str:
         return "{" + ",".join(self.vocab[i].name for i in s.members) + "}"
 
     def same_as(self, other: "Language") -> bool:
-        """Structural identity, ignoring the position index and masks."""
+        """Structural identity: same space, vocabulary, mode and rows."""
         return (
             self is other
             or (
                 self.space == other.space
                 and self.vocab == other.vocab
                 and self.mode == other.mode
-                and self.statements == other.statements
+                and self.rows == other.rows
             )
         )
 

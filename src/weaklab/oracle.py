@@ -38,6 +38,7 @@ from .lattice import (
     StateSpace,
     Statement,
     Vocabulary,
+    row_members,
 )
 from .tasks import VTask, make_task
 
@@ -172,9 +173,7 @@ def verify_weakness_optimality(
     """
     ext, reach, total_census = _census(lang, census_cap)
     tables = tuple(p.truth for p in lang.vocab)
-    universe = (
-        tuple(s.members for s in lang.statements) if lang.mode == EXPLICIT else None
-    )
+    universe = tuple(map(row_members, lang.rows)) if lang.mode == EXPLICIT else None
     rep = OptimalityReport(lang.space.size, tables, universe, total_census, 0, [], 0)
     n = lang.size
     weak = [e.bit_count() for e in ext]
@@ -197,9 +196,9 @@ def verify_weakness_optimality(
                     Violation(
                         tuple(s.members for s in lang.statements_of(task.situations)),
                         tuple(s.members for s in lang.statements_of(task.decisions)),
-                        lang.statements[h].members,
+                        row_members(lang.rows[h]),
                         count,
-                        lang.statements[best_h].members,
+                        row_members(lang.rows[best_h]),
                         best,
                     )
                 )
@@ -285,9 +284,7 @@ def divergence_fixture() -> DivergenceFixture:
     expected_models = tuple(sorted([singleton, pair]))
     got_models = task.models()
     if got_models != expected_models:
-        raise FixtureError(
-            f"model set {got_models} != expected {expected_models}"
-        )
+        raise FixtureError(f"model set {got_models} != expected {expected_models}")
     w_winner = induce(task, WEAKNESS)
     l_winner = induce(task, INVERSE_DESCRIPTION_LENGTH)
     if w_winner != pair:
@@ -299,14 +296,7 @@ def divergence_fixture() -> DivergenceFixture:
     weak = {pair: lang.weakness(pair), singleton: lang.weakness(singleton)}
     if weak[pair] != 5 or weak[singleton] != 3:
         raise FixtureError(f"weakness values {weak} != expected ({pair}:5, {singleton}:3)")
-    return DivergenceFixture(
-        lang=lang,
-        task=task,
-        models=expected_models,
-        weakness_winner=pair,
-        mdl_winner=singleton,
-        weakness_values=weak,
-    )
+    return DivergenceFixture(lang, task, expected_models, pair, singleton, weak)
 
 
 # ---------------------------------------------------------------------------

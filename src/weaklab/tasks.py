@@ -99,18 +99,19 @@ def make_task(
             raise MembershipError(
                 f"situation {s!r} is not a statement of the language's vocabulary"
             )
-    if all(s in lang for s in sit) and len(sit) == lang.size:
+    if len(sit) == lang.size and all(s in lang for s in sit):
         raise InvalidTaskError("situations must be a proper subset of the universe")
     reach = 0
     for s in sit:
         reach |= lang.extension_mask(s)
-    bad = [d for d in dec if d not in lang or not reach >> lang.position(d) & 1]
+    at = {d: lang.position(d) for d in dec if d in lang}
+    bad = [d for d in dec if d not in at or not reach >> at[d] & 1]
     if bad:
         listed = ", ".join(repr(d) for d in bad)
         raise InvalidTaskError(
             f"decisions not reachable from the situations: {listed}"
         )
-    decided = sum(1 << lang.position(d) for d in dec)
+    decided = sum(1 << at[d] for d in dec)
     return VTask(lang, sit, dec, reach, decided)
 
 
@@ -131,7 +132,8 @@ def attempt_task(task: VTask, h: Statement, s: Statement) -> Decision:
             f"hypothesis {h!r} admits no decision for situation {s!r}"
         )
     first = (joint & -joint).bit_length() - 1
-    return Decision(lang.statements[first], bool(task.decided >> first & 1))
+    (decision,) = lang.statements_of(1 << first)
+    return Decision(decision, bool(task.decided >> first & 1))
 
 
 def is_child(a: VTask, w: VTask) -> bool:

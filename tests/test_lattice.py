@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 
@@ -13,11 +14,14 @@ from weaklab import (
     Statement,
     Vocabulary,
     VocabularyError,
+    attempt_task,
     induce,
+    is_child,
     make_task,
+    oracle,
     specdsl,
 )
-from conftest import random_language
+from conftest import random_language, spec_path
 
 from _oracles import (
     naive_derived_statements,
@@ -371,3 +375,111 @@ def test_derived_statements_are_slotted_and_still_validated():
         Statement((1, 0))
     with pytest.raises(ValueError):
         Statement((-1,))
+
+
+# ---------------------------------------------------------------------------
+# membership and position without an index, against a naive dict
+
+
+def _check_positions(lang: Language, expected, probes):
+    """Membership, position, weakness and extension of every probe agree
+    with the naive {members: position} dict of the expected member list."""
+    naive = {m: i for i, m in enumerate(expected)}
+    assert lang.size == len(expected)
+    for s in map(Statement, probes):
+        assert (s in lang) == (s.members in naive), s
+        if s.members in naive:
+            assert lang.position(s) == naive[s.members]
+            assert lang.statements_of(1 << lang.position(s)) == (s,)
+        else:
+            for method in (lang.position, lang.weakness, lang.extension):
+                with pytest.raises(MembershipError):
+                    method(s)
+
+
+def _compile_add8():
+    with open(spec_path("add8.wl"), encoding="utf-8") as fh:
+        return specdsl.compile_text(fh.read())
+
+
+def _subsets(n):
+    """Every sorted index tuple over range(n)."""
+    return [m for k in range(n + 1) for m in itertools.combinations(range(n), k)]
+
+
+def test_positions_of_every_small_derived_language():
+    # every subset of the vocabulary plus one index past it: members,
+    # unsatisfiable subsets, the empty statement, out-of-range indices
+    for lang in oracle.all_derived_languages(3, 3):
+        tables = [p.truth for p in lang.vocab]
+        expected = naive_derived_statements(tables, lang.space.size)
+        _check_positions(lang, expected, _subsets(len(tables) + 1))
+
+
+def test_positions_of_add8():
+    lang = _compile_add8().language
+    n = len(lang.vocab)
+    expected = naive_derived_statements([p.truth for p in lang.vocab], lang.space.size)
+    rng = random.Random(15)
+    # members with one more index: other members, unsatisfiable statements
+    # (a bit and its negation) and indices past the vocabulary
+    extended = [tuple(sorted({*m, rng.randrange(n + 2)}))
+                for m in rng.sample(expected, 600)]
+    probes = expected + extended + [m for m in _subsets(n + 1) if len(m) <= 2]
+    _check_positions(lang, expected, probes)
+    assert "statements" not in lang.__dict__
+
+
+@pytest.mark.parametrize("listed", [
+    [(0, 1)],  # {0} and the empty statement unlisted, their superset listed
+    [(), (0, 1)],  # the empty statement listed, {0} and {1} not
+    [(1,), (0, 1), (0, 2)],
+    [(0,), (2,)],
+])
+def test_positions_of_explicit_languages_with_gaps(listed):
+    space = StateSpace(("s0", "s1", "s2"))
+    # {1, 2} and {0, 1, 2} are unsatisfiable
+    vocab = Vocabulary((Predicate("p0", 0b011), Predicate("p1", 0b001),
+                        Predicate("p2", 0b110)))
+    lang = Language.explicit(space, vocab, map(Statement, listed))
+    _check_positions(lang, sorted(listed, key=lambda m: (len(m), m)), _subsets(4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_positions_of_random_explicit_languages(rng):
+    derived = random_language(rng, max_states=4, max_vocab=4)
+    members = [s.members for s in derived.statements]
+    listed = sorted(rng.sample(members, rng.randint(0, len(members))),
+                    key=lambda m: (len(m), m))
+    lang = Language.explicit(derived.space, derived.vocab, map(Statement, listed))
+    _check_positions(lang, listed, _subsets(len(derived.vocab) + 1))
+
+
+def test_positions_of_languages_over_no_states():
+    space = StateSpace(())
+    vocab = Vocabulary((Predicate("p", 0),))
+    for lang in (Language.derive(space, Vocabulary(())), Language.derive(space, vocab),
+                 Language.explicit(space, vocab, [])):
+        _check_positions(lang, [], _subsets(2))
+        assert lang.statements == () and lang.statements_of(0) == ()
+
+
+def test_induce_on_add8_builds_no_statement_tuple():
+    # The 6,561-statement language of add8.wl is read through masks and the
+    # few statements a task needs, never as a whole tuple of Statements.
+    compiled = _compile_add8()
+    lang = compiled.language
+    child, parent = compiled.tasks["add_child"], compiled.tasks["add_parent"]
+    n3 = Statement.of([lang.vocab.index_of("n3")])
+    for proxy in ("weakness", "mdl"):
+        assert induce(child, proxy) == n3
+    models = [lang.format_statement(h) for h in child.models()]
+    assert models == ["{n3}", "{n0,n3}", "{n3,n4}", "{n3,n5}", "{n0,n3,n4}",
+                      "{n0,n3,n5}", "{n3,n4,n5}", "{n0,n3,n4,n5}"]
+    assert [lang.position(h) for h in child.models()] == [
+        8, 36, 98, 100, 266, 268, 528, 1088]
+    assert lang.weakness(n3) == 2187
+    assert attempt_task(child, n3, child.situations[0]).correct
+    assert is_child(child, parent)
+    assert "statements" not in lang.__dict__
