@@ -3,11 +3,11 @@
 States are integers whose bit j holds string position n-1-j (position 0 is
 the leftmost character).  A cube fixes a subset of positions; its extent is
 the set of matching states, packed as an int bitmask.  Primes are found
-bit-parallel: one state mask per care mask (2^n of them) marks the cubes
-with that care set that avoid OFF, each derived from a wider care mask by
-one shift-and-mask step, with up to eight care masks packed into one int.
-One cached table per OFF set lists the primes with their extents, literal
-counts and text ranks; every search reads it.
+bit-parallel on one int with a bit per cube, indexed by the cube's base-3
+id, whose order is the cubes' text order: validity and primality each take
+one shift-and-mask step per variable.  One cached table per OFF set lists
+the primes with their extents, literal counts and text ranks; every search
+reads it.
 
 One branch-and-bound engine serves both proxies.  It branches on the
 uncovered ON state with the fewest covering primes: child k takes that
@@ -88,144 +88,85 @@ _SET_N, _SET_CARE, _SET_VALUE = Cube.n.__set__, Cube.care.__set__, Cube.value.__
 
 
 @lru_cache(maxsize=None)
-def _bit_planes(n: int) -> tuple[tuple[int, int], ...]:
-    # plane[j] = (mask of states with bit j == 0, with bit j == 1)
-    planes = []
-    full = (1 << (1 << n)) - 1
-    for j in range(n):
-        ones = 0
-        for state in range(1 << n):
-            if state >> j & 1:
-                ones |= 1 << state
-        planes.append((full & ~ones, ones))
-    return tuple(planes)
-
-
-@lru_cache(maxsize=None)
-def _care_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # subsets[x] = mask of the states whose set bits all lie in x;
-    # weights[x] = x's binary digits read in base 3, so weights[care] +
-    # weights[value] orders cubes as Cube.text() does ('-' < '0' < '1')
+def _subsets(n: int) -> tuple[int, ...]:
+    # subsets[x] = mask of the states whose set bits all lie in x
     subsets = [1]
     for x in range(1, 1 << n):
         low = x & -x
         subsets.append(subsets[x ^ low] | subsets[x ^ low] << low)
-    return tuple(subsets), tuple(int(format(x, "b"), 3) for x in range(1 << n))
+    return tuple(subsets)
 
 
 def cube_extent(n: int, care: int, value: int) -> int:
     """Bitmask of the states matched by the cube (care, value): value plus
     each state whose set bits all lie outside ``care``."""
-    return _care_tables(n)[0][~care & (1 << n) - 1] << value
-
-
-# the prime kernel packs the 2^_PACKED care masks that differ only in
-# their top _PACKED bits into one int, so one step serves all of them
-_PACKED = 3
+    return _subsets(n)[~care & (1 << n) - 1] << value
 
 
 @lru_cache(maxsize=None)
-def _kernel_tables(n: int):
-    """Per-width tables of the prime kernel.
+def _id_tables(n: int):
+    """Per-width tables of the prime kernel, which keeps one bit per cube id.
 
-    The top h = min(n, _PACKED) bits of a care mask are its hi part, the
-    other n - h its lo part.  A packed int holds one block of 2^n state
-    bits per hi, block hi standing for the care mask (hi, lo).
+    A cube's id is sum_j d_j * 3^j, where d_j is 0, 1 or 2 as state bit j
+    is '-', '0' or '1' in it.  Position 0 is the top digit, so ids ascend in
+    Cube.text() order.  The tables hold:
 
-    * smear: per hi bit t, its state bit, and the (ones, zeros) planes of
-      that state bit in the blocks whose hi lacks t;
-    * steps: (lo, lo | b, b, ones, zeros) from the full lo down, b the
-      lowest bit outside lo, with b's planes in every block;
-    * drops[lo]: lo ^ b for each bit b of lo;
-    * widen: per hi bit t, the shift that moves block hi ^ t onto block
-      hi, and the blocks whose hi has t;
-    * subsets[lo]: block hi holds the states whose set bits all lie in
-      the care mask (hi, lo).
+    * states: the mask of the one-state cubes' ids, and singles, per state
+      the id of its own;
+    * steps: per bit j, 3^j, 2 * 3^j and the ids whose digit j is 0, a
+      block of 3^j ones repeated every 3^(j+1) bits;
+    * cubes: the cube of each id.
     """
-    h = min(n, _PACKED)
-    low_bits = n - h
-    width = 1 << n  # bits per block
-    block = (1 << width) - 1
-    every = sum(1 << width * hi for hi in range(1 << h))
-    planes = _bit_planes(n)
-
-    def blocks(t, has):
-        return sum(block << width * hi for hi in range(1 << h) if (hi >> t & 1) == has)
-
-    smear = []
-    for t in range(h):
-        zeros, ones = planes[low_bits + t]
-        lacking = blocks(t, 0)
-        smear.append(
-            (1 << low_bits + t, ones * every & lacking, zeros * every & lacking)
-        )
-    lo_all = (1 << low_bits) - 1
+    size = 3**n
+    every = (1 << size) - 1
     steps = []
-    for lo in range(lo_all - 1, -1, -1):
-        free = ~lo & lo_all
-        b = free & -free
-        zeros, ones = planes[b.bit_length() - 1]
-        steps.append((lo, lo | b, b, ones * every, zeros * every))
-    drops = [
-        tuple(lo ^ 1 << j for j in range(low_bits) if lo >> j & 1)
-        for lo in range(lo_all + 1)
-    ]
-    widen = [(width << t, blocks(t, 1)) for t in range(h)]
-    care_subsets = _care_tables(n)[0]
-    subsets = [
-        sum(care_subsets[hi << low_bits | lo] << width * hi for hi in range(1 << h))
-        for lo in range(lo_all + 1)
-    ]
-    return (
-        h, every, tuple(smear), tuple(steps), tuple(drops), tuple(widen), tuple(subsets)
-    )
+    care, value, single = [0], [0], [0]  # by id, over the bits below j
+    for j in range(n):
+        p, b = 3**j, 1 << j
+        steps.append((p, 2 * p, every // ((1 << 3 * p) - 1) * ((1 << p) - 1)))
+        fixed = [c | b for c in care]
+        care, value = care + fixed + fixed, value + value + [v | b for v in value]
+        single += [s + p for s in single]
+    # each value lies within its care mask by construction, so the cubes
+    # are built without Cube's check and with no Python frame per cube
+    cubes = list(map(object.__new__, repeat(Cube, size)))
+    any(map(_SET_N, cubes, repeat(n)))  # each None
+    any(map(_SET_CARE, cubes, care))
+    any(map(_SET_VALUE, cubes, value))
+    singles = [size // 2 + s for s in single]  # size // 2 is the all-'0' id
+    states = sum(map((1).__lshift__, singles))
+    return states, tuple(singles), tuple(steps), tuple(cubes)
 
 
 def prime_cubes(n: int, off: int) -> tuple[Cube, ...]:
     """Maximal cubes whose extent avoids ``off``, in Cube.text() order.
 
-    valid[c] holds the states s whose cube (c, s & c) avoids ``off``; the
-    list below packs it by lo part (see _kernel_tables).  Where c holds
-    every lo bit, valid[c] is the complement of ``off`` spread over the hi
-    bits c lacks.  From there down, c drops one lo bit b at a time: s stays
-    valid when both s and s with bit b flipped were.  A cube is prime when
-    no single care bit, lo or hi, can be dropped.
+    ``valid`` holds the ids of the cubes that avoid ``off`` (see _id_tables).
+    It starts as the one-state cubes outside ``off``; then, bit by bit, a
+    cube with a '-' at bit j is valid when both its halves, '0' and '1' at
+    j, are.  A valid cube is prime unless some '-' widens it: the shifts
+    of the valid cubes with a '-' at j onto their halves mark them.
     """
-    h, every, smear, steps, drops, widen, subsets = _kernel_tables(n)
-    low_bits = n - h
-    spread = off * every
-    for bit, ones, zeros in smear:
-        spread |= (spread & ones) >> bit | (spread & zeros) << bit
-    valid = [0] * (1 << low_bits)
-    valid[-1] = (1 << (1 << n + h)) - 1 & ~spread
-    for lo, wider_lo, bit, ones, zeros in steps:
-        wider = valid[wider_lo]
-        valid[lo] = wider & ((wider & ones) >> bit | (wider & zeros) << bit)
-    state_mask = (1 << n) - 1
-    weights = _care_tables(n)[1]
-    found = []
-    for lo, (here, narrower_los, subset) in enumerate(zip(valid, drops, subsets)):
-        primes = here & subset
-        for narrower in narrower_los:
-            if not primes:
-                break
-            primes &= ~valid[narrower]
-        for shift, having in widen:
-            primes &= ~(here << shift & having)
-        while primes:
-            k = primes.bit_length() - 1
-            primes ^= 1 << k
-            care, value = k >> n << low_bits | lo, k & state_mask
-            # the text weight orders the cubes and is unique to each
-            found.append((weights[care] + weights[value]) << 2 * n | care << n | value)
-    found.sort()
-    # each value lies within its care mask by construction, so the cubes
-    # are built without Cube's check and with no Python frame per cube
-    cubes = list(map(object.__new__, repeat(Cube, len(found))))
-    any(map(_SET_N, cubes, repeat(n)))  # each None
-    any(map(_SET_CARE, cubes, [key >> n & state_mask for key in found]))
-    any(map(_SET_VALUE, cubes, [key & state_mask for key in found]))
-    return tuple(cubes)
+    valid, singles, steps, cubes = _id_tables(n)
+    while off:
+        state = off & -off
+        valid ^= 1 << singles[state.bit_length() - 1]
+        off ^= state
+    for low, high, dash in steps:
+        valid |= valid >> low & valid >> high & dash
+    wider = 0
+    for low, high, dash in steps:
+        halved = valid & dash  # raised by 3^j or 2 * 3^j, a '-' digit turns
+        wider |= halved << low | halved << high  # into '0' or '1', no carry
+    # a half of a valid cube is valid, so the primes are valid ^ wider; read
+    # from the right, their binary digits give them in ascending ids
+    primes = bin(valid ^ wider)
+    top = len(primes) - 1  # the index of id 0
+    ids, k = [], primes.rfind("1")
+    while k >= 0:
+        ids.append(top - k)
+        k = primes.rfind("1", 0, k)
+    return tuple(map(cubes.__getitem__, ids))
 
 
 # both sides of a trial ask for its child's table; other trials rarely
@@ -240,7 +181,8 @@ def _prime_table(n: int, off: int):
     lits = [p.care.bit_count() for p in primes]
     ranks = tuple(sorted(range(len(primes)), key=lits.__getitem__))
     cubes = tuple(map(primes.__getitem__, ranks))
-    extents = tuple(cube_extent(n, p.care, p.value) for p in cubes)
+    subsets, full = _subsets(n), (1 << n) - 1  # as cube_extent, without a call per cube
+    extents = tuple(subsets[full ^ p.care] << p.value for p in cubes)
     return cubes, extents, tuple(map(lits.__getitem__, ranks)), ranks
 
 

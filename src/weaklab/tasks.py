@@ -73,8 +73,7 @@ class VTask:
         return self._models
 
     def is_model(self, h: Statement) -> bool:
-        self.lang.position(h)
-        return self.reach & self.lang.extension_mask(h) == self.decided
+        return self.reach & self.lang._checked_extension(h) == self.decided
 
 
 def make_task(
@@ -104,14 +103,15 @@ def make_task(
     reach = 0
     for s in sit:
         reach |= lang.extension_mask(s)
-    at = {d: lang.position(d) for d in dec if d in lang}
-    bad = [d for d in dec if d not in at or not reach >> at[d] & 1]
+    # the bit of each decision's position, 0 for a non-member
+    bits = [(ext := lang._member_extension(d)) & -ext for d in dec]
+    bad = [d for d, bit in zip(dec, bits) if not reach & bit]
     if bad:
         listed = ", ".join(repr(d) for d in bad)
         raise InvalidTaskError(
             f"decisions not reachable from the situations: {listed}"
         )
-    decided = sum(1 << at[d] for d in dec)
+    decided = sum(bits)
     return VTask(lang, sit, dec, reach, decided)
 
 
@@ -125,8 +125,7 @@ def attempt_task(task: VTask, h: Statement, s: Statement) -> Decision:
     if s not in task.situations:
         raise TaskPreconditionError(f"{s!r} is not a situation of this task")
     lang = task.lang
-    lang.position(h)
-    joint = lang.extension_mask(s) & lang.extension_mask(h)
+    joint = lang._checked_extension(h) & lang.extension_mask(s)
     if not joint:
         raise NoDecisionError(
             f"hypothesis {h!r} admits no decision for situation {s!r}"

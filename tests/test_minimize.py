@@ -53,11 +53,50 @@ def test_prime_cubes_match_naive_expansion(n_off):
     assert _prime_triples(n, off) == naive_prime_cubes(n, off)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(7))
 def test_prime_cubes_of_empty_and_full_off_sets(n):
     full = (1 << (1 << n)) - 1
     assert _prime_triples(n, 0) == naive_prime_cubes(n, 0) == [(0, 0, full)]
     assert _prime_triples(n, full) == naive_prime_cubes(n, full) == []
+
+
+def test_prime_cubes_match_naive_expansion_at_width_6():
+    # sparse to dense OFF sets one width past the property test
+    rng = random.Random(6)
+    for density in (0.05, 0.3, 0.7, 0.95):
+        for _ in range(3):
+            off = sum(1 << s for s in range(64) if rng.random() < density)
+            assert _prime_triples(6, off) == naive_prime_cubes(6, off)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_cube_ids_ascend_in_text_order(n):
+    # the kernel's cube of id i has base-3 digits '-' 0, '0' 1, '1' 2, the
+    # leftmost position the top digit, so id order is text order
+    cubes = minimize._id_tables(n)[-1]
+    texts = [naive_cube_text(n, c.care, c.value) for c in cubes]
+    assert len(set(texts)) == len(texts) == 3**n
+    assert texts == sorted(texts)
+    for i, text in enumerate(texts):
+        assert int(text.translate(str.maketrans("-01", "012")) or "0", 3) == i
+
+
+def test_prime_table_orders_by_literal_count_then_text():
+    rng = random.Random(53)
+    cases = [(4, rng.randrange(1 << 16)) for _ in range(30)]
+    for k in range(10):
+        task = arith.gen_parent_task(("add", "mul")[k % 2], rng.randrange(8))
+        cases.append((8, arith.sample_child(task, rng.randint(1, 16), seed=k).off()))
+    for n, off in cases:
+        primes, extents, lits, ranks = minimize._prime_table(n, off)
+        keys = [(p.literal_count, p.text()) for p in primes]
+        assert keys == sorted(keys)
+        assert lits == tuple(p.literal_count for p in primes)
+        assert extents == tuple(
+            minimize.cube_extent(n, p.care, p.value) for p in primes
+        )
+        by_rank = sorted(range(len(primes)), key=ranks.__getitem__)
+        assert tuple(primes[i] for i in by_rank) == minimize.prime_cubes(n, off)
 
 
 def test_prime_cubes_match_naive_expansion_on_trial_off_sets(cubes8):
