@@ -3,9 +3,9 @@
 Enumerates the full task census of a language (every nonempty proper
 situation set with every nonempty reachable decision set) and checks, for
 every task with models, that the weakest models are never beaten on the
-count of census parents they generalise to.  ``census_tasks`` yields one
-record per task, counted by one superset-sum (zeta) transform per language,
-O(n·2^n) for n members, not by a 3^n walk over situation supersets.
+count of census parents they generalise to.  The census is swept one
+situation set at a time after one superset-sum (zeta) transform, O(n·2^n)
+for n members; a task with one model takes only the deviation test.
 ``verify_weakness_optimality`` returns one record per language: state count
 and truth tables (which rebuild a derived language), the listed universe of
 an explicit language, census size, tasks checked, violations, and a count of
@@ -100,21 +100,31 @@ class CensusTask:
 def census_tasks(
     lang: Language, census_cap: int = DEFAULT_CENSUS_CAP
 ) -> Iterator[CensusTask]:
-    """Every census task with models, with its parent counts; raises
-    CapacityError at the call, not at the first ``next``.
+    """Every census task with models and its parent counts, situation masks up, then
+    decision sets by first model; raises CapacityError at the call, not at ``next``.
 
-    A parent of (S, D) has a situation set T ⊋ S short of the full mask and
-    decisions D ⊆ D' ⊆ Z_T, so ``total_parents`` sums 2^(|Z_T| - |D|) over
-    those T.  The superset sums g[m] of 2^|Z_T| over T ⊇ m short of full,
-    n passes of 2^n additions, give it as (g[S] - 2^|Z_S|) >> |D|.  A model
-    h is a model of the one parent with D' = Z_T ∩ Z_h per T (D ⊆ Z_S ⊆ Z_T
-    and D ⊆ Z_h), so each ``parent_counts`` entry is 2^(n-|S|) - 2.
+    A parent of (S, D) has a situation set T ⊋ S short of the full mask and decisions
+    D ⊆ D' ⊆ Z_T, so ``total_parents`` sums 2^(|Z_T| - |D|) over those T.  The
+    superset sums g[m] of 2^|Z_T| over T ⊇ m short of full, n passes of 2^n
+    additions, give it as (g[S] - 2^|Z_S|) >> |D|.  A model h is a model of the one
+    parent with D' = Z_T ∩ Z_h per T (D ⊆ Z_S ⊆ Z_T and D ⊆ Z_h), so each
+    ``parent_counts`` entry is 2^(n-|S|) - 2; the one model of a one-model task has
+    the best count, so the check tests such a task for deviation only.
     """
     ext, reach, _ = _census(lang, census_cap)
     return _census_tasks(ext, reach)
 
 
 def _census_tasks(ext: list[int], reach: list[int]) -> Iterator[CensusTask]:
+    for s_mask, _, sets, above, groups, multi in _census_by_situations(ext, reach):
+        for d, models in groups.items():
+            counts = multi.get(d, (sets,))
+            yield CensusTask(s_mask, d, tuple(models), counts, above >> d.bit_count())
+
+
+def _census_by_situations(ext: list[int], reach: list[int]) -> Iterator[tuple]:
+    """Per situation mask S: S, Z_S, its parent count 2^(n-|S|) - 2, the sum
+    above S, {D: models} by first model, {D: parent counts} if 2+ models."""
     n = len(ext)
     full = (1 << n) - 1
     # g[m]: sum of 2^|reach[T]| over the masks T ⊇ m short of full
@@ -126,16 +136,16 @@ def _census_tasks(ext: list[int], reach: list[int]) -> Iterator[CensusTask]:
                 g[m] += g[m | bit]
     for s_mask in range(1, full):
         zs = reach[s_mask]
-        groups: dict[int, list[int]] = {}
-        for h in range(n):
-            d = zs & ext[h]
-            if d:
-                groups.setdefault(d, []).append(h)
         count = (1 << (n - s_mask.bit_count())) - 2  # parent situation sets
-        above = g[s_mask] - (1 << zs.bit_count())
-        for d, models in groups.items():
-            counts = (count,) * len(models)
-            yield CensusTask(s_mask, d, tuple(models), counts, above >> d.bit_count())
+        groups: dict[int, list[int]] = {}
+        multi: dict[int, tuple[int, ...]] = {}
+        for h, e in enumerate(ext):
+            if (d := zs & e) in groups:
+                groups[d].append(h)
+                multi[d] = (count,) * len(groups[d])
+            elif d:
+                groups[d] = [h]
+        yield s_mask, zs, count, g[s_mask] - (1 << zs.bit_count()), groups, multi
 
 
 @dataclass(frozen=True)
@@ -177,31 +187,37 @@ def verify_weakness_optimality(
     rep = OptimalityReport(lang.space.size, tables, universe, total_census, 0, [], 0)
     n = lang.size
     weak = [e.bit_count() for e in ext]
-    for task in _census_tasks(ext, reach):
-        rep.tasks_checked += 1
-        zs = reach[task.situations]
+    tasks = deviations = 0
+    for s_mask, zs, sets, above, groups, multi in _census_by_situations(ext, reach):
+        tasks += len(groups)
         outside = n - zs.bit_count()
-        total = task.total_parents
-        counts = task.parent_counts
-        w_max = max([weak[h] for h in task.models])
-        best = max(counts)
-        for h, count in zip(task.models, counts):
-            # count / total != 2^a / 2^outside, in integers; a task without
-            # parents has count = total = 0, so it never counts
-            if count << outside != total << (ext[h] & ~zs).bit_count():
-                rep.deviation_count += 1
-            if count < best and weak[h] == w_max:
-                best_h = task.models[counts.index(best)]
-                rep.violations.append(
-                    Violation(
-                        tuple(s.members for s in lang.statements_of(task.situations)),
-                        tuple(s.members for s in lang.statements_of(task.decisions)),
-                        row_members(lang.rows[h]),
-                        count,
-                        row_members(lang.rows[best_h]),
-                        best,
+        left = sets << outside
+        for d, models in groups.items():
+            total = above >> d.bit_count()
+            # count / total != 2^a / 2^outside, a = |ext[h] \ Z_S| = weak[h] - |D|;
+            # a task without parents has count = total = 0 and never counts
+            if len(models) == 1:
+                deviations += left != total << (weak[models[0]] - d.bit_count())
+                continue
+            counts = multi[d]
+            w_max = max([weak[h] for h in models])
+            best = max(counts)
+            for h, count in zip(models, counts):
+                if count << outside != total << (weak[h] - d.bit_count()):
+                    deviations += 1
+                if count < best and weak[h] == w_max:
+                    best_h = models[counts.index(best)]
+                    rep.violations.append(
+                        Violation(
+                            tuple(s.members for s in lang.statements_of(s_mask)),
+                            tuple(s.members for s in lang.statements_of(d)),
+                            row_members(lang.rows[h]),
+                            count,
+                            row_members(lang.rows[best_h]),
+                            best,
+                        )
                     )
-                )
+    rep.tasks_checked, rep.deviation_count = tasks, deviations
     return rep
 
 

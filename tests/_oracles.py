@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from weaklab import CapacityError, Language, Statement, VTask, make_task
-from weaklab.oracle import CensusTask
+from weaklab import CapacityError, Language, Statement, VTask, make_task, oracle
+from weaklab.lattice import EXPLICIT, row_members
+from weaklab.oracle import CensusTask, OptimalityReport, Violation
 from weaklab.specdsl import And, BitRef, Not
 
 
@@ -186,6 +187,53 @@ def walk_census_tasks(lang: Language) -> Iterator[CensusTask]:
                             counts[pos] += 1
                 t = (t - 1) & comp
             yield CensusTask(s_mask, d_mask, tuple(model_idx), tuple(counts), total)
+
+
+def per_task_optimality(
+    lang: Language, census_cap: float = oracle.DEFAULT_CENSUS_CAP
+) -> OptimalityReport:
+    """The weakness-optimality check one ``census_tasks`` record at a time:
+    every model of every task takes the deviation test, and every task takes
+    the violation test, whatever its number of models."""
+    records = oracle.census_tasks(lang, census_cap)
+    ext = lang.extension_masks()
+    n = len(ext)
+    reach = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | ext[low.bit_length() - 1]
+    tables = tuple(p.truth for p in lang.vocab)
+    universe = tuple(map(row_members, lang.rows)) if lang.mode == EXPLICIT else None
+    rep = OptimalityReport(
+        lang.space.size, tables, universe, oracle.census_size(lang, census_cap), 0, [], 0
+    )
+    weak = [e.bit_count() for e in ext]
+    for task in records:
+        rep.tasks_checked += 1
+        zs = reach[task.situations]
+        outside = n - zs.bit_count()
+        total = task.total_parents
+        counts = task.parent_counts
+        w_max = max([weak[h] for h in task.models])
+        best = max(counts)
+        for h, count in zip(task.models, counts):
+            # count / total != 2^a / 2^outside, in integers; a task without
+            # parents has count = total = 0, so it never counts
+            if count << outside != total << (ext[h] & ~zs).bit_count():
+                rep.deviation_count += 1
+            if count < best and weak[h] == w_max:
+                best_h = task.models[counts.index(best)]
+                rep.violations.append(
+                    Violation(
+                        tuple(s.members for s in lang.statements_of(task.situations)),
+                        tuple(s.members for s in lang.statements_of(task.decisions)),
+                        row_members(lang.rows[h]),
+                        count,
+                        row_members(lang.rows[best_h]),
+                        best,
+                    )
+                )
+    return rep
 
 
 # ---------------------------------------------------------------------------

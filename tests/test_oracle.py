@@ -1,12 +1,27 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from weaklab import CapacityError, Statement, StateSpace, Vocabulary, make_task, oracle
+from weaklab import (
+    CapacityError,
+    Predicate,
+    Statement,
+    StateSpace,
+    Vocabulary,
+    make_task,
+    oracle,
+)
 from weaklab.induction import generalisation_probability
 from conftest import random_language
-from _oracles import enumerate_tasks, naive_census_count, naive_extension, walk_census_tasks
+from _oracles import (
+    enumerate_tasks,
+    naive_census_count,
+    naive_extension,
+    per_task_optimality,
+    walk_census_tasks,
+)
 
 
 def S(*idx):
@@ -170,6 +185,61 @@ def test_census_tasks_match_superset_walk(tiny, fx):
     assert len(langs) == 4 + 112 + 50
     for lang in langs:
         assert list(oracle.census_tasks(lang)) == list(walk_census_tasks(lang))
+
+
+def test_sweep_matches_per_task_reference(tiny, fx):
+    # the per-situation sweep against the per-task check over the census
+    # records, report for report: the default cap's languages of at most 3
+    # states and 4 predicates, the 4-state samples of `verify --max-vocab 4`,
+    # the fixtures, and 12- and 14-member 4-state languages without a cap
+    langs = [
+        tiny,
+        fx.lang,
+        *oracle.all_derived_languages(3, 4),
+        *oracle.sample_derived_languages(4, 50, seed="weaklab-verify", max_vocab=5),
+    ]
+    checked = 0
+    for lang in langs:
+        try:
+            expected = per_task_optimality(lang)
+        except CapacityError:
+            with pytest.raises(CapacityError):
+                oracle.verify_weakness_optimality(lang)
+            continue
+        assert oracle.verify_weakness_optimality(lang) == expected
+        checked += 1
+    assert checked == 2 + 167 + 50
+    space = StateSpace(tuple(f"s{i}" for i in range(4)))
+    for tables, size in (((1, 2, 3, 7), 12), ((3, 5, 6, 7), 14)):
+        vocab = Vocabulary(tuple(Predicate(f"p{i}", t) for i, t in enumerate(tables)))
+        lang = oracle.Language.derive(space, vocab)
+        assert lang.size == size
+        expected = per_task_optimality(lang, math.inf)
+        assert oracle.verify_weakness_optimality(lang, math.inf) == expected
+
+
+def test_verify_reports_violation_in_loop(tiny, monkeypatch):
+    # every model of a census task has the same parent count, so lower the
+    # weakness-maximal model's count in one two-model task of the sweep:
+    # S = D = {{p}}, whose models are {} (weakness 3) and {p} (weakness 1)
+    p = 1 << tiny.position(S(0))
+    empty, only_p = tiny.position(S()), tiny.position(S(0))
+    sweep = oracle._census_by_situations
+
+    def tampered(ext, reach):
+        for s_mask, zs, count, above, groups, multi in sweep(ext, reach):
+            if s_mask == p:
+                assert groups[p] == [empty, only_p] and multi[p] == (count, count)
+                multi = {**multi, p: (count - 1, count)}
+            yield s_mask, zs, count, above, groups, multi
+
+    monkeypatch.setattr(oracle, "_census_by_situations", tampered)
+    rep = oracle.verify_weakness_optimality(tiny)
+    (v,) = rep.violations
+    assert v.situations == tuple(s.members for s in tiny.statements_of(p))
+    assert v.decisions == tuple(s.members for s in tiny.statements_of(p))
+    assert (v.weak_model, v.weak_count, v.best_model, v.best_count) == ((), 1, (0,), 2)
+    assert per_task_optimality(tiny) == rep
 
 
 def test_exhaustive_small_sweep_clean():
