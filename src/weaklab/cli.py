@@ -8,11 +8,11 @@ not: ``--max-states 0 --max-vocab 0`` checks 0 languages and 1520 tasks.
 
 Exit codes: 0 success; 1 verification violation or empty model set;
 2 flagged trials present (results still written); 64 usage, including a
-negative --tau, an empty --dk, a --trials, --budget, --cap, --census-cap
-or --samples-at below 1 and a negative --max-states, --max-vocab or
---samples; 65 spec file errors, including a file that is not UTF-8; 74 I/O
-failure; 75 capacity overflow, including a --census-cap too small for the
-fixture language.
+negative --tau or one whose numerator or denominator in lowest terms exceeds
+64, an empty --dk, a --trials, --budget, --cap, --census-cap or --samples-at
+below 1 and a negative --max-states, --max-vocab or --samples; 65 spec file
+errors, including a file that is not UTF-8; 74 I/O failure; 75 capacity
+overflow, including a --census-cap too small for the fixture language.
 """
 
 from __future__ import annotations
@@ -93,6 +93,9 @@ def _parse_tau(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
     if tau < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
+    # the exact weakness score u**den << num*(m-k) grows with both terms
+    if max(tau.numerator, tau.denominator) > 64:
+        raise argparse.ArgumentTypeError(f"numerator or denominator above 64: {text!r}")
     return tau
 
 
@@ -126,7 +129,8 @@ def build_parser() -> _Parser:
     ex.add_argument("--mode", choices=[arith.MODE_STATE, arith.MODE_PENALIZED],
                     default=arith.MODE_PENALIZED)
     ex.add_argument("--tau", type=_parse_tau, default=Fraction(1),
-                    help="weakness term penalty (rational, default 1)")
+                    help="weakness term penalty, a rational whose numerator and "
+                    "denominator in lowest terms are at most 64 (default 1)")
     ex.add_argument("--budget", type=_positive_int, default=None,
                     help="search node budget per cover")
     ex.add_argument("--width", type=int, default=8, choices=[4, 8])

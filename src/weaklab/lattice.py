@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, total_ordering
+from functools import cached_property, reduce, total_ordering
 from itertools import compress, repeat
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, MembershipError, VocabularyError
@@ -108,7 +109,7 @@ class Statement:
 
     The order (cardinality, then index tuple) is the global deterministic
     tie-break used everywhere downstream.  ``Statement(members)`` validates
-    its tuple; ``_statements`` builds them from member ints.
+    its tuple.
     """
 
     members: tuple[int, ...]
@@ -142,15 +143,6 @@ class Statement:
 def row_members(h: int) -> tuple[int, ...]:
     """The predicate indices of a member int, sorted: its set bits."""
     return tuple(p for p in range(h.bit_length()) if h >> p & 1)
-
-
-def _statements(rows: Iterable[int]) -> tuple[Statement, ...]:
-    """Statements of member ints, with no Python frame per statement and
-    without the checks of ``Statement(...)``, which ``row_members`` meets."""
-    tuples = list(map(row_members, rows))
-    out = list(map(object.__new__, repeat(Statement, len(tuples))))
-    any(map(object.__setattr__, out, repeat("members"), tuples))  # each None
-    return tuple(out)
 
 
 _SELECTORS = bytes.maketrans(b"01", b"\0\1")  # base-2 digits to compress selectors
@@ -262,7 +254,7 @@ class Language:
     @cached_property
     def statements(self) -> tuple[Statement, ...]:
         """Every member, in global order."""
-        return _statements(self.rows)
+        return tuple(map(Statement, map(row_members, self.rows)))
 
     def _member_extension(self, s: Statement) -> int:
         """The extension mask of ``s`` if it is a member, else 0: a member's
@@ -325,15 +317,16 @@ class Language:
         return mask
 
     def extension_masks(self) -> list[int]:
-        """Per statement position i, the extension mask of statement i.
-        Built afresh on each call, one mask per statement, so it is meant
-        for small languages only; big ones compute masks on demand."""
-        return [self.extension_mask(s) for s in self.statements]
+        """Per statement position i, the extension mask of statement i: the
+        AND of the masks of the predicates of row i.  Built afresh on each
+        call, with no ``Statement``."""
+        pred, full = self._pred, (1 << self.size) - 1
+        return [reduce(and_, map(pred.__getitem__, row_members(h)), full) for h in self.rows]
 
     def statements_of(self, mask: int) -> tuple[Statement, ...]:
         """Members at the set bits of a position mask, in global order."""
         bits = bin(mask)[:1:-1].encode().translate(_SELECTORS)  # byte i is bit i
-        return _statements(compress(self.rows, bits))
+        return tuple(map(Statement, map(row_members, compress(self.rows, bits))))
 
     def extension(self, s: Statement) -> tuple[Statement, ...]:
         """All members containing the member statement ``s`` (itself included)."""

@@ -30,7 +30,7 @@ _FLAGS = {
         "--trials": (["1", "2"], ["0", "-1", "x"]),
         "--seed": _SEED,
         "--mode": (["state", "penalized"], ["x"]),
-        "--tau": (["1", "1/2", "0", "3/2"], ["-1", "1/0", "x"]),
+        "--tau": (["1", "1/2", "0", "3/2"], ["-1", "1/0", "x", "1/1000000000"]),
         "--budget": (["1", "3", "1000"], ["0", "-5", "x"]),
         "--width": (["4", "8"], ["5", "x"]),
         "--out": _OUT,

@@ -14,7 +14,7 @@ import io
 import random
 from pathlib import Path
 
-from weaklab import arith, cli, minimize
+from weaklab import arith, cli
 from conftest import spec_path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -44,10 +44,10 @@ def test_benchmark_names_exist(monkeypatch):
 
 
 def test_traced_experiment_reaches_the_wrapped_minimize_names(monkeypatch):
-    # the benchmark clears only minimize._prime_table between an untraced
-    # and a traced run of the same trials; the traced run must still reach
-    # prime_cubes and both searches through the names it wraps, or a table
-    # or cache refactor that bypasses them zeroes the per-layer metrics
+    # the benchmark runs the same trials untraced, then traced, in one
+    # process and clears no cache between them; the traced run must still
+    # reach prime_cubes and both searches through the names it wraps, or a
+    # table or cache refactor that bypasses them zeroes the per-layer metrics
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     worker = importlib.import_module("worker")
@@ -56,7 +56,6 @@ def test_traced_experiment_reaches_the_wrapped_minimize_names(monkeypatch):
         return arith.run_experiment(["add", "mul"], [6], trials=2, master_seed="contract")
 
     run()
-    minimize._prime_table.cache_clear()
     tracer = tracing.Tracer()
     try:
         worker.install_tracing(tracer)

@@ -149,6 +149,10 @@ _DEEP_SPECS = {
     "argv, code",
     [
         (["experiment", "--tau", "-1", "--trials", "1"], 64),
+        # the exact scores grow with tau's terms: 1/65 and 65 are refused
+        (["experiment", "--tau", "1/65", "--trials", "1"], 64),
+        (["experiment", "--tau", "130/2", "--trials", "1"], 64),
+        (["experiment", "--tau", "1/64", "--trials", "1", "--dk", "1", "--width", "4"], 0),
         (["experiment", "--budget", "-5", "--trials", "1"], 64),
         (["experiment", "--dk", ",", "--trials", "1"], 64),
         (["induce", "--spec", "{tiny}", "--task", "t1", "--cap", "0"], 64),

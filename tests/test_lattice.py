@@ -465,6 +465,43 @@ def test_positions_of_languages_over_no_states():
         assert lang.statements == () and lang.statements_of(0) == ()
 
 
+def _check_extension_masks(lang: Language):
+    """Bit j of extension_masks()[i] is set exactly when member j contains
+    member i, as set-based extensions of the member list say."""
+    universe = [frozenset(s.members) for s in lang.statements]
+    masks = lang.extension_masks()
+    assert len(masks) == len(universe)
+    for mask, s in zip(masks, universe):
+        assert mask >> len(universe) == 0
+        got = {t for j, t in enumerate(universe) if mask >> j & 1}
+        assert got == naive_extension(universe, s)
+
+
+def test_extension_masks_match_naive_route(tiny, fx):
+    langs = list(oracle.all_derived_languages(3, 3))
+    assert len(langs) == 112
+    langs += [tiny, fx.lang]
+    space = StateSpace(("s0", "s1", "s2"))
+    vocab = Vocabulary((Predicate("p0", 0b011), Predicate("p1", 0b001),
+                        Predicate("p2", 0b110)))
+    # {0} and the empty statement unlisted, only their superset {0, 1}
+    langs.append(Language.explicit(space, vocab, [S(0, 1), S(2), S(1)]))
+    none = StateSpace(())
+    langs += [Language.derive(none, Vocabulary(())),
+              Language.explicit(none, Vocabulary((Predicate("p", 0),)), [])]
+    for lang in langs:
+        _check_extension_masks(lang)
+
+
+def test_extension_masks_of_add8_match_extension_mask():
+    lang = _compile_add8().language
+    masks = lang.extension_masks()
+    assert len(masks) == lang.size == 6561
+    for i in random.Random(18).sample(range(lang.size), 300):
+        (s,) = lang.statements_of(1 << i)
+        assert masks[i] == lang.extension_mask(s)
+
+
 def test_induce_on_add8_builds_no_statement_tuple():
     # The 6,561-statement language of add8.wl is read through masks and the
     # few statements a task needs, never as a whole tuple of Statements.
