@@ -149,10 +149,6 @@ _DEEP_SPECS = {
     "argv, code",
     [
         (["experiment", "--tau", "-1", "--trials", "1"], 64),
-        # the exact scores grow with tau's terms: 1/65 and 65 are refused
-        (["experiment", "--tau", "1/65", "--trials", "1"], 64),
-        (["experiment", "--tau", "130/2", "--trials", "1"], 64),
-        (["experiment", "--tau", "1/64", "--trials", "1", "--dk", "1", "--width", "4"], 0),
         (["experiment", "--budget", "-5", "--trials", "1"], 64),
         (["experiment", "--dk", ",", "--trials", "1"], 64),
         (["induce", "--spec", "{tiny}", "--task", "t1", "--cap", "0"], 64),
@@ -173,6 +169,10 @@ _DEEP_SPECS = {
         (["verify", "--max-states", "1", "--samples-at", "1", "--samples", "2"], 0),
         (["verify", "--max-states", "-1"], 64),
         (["verify", "--max-states", "1", "--samples", "-1"], 64),
+        # the exact scores grow with tau's terms: 1/65 and 65 are refused
+        (["experiment", "--tau", "1/65", "--trials", "1"], 64),
+        (["experiment", "--tau", "130/2", "--trials", "1"], 64),
+        (["experiment", "--tau", "1/64", "--trials", "1", "--dk", "1", "--width", "4"], 0),
     ],
 )
 def test_bad_input_ends_in_documented_code(tmp_path, argv, code):
