@@ -28,6 +28,7 @@ import sys
 import tempfile
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
 
 from . import arith, induction, oracle, specdsl
 from .errors import CapacityError, FixtureError, NoModelError
@@ -130,7 +131,7 @@ def build_parser() -> _Parser:
 
     ex = sub.add_parser("experiment", help="run arithmetic generalisation trials")
     ex.add_argument("--op", choices=["add", "mul", "both"], default="both")
-    ex.add_argument("--dk", type=_parse_int_list, default=[6, 10, 14],
+    ex.add_argument("--dk", type=_parse_int_list, default=(6, 10, 14),
                     metavar="LIST", help="comma-separated |D_k| values")
     ex.add_argument("--trials", type=_positive_int, default=200)
     ex.add_argument("--seed", default=None, help="master seed (any string)")
@@ -419,13 +420,13 @@ def cmd_induce(args) -> int:
     return EXIT_OK
 
 
+_parser = cache(build_parser)  # one parser per process, built by the first main
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "experiment":
-        return cmd_experiment(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_induce(args)
+    args = _parser().parse_args(argv)
+    run = {"experiment": cmd_experiment, "verify": cmd_verify, "induce": cmd_induce}
+    return run[args.command](args)
 
 
 if __name__ == "__main__":

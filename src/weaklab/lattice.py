@@ -7,8 +7,9 @@ explicit (a universe listed verbatim).  All counting is exact.
 
 A language is rows plus masks.  ``rows`` holds one member int per
 statement position, in global order (bit p set when predicate p is in the
-statement); ``_pred`` holds one position mask per predicate, the members
-that contain it, read from the rows packed as bytes (``_column_masks``).
+statement); ``derive`` extends each node only by the higher predicates
+whose tables meet its top one's.  ``_pred`` holds per predicate the mask of
+the members holding it, read from the rows packed by ``array`` as 64-bit words.
 The extension of any statement of the vocabulary, member or not, is the AND
 of its predicates' masks, so weakness, models and probabilities are
 popcounts.  Global order puts a statement before all its proper supersets,
@@ -21,10 +22,11 @@ can hold thousands of statements, of which a task reads a handful.
 
 from __future__ import annotations
 
+import sys
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, total_ordering
-from itertools import repeat
 from operator import and_
 from typing import Iterable, Iterator, Sequence
 
@@ -147,24 +149,26 @@ def row_members(h: int) -> tuple[int, ...]:
 
 # _BIT_COLUMN[b] maps a byte to ASCII '1' where its bit b is set, else '0'
 _BIT_COLUMN = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+_WORD = (1 << 64) - 1
 
 
 def _column_masks(rows: Sequence[int], n_predicates: int) -> list[int]:
     """Per predicate p, the position mask whose bit i is bit p of row i.
 
-    The rows are packed as one little-endian run of ``width`` bytes each.
-    Predicate p's column is every ``width``-th byte from byte p >> 3; the
-    translation to '0'/'1' by bit p & 7, reversed so that position 0 is the
-    last digit, is the mask in base 2.
+    The rows are packed 64 predicates at a time, one little-endian 8-byte
+    word per row, by one ``array("Q")``.  Predicate p's column is every 8th
+    byte from byte (p mod 64) >> 3; the translation to '0'/'1' by bit p & 7,
+    reversed so that position 0 is the last digit, is the mask in base 2.
     """
-    if not rows:
-        return [0] * n_predicates
-    width = (n_predicates + 7) >> 3
-    packed = b"".join(map(int.to_bytes, rows, repeat(width), repeat("little")))
-    return [
-        int(packed[p >> 3::width].translate(_BIT_COLUMN[p & 7])[::-1], 2)
-        for p in range(n_predicates)
-    ]
+    masks = []
+    for low in range(0, n_predicates, 64):
+        words = array("Q", [h >> low & _WORD for h in rows] if n_predicates > 64 else rows)
+        if sys.byteorder == "big":
+            words.byteswap()
+        packed = words.tobytes()
+        masks += [int(packed[p >> 3::8].translate(_BIT_COLUMN[p & 7])[::-1] or b"0", 2)
+                  for p in range(min(64, n_predicates - low))]
+    return masks
 
 
 @dataclass(eq=False)
@@ -197,27 +201,29 @@ class Language:
 
         Subsets are generated in the global order.  Satisfiability is
         monotone downward, so each size level extends the previous one.
-        A node of a level is its satisfying states and its member int; it
-        extends by the predicates above its highest one, read from a suffix
-        table of (truth, bit) pairs.  The member ints of the levels are the
-        rows, from which the predicate masks are read.
+        A node of a level is its satisfying states, its member int and its
+        top predicate, and it extends only by the higher predicates whose
+        tables meet the top one's (never by its complement).  The member ints
+        of the levels are the rows, from which the predicate masks are read.
         Raises CapacityError as soon as more than ``cap`` statements exist.
         """
         if cap < 1:
             raise ValueError("cap must be >= 1")
         _check_vocab_space(space, vocab)
-        pairs = [(p.truth, 1 << j) for j, p in enumerate(vocab)]
-        above = [tuple(pairs[k:]) for k in range(len(pairs) + 1)]  # predicates k and up
+        tables, full = [p.truth for p in vocab], (1 << space.size) - 1
+        # suffix[j]: (truth, bit, k) per k > j meeting j's table; [-1]: the empty statement's
+        suffix = [tuple((t, 1 << k, k) for k, t in enumerate(tables) if k > j and t & top)
+                  for j, top in [*enumerate(tables), (-1, full)]]
         rows: list[int] = []
-        level = [((1 << space.size) - 1, 0)] if space.size else []
+        level = [(full, 0, -1)] if space.size else []
         while level:
             if len(rows) + len(level) > cap:
                 raise CapacityError("derived language size", cap)
-            rows += [h for _, h in level]
+            rows += [h for _, h, _ in level]
             level = [
-                (b, h | bit)
-                for sat, h in level
-                for truth, bit in above[h.bit_length()]
+                (b, h | bit, k)
+                for sat, h, top in level
+                for truth, bit, k in suffix[top]
                 if (b := sat & truth)
             ]
         return cls(space, vocab, DERIVED, tuple(rows), _column_masks(rows, len(vocab)))
@@ -330,10 +336,6 @@ class Language:
             out.append(Statement(row_members(rows[low.bit_length() - 1])))
             mask ^= low
         return tuple(out)
-
-    def extension(self, s: Statement) -> tuple[Statement, ...]:
-        """All members containing the member statement ``s`` (itself included)."""
-        return self.statements_of(self._checked_extension(s))
 
     def weakness(self, s: Statement) -> int:
         """Cardinality of the extension of a member statement (exact)."""

@@ -505,6 +505,7 @@ def compile_document(
         warnings.filterwarnings("ignore", "vocabulary contains distinct predicates")
         vocab = Vocabulary(tuple(preds))
     index = {p.name: i for i, p in enumerate(doc.preds)}
+    literal: dict[tuple[int, str], int | None] = {}  # (position, value): predicate
 
     def to_statement(names: tuple[str, ...]) -> Statement:
         return Statement.of(index[n] for n in names)
@@ -546,7 +547,9 @@ def compile_document(
         for i, ch in enumerate(elem.text):
             if ch == "-":
                 continue
-            k = first_with_truth.get(_literal_mask(width, i, ch == "1"))
+            if (i, ch) not in literal:
+                literal[i, ch] = first_with_truth.get(_literal_mask(width, i, ch == "1"))
+            k = literal[i, ch]
             if k is None:
                 raise CompileError(
                     f"pattern {elem.text!r}: no predicate matches position {i} "

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from weaklab import CapacityError, Language, Statement, VTask, make_task, oracle
+from weaklab import (
+    CapacityError, Language, MembershipError, Statement, VTask, make_task, oracle,
+)
 from weaklab.lattice import EXPLICIT, row_members
 from weaklab.oracle import CensusTask, OptimalityReport, Violation
 from weaklab.specdsl import And, BitRef, Not
@@ -75,6 +77,14 @@ def naive_evaluate(e, width: int, state: int) -> bool:
     if isinstance(e, And):
         return naive_evaluate(e.lhs, width, state) and naive_evaluate(e.rhs, width, state)
     return naive_evaluate(e.lhs, width, state) or naive_evaluate(e.rhs, width, state)
+
+
+def extension(lang: Language, s: Statement) -> tuple[Statement, ...]:
+    """All members of ``lang`` containing the member statement ``s`` (itself
+    included), read from its extension mask."""
+    if s not in lang:
+        raise MembershipError(f"statement {s!r} is not in the language")
+    return lang.statements_of(lang.extension_mask(s))
 
 
 def naive_extension(universe: list[frozenset[int]], s: frozenset[int]) -> set[frozenset[int]]:

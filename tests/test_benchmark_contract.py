@@ -14,7 +14,7 @@ import io
 import random
 from pathlib import Path
 
-from weaklab import arith, cli
+from weaklab import arith, cli, specdsl
 from conftest import spec_path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -102,6 +102,21 @@ def test_traced_verify_and_induce_read_their_results(monkeypatch):
     assert tasks and all(isinstance(n, int) for n in tasks) and sum(tasks) > 0
     (compiled,) = spans["specdsl.compile_document"]
     assert compiled.data["statements"] > 0
+
+
+def test_induce_reaches_specdsl_through_its_module_names(monkeypatch):
+    # the benchmark's specdsl.* metrics come from wrappers set on the module
+    # attributes `parse` and `compile_document`; a caller that bound either
+    # function to a local name would bypass them and zero those metrics
+    calls = []
+    for name in ("parse", "compile_document"):
+        def counted(*args, _name=name, _real=getattr(specdsl, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(specdsl, name, counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["induce", "--spec", spec_path("add8.wl"), "--task", "add_child"]) == 0
+    assert calls == ["parse", "compile_document"]
 
 
 def test_traced_experiment_renders_through_the_report(monkeypatch, tmp_path):

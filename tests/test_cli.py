@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -6,7 +10,8 @@ import sys
 import pytest
 
 from weaklab import cli, oracle
-from conftest import cli_env, spec_path
+from conftest import SPEC_DIR, cli_env, spec_path
+from test_golden import INDUCE_SHA256, VERIFY_TABLE_SHA256, _corpus
 
 
 def run_cli(*argv):
@@ -127,6 +132,32 @@ def test_usage_error_is_64():
 def test_no_command_is_64():
     proc = run_proc()
     assert proc.returncode == 64
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # `main` reuses one parser per process: after a usage error inside the
+    # induce subparser, the golden induce corpus and verify's table must read
+    # exactly as they do from fresh processes, so no value or default leaks
+    leak = tmp_path / "leak.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("induce", "--spec", "x.wl", "--task", "t", "--proxy", "mdl",
+                "--format", "table", "--out", str(leak), "--cap", "0")
+    assert exc.value.code == 64
+    assert "--cap" in capsys.readouterr().err
+    digest = hashlib.sha256()
+    for spec, task in _corpus():
+        for proxy in ("weakness", "mdl"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = run_cli("induce", "--spec", os.path.join(SPEC_DIR, spec),
+                               "--task", task, "--proxy", proxy, "--format", "structured")
+            digest.update(f"{spec} {task} {proxy} exit={code}\n".encode())
+            digest.update(buf.getvalue().encode())
+    assert digest.hexdigest() == INDUCE_SHA256
+    assert not leak.exists()
+    out = tmp_path / "verify.txt"
+    assert run_cli("verify", "--format", "table", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_TABLE_SHA256
 
 
 # superscript digits pass str.isdigit() but not int()

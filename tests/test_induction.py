@@ -14,7 +14,7 @@ from weaklab import (
     prior,
 )
 from conftest import random_language
-from _oracles import enumerate_tasks, mutually_exclusive
+from _oracles import enumerate_tasks, extension, mutually_exclusive
 
 
 def S(*idx):
@@ -104,7 +104,7 @@ def test_probability_in_unit_interval():
                 p = generalisation_probability(task, h)
                 assert 0 < p <= 1
                 outside = set(lang.statements) - set(lang.statements_of(task.reach))
-                covers_outside = outside <= set(lang.extension(h))
+                covers_outside = outside <= set(extension(lang, h))
                 assert (p == 1) == covers_outside
 
 

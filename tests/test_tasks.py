@@ -15,7 +15,7 @@ from weaklab import (
     make_task,
 )
 from conftest import random_language
-from _oracles import enumerate_tasks, naive_models
+from _oracles import enumerate_tasks, extension, naive_models
 
 
 def S(*idx):
@@ -190,4 +190,4 @@ def test_model_extension_contains_decisions():
         census = enumerate_tasks(lang, cap=100_000)
         for task in census.tasks[:: max(1, len(census.tasks) // 7)]:
             for h in task.models():
-                assert set(task.decisions) <= set(lang.extension(h))
+                assert set(task.decisions) <= set(extension(lang, h))
