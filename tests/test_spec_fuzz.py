@@ -6,12 +6,14 @@ traceback.  The small --cap makes a mutated large width end fast with 75.
 """
 
 import contextlib
+import hashlib
 import io
 import os
+import random
 
 from hypothesis import given, settings, strategies as st
 
-from weaklab import cli
+from weaklab import cli, specdsl
 from conftest import SPEC_DIR
 
 DOCUMENTED_EXITS = {0, 1, 64, 65, 74, 75}
@@ -67,3 +69,40 @@ def test_spec_files_end_in_documented_codes(tmp_path_factory, data):
         code = cli.main(["induce", "--spec", str(path), "--task", "t", "--cap", "20000"])
     assert code in DOCUMENTED_EXITS
     assert "Traceback" not in err.getvalue()
+
+
+# SHA-256 of the front end's answers to _pinned_mutations(), computed
+# before the one-pass lexer replaced the cursor loop; any change in a
+# printed document or in an error's category, location or message moves it
+_MUTATION_DIGEST = "7e708ee9b2c909eb3433ae1ac10f57096838b5230f969e70e62fcb62a2910403"
+
+
+def _pinned_mutations(count: int = 1000, seed: int = 2110):
+    """Seeded mutations of the decoded corpus: 1 to 6 deletes, inserts
+    from _INSERTS and swaps each, as in _mutated."""
+    rng = random.Random(seed)
+    corpus = [data.decode() for data in _CORPUS]
+    inserts = [c.decode() for c in _INSERTS]
+    for _ in range(count):
+        text = list(rng.choice(corpus))
+        for _ in range(rng.randint(1, 6)):
+            i, op = rng.randrange(len(text)), rng.choice(["delete", "insert", "swap"])
+            if op == "delete":
+                del text[i]
+            elif op == "insert":
+                text.insert(i, rng.choice(inserts))
+            else:
+                j = rng.randrange(len(text))
+                text[i], text[j] = text[j], text[i]
+        yield "".join(text)
+
+
+def test_front_end_answers_to_pinned_mutations_are_unchanged():
+    digest = hashlib.sha256()
+    for text in _pinned_mutations():
+        try:
+            record = specdsl.print_document(specdsl.parse(text))
+        except specdsl.SpecError as e:
+            record = repr((e.category, e.line, e.col, e.message))
+        digest.update(record.encode() + b"\0")
+    assert digest.hexdigest() == _MUTATION_DIGEST
