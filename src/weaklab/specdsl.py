@@ -12,12 +12,14 @@ Format (UTF-8, '#' starts a line comment):
       decisions { m1 }
     }
 
-Tokens, each matched by one named group of ``_TOKEN``: names (a letter or
-'_', then letters, ASCII digits or '_'), integers (ASCII digits), bit
-patterns (digits and '-' with at least one '-'; a digit run is a pattern
-too where a pattern is expected), punctuation ``:= ; = { } ( ) , ! & |``,
-whitespace and comments.  Any other character, a non-ASCII digit such as
-'²' included, is a lexical error.
+One ``finditer`` pass of ``_TOKEN`` splits the text into (kind, text,
+line, col) tuples: names (a letter or '_', then letters, ASCII digits or
+'_'), integers (ASCII digits), bit patterns (digits and '-' with at least
+one '-'; a digit run is a pattern too where a pattern is expected),
+punctuation ``:= ; = { } ( ) , ! & |``, whitespace and comments.  Its last
+group catches any other character, a non-ASCII digit such as '²' included,
+as a lexical error.  A width or bit index may have any number of digits;
+one out of range is a located width-violation.
 
 Connectives ! & | with precedence ! > & > |; unicode aliases ¬ ∧ ∨ are
 accepted.  A formula may nest at most MAX_DEPTH levels: each connective
@@ -151,61 +153,60 @@ class SpecDocument:
 _TOKEN = re.compile(
     r"(?P<skip>[ \t\r]+|#[^\n]*)"
     r"|(?P<newline>\n)"
-    # [^\W\d] also admits numerals such as '²'; _lex ends a name there
+    # [^\W\d] also admits numerals such as '²'; _lex refuses them
     r"|(?P<name>[^\W\d](?:[^\W\d]|[0-9])*)"
     r"|(?P<pattern>[0-9]*-[0-9-]*)"
     r"|(?P<int>[0-9]+)"
     r"|(?P<punct>:=|[;={}(),!&|¬∧∨])"
+    r"|(?P<bad>.)"
 )
 _ALIASES = {"¬": "!", "∧": "&", "∨": "|"}
-_NAME_CHARS = frozenset("0123456789_")
 _BITREF = re.compile(r"b([0-9]+)")
 
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # 'name' | 'int' | 'pattern' | punctuation | ':=' | 'eof'
-    text: str
-    line: int
-    col: int
+# (kind, text, line, col); kind is 'name', 'int', 'pattern', 'eof' or the
+# punctuation itself
+_Token = tuple[str, str, int, int]
 
 
-def _at(t: _Tok, message: str, category: str = "syntax") -> SpecError:
-    return SpecError(message, t.line, t.col, category)
+def _at(t: _Token, message: str, category: str = "syntax") -> SpecError:
+    return SpecError(message, t[2], t[3], category)
 
 
-def _found(t: _Tok) -> str:
-    return repr(t.text) if t.text else "end of input"
+def _found(t: _Token) -> str:
+    return repr(t[1]) if t[1] else "end of input"
 
 
-def _lex(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, line_start, pos = 1, 0, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        kind, end = (m.lastgroup, m.end()) if m else (None, pos)
-        if kind == "name" and not m.group().isascii():
-            end = pos + next(
-                (k for k, c in enumerate(m.group())
-                 if not (c.isalpha() or c in _NAME_CHARS)),
-                end - pos,
-            )
-        col = pos - line_start + 1
-        if end == pos:
-            ch = text[pos]
-            message = "expected ':='" if ch == ":" else f"unexpected character {ch!r}"
-            raise SpecError(message, line, col, "lexical")
-        value = text[pos:end]
-        if kind == "newline":
-            line, line_start = line + 1, end
-        elif kind == "punct":
+def _lex(text: str) -> list[_Token]:
+    """The tokens of ``text`` and a final 'eof', or the first lexical error."""
+    toks: list[_Token] = []
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, value, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "name" and not value.isascii():
+            # its first numeral, such as '¹' in 'b¹', is the error
+            for k, ch in enumerate(value):
+                if not (ch.isalpha() or ch.isascii()):
+                    kind, value, col = "bad", ch, col + k
+                    break
+        if kind == "punct":
             value = _ALIASES.get(value, value)
-            toks.append(_Tok(value, value, line, col))
+            toks.append((value, value, line, col))
+        elif kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            message = "expected ':='" if value == ":" else f"unexpected character {value!r}"
+            raise SpecError(message, line, col, "lexical")
         elif kind != "skip":
-            toks.append(_Tok(kind, value, line, col))
-        pos = end
-    toks.append(_Tok("eof", "", line, pos - line_start + 1))
+            toks.append((kind, value, line, col))
+    toks.append(("eof", "", line, len(text) - line_start + 1))
     return toks
+
+
+def _capped_int(digits: str) -> int:
+    """The value of an ASCII digit string, capped at 10**4: every bound it
+    meets is lower, and int() refuses strings of over 4,300 digits."""
+    digits = digits.lstrip("0")
+    return int(digits or "0") if len(digits) <= 4 else 10**4
 
 
 # ---------------------------------------------------------------------------
@@ -218,85 +219,82 @@ _BINARY = (("|", Or), ("&", And))
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok]):
+    def __init__(self, toks: list[_Token]):
         self.toks = toks
         self.i = 0
         self.width: int | None = None
         self.names: dict[str, str] = {}  # name -> 'pred' | 'statement' | 'task'
         self.preds: dict[str, int] = {}  # predicate name -> definition index
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.toks[self.i][0]
 
-    def next(self) -> _Tok:
+    def next(self) -> _Token:
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def expect(self, kind: str, what: str | None = None) -> _Tok:
-        t = self.peek()
-        if t.kind != kind:
+    def expect(self, kind: str, what: str | None = None) -> _Token:
+        t = self.next()
+        if t[0] != kind:
             raise _at(t, f"expected {what or kind}, found {_found(t)}")
-        return self.next()
+        return t
 
     def parse_document(self) -> SpecDocument:
         preds: list[PredDef] = []
         statements: list[StatementDef] = []
         tasks: list[TaskDef] = []
-        while self.peek().kind != "eof":
+        while self.peek() != "eof":
             t = self.next()
-            if t.kind != "name":
-                raise _at(t, f"expected declaration, found {t.text!r}")
-            if t.text == "width":
+            keyword = t[1]
+            if t[0] != "name":
+                raise _at(t, f"expected declaration, found {keyword!r}")
+            if keyword == "width":
                 if self.width is not None:
                     raise _at(t, "duplicate width declaration")
                 num = self.expect("int", "width value")
-                self.width = int(num.text)
+                self.width = _capped_int(num[1])
                 if not 1 <= self.width <= MAX_WIDTH:
                     raise _at(num, f"width must be between 1 and {MAX_WIDTH}",
                               "width-violation")
                 self.expect(";")
                 continue
-            if t.text not in ("pred", "statement", "task"):
-                raise _at(t, f"unknown declaration {t.text!r}")
+            if keyword not in ("pred", "statement", "task"):
+                raise _at(t, f"unknown declaration {keyword!r}")
             if self.width is None:
                 raise _at(t, "width must be declared before this")
-            name = self._decl_name(t.text)
-            if t.text == "pred":
+            name, pos = self._decl_name(keyword)
+            if keyword == "pred":
                 self.expect(":=")
-                expr = self._expr()[0]
-                preds.append(PredDef(name.text, expr, (name.line, name.col)))
-                self.preds[name.text] = len(self.preds)
+                preds.append(PredDef(name, self._expr()[0], pos))
+                self.preds[name] = len(self.preds)
                 self.expect(";")
-            elif t.text == "statement":
+            elif keyword == "statement":
                 self.expect("=")
-                members = self._name_set()
+                self.expect("{")
+                statements.append(StatementDef(name, self._name_set(), pos))
                 self.expect(";")
-                statements.append(
-                    StatementDef(name.text, members, (name.line, name.col))
-                )
             else:
                 self.expect("{")
                 situations = self._elems("situations")
-                decisions = self._elems("decisions")
+                tasks.append(TaskDef(name, situations, self._elems("decisions"), pos))
                 self.expect("}")
-                tasks.append(
-                    TaskDef(name.text, situations, decisions, (name.line, name.col))
-                )
         if self.width is None:
-            raise _at(self.peek(), "missing width declaration")
+            raise _at(self.toks[-1], "missing width declaration")
         return SpecDocument(self.width, tuple(preds), tuple(statements), tuple(tasks))
 
-    def _decl_name(self, kind: str) -> _Tok:
+    def _decl_name(self, kind: str) -> tuple[str, tuple[int, int]]:
         t = self.expect("name", f"{kind} name")
-        if t.text in _KEYWORDS:
-            raise _at(t, f"{t.text!r} is a keyword")
-        if _BITREF.fullmatch(t.text):
-            raise _at(t, f"{t.text!r} is reserved for bit references")
-        if t.text in self.names:
-            raise _at(t, f"duplicate name {t.text!r} (already a {self.names[t.text]})")
-        self.names[t.text] = kind
-        return t
+        name = t[1]
+        if name in _KEYWORDS:
+            raise _at(t, f"{name!r} is a keyword")
+        if _BITREF.fullmatch(name):
+            raise _at(t, f"{name!r} is reserved for bit references")
+        if name in self.names:
+            raise _at(t, f"duplicate name {name!r} (already a {self.names[name]})")
+        self.names[name] = kind
+        return name, t[2:]
 
     def _expr(self, level: int = 0, depth: int = 0) -> tuple[Expr, int]:
         """Parse a formula whose connectives bind at least as tightly as
@@ -305,7 +303,7 @@ class _Parser:
         if level < len(_BINARY):
             op, node = _BINARY[level]
             e, height = self._expr(level + 1, depth)
-            while self.peek().kind == op:
+            while self.peek() == op:
                 t = self.next()
                 rhs, h = self._expr(level + 1, depth)
                 e, height = node(e, rhs), max(height, h) + 1
@@ -313,42 +311,42 @@ class _Parser:
             return e, height
         t = self.next()
         self._within_depth(depth + 1, t)
-        if t.kind == "!":
+        if t[0] == "!":
             e, height = self._expr(level, depth + 1)
             return Not(e), height + 1
-        if t.kind == "(":
+        if t[0] == "(":
             e = self._expr(0, depth + 1)
             self.expect(")")
             return e
-        if t.kind != "name":
+        if t[0] != "name":
             raise _at(t, f"expected formula atom, found {_found(t)}")
-        m = _BITREF.fullmatch(t.text)
+        m = _BITREF.fullmatch(t[1])
         if m is None:
-            raise _at(t, f"undefined name {t.text!r} in formula (only bit "
+            raise _at(t, f"undefined name {t[1]!r} in formula (only bit "
                       "references b0..b{width-1} are allowed)", "undefined-name")
-        if int(m[1]) >= self.width:
-            raise _at(t, f"bit {t.text} out of range for width {self.width}",
+        index = _capped_int(m[1])
+        if index >= self.width:
+            raise _at(t, f"bit {t[1]} out of range for width {self.width}",
                       "width-violation")
-        return BitRef(int(m[1])), 1
+        return BitRef(index), 1
 
-    def _within_depth(self, depth: int, t: _Tok) -> None:
+    def _within_depth(self, depth: int, t: _Token) -> None:
         if depth > MAX_DEPTH:
             raise _at(t, f"formula nested deeper than {MAX_DEPTH} levels")
 
     def _name_set(self) -> tuple[str, ...]:
-        """A braced list of distinct predicate names, returned in predicate
-        definition order."""
-        self.expect("{")
+        """The distinct predicate names of a braced list whose '{' was just
+        read, in predicate definition order."""
         members: set[str] = set()
         # a '}' ends the set right after '{' or after a name, not after ','
-        while self.peek().kind != "}" or members:
+        while self.peek() != "}" or members:
             t = self.expect("name", "predicate name")
-            if t.text not in self.preds:
-                raise _at(t, f"undefined predicate {t.text!r}", "undefined-name")
-            if t.text in members:
-                raise _at(t, f"duplicate member {t.text!r}")
-            members.add(t.text)
-            if self.peek().kind != ",":
+            if t[1] not in self.preds:
+                raise _at(t, f"undefined predicate {t[1]!r}", "undefined-name")
+            if t[1] in members:
+                raise _at(t, f"duplicate member {t[1]!r}")
+            members.add(t[1])
+            if self.peek() != ",":
                 break
             self.next()
         self.expect("}")
@@ -356,32 +354,31 @@ class _Parser:
 
     def _elems(self, keyword: str) -> tuple[Elem, ...]:
         kw = self.expect("name", f"{keyword!r}")
-        if kw.text != keyword:
+        if kw[1] != keyword:
             raise _at(kw, f"expected {keyword!r}")
         brace = self.expect("{")
         out: list[Elem] = []
-        while self.peek().kind != "}":
-            t = self.peek()
-            if t.kind == "{":
+        while self.peek() != "}":
+            t = self.next()
+            kind, text = t[0], t[1]
+            if kind == "{":
                 out.append(SetElem(self._name_set()))
-            elif t.kind in ("pattern", "int"):
-                self.next()
-                if not set(t.text) <= {"0", "1", "-"}:
-                    raise _at(t, f"malformed bit pattern {t.text!r}")
-                if len(t.text) != self.width:
-                    raise _at(t, f"pattern {t.text!r} has {len(t.text)} positions, "
+            elif kind in ("pattern", "int"):
+                if not set(text) <= {"0", "1", "-"}:
+                    raise _at(t, f"malformed bit pattern {text!r}")
+                if len(text) != self.width:
+                    raise _at(t, f"pattern {text!r} has {len(text)} positions, "
                               f"width is {self.width}", "width-violation")
-                out.append(PatternElem(t.text, (t.line, t.col)))
-            elif t.kind == "name":
-                self.next()
-                if self.names.get(t.text) != "statement":
-                    raise _at(t, f"{t.text!r} is not a declared statement",
+                out.append(PatternElem(text, t[2:]))
+            elif kind == "name":
+                if self.names.get(text) != "statement":
+                    raise _at(t, f"{text!r} is not a declared statement",
                               "undefined-name")
-                out.append(NameElem(t.text))
+                out.append(NameElem(text))
             else:
                 raise _at(t, "expected statement name, inline set or bit pattern, "
                           f"found {_found(t)}")
-            if self.peek().kind == ",":
+            if self.peek() == ",":
                 self.next()
         self.expect("}")
         if not out:

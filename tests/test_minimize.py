@@ -254,6 +254,42 @@ def test_min_literal_cover_is_brute_force_argmin_dont_care_heavy(n, mix):
         assert _texts(got) == texts
 
 
+def _relabelings(n):
+    """The images of the 2^n states under each of the n! * 2^n maps that
+    permute the n variables and complement some of them."""
+    return [
+        [sum(((s ^ flip) >> i & 1) << p for i, p in enumerate(perm)) for s in range(1 << n)]
+        for perm in itertools.permutations(range(n))
+        for flip in range(1 << n)
+    ]
+
+
+def _relabel(states, image):
+    return sum(1 << t for s, t in enumerate(image) if states >> s & 1)
+
+
+def test_optimal_scores_do_not_depend_on_how_the_variables_are_named():
+    # a renaming maps the primes of OFF onto the primes of its image, with
+    # their literals and extent sizes, so both optimal scores stay; a prune
+    # that leans on the cubes' text order can break this
+    relabelings = _relabelings(4)
+    assert len(relabelings) == 384
+    rng = random.Random("relabel-4")
+    for mix in ["ofd", *DONT_CARE_HEAVY] * 7:
+        on, off = _dont_care_heavy(rng, 4, mix, max_primes=64)
+        tau = rng.choice([Fraction(1), Fraction(1, 2), Fraction(2)])
+        literals = minimize.min_literal_cover(4, on, off).literal_count
+        best = minimize.max_weakness_cover(4, on, off, tau=tau)
+        for image in relabelings:
+            on_r, off_r = _relabel(on, image), _relabel(off, image)
+            assert minimize.min_literal_cover(4, on_r, off_r).literal_count == literals
+            got = minimize.max_weakness_cover(4, on_r, off_r, tau=tau)
+            assert score_cmp(
+                got.sat.bit_count(), got.term_count, best.sat.bit_count(),
+                best.term_count, tau.numerator, tau.denominator,
+            ) == 0
+
+
 def test_max_weakness_cover_matches_brute_force():
     rng = random.Random(23)
     done = 0

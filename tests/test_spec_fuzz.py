@@ -11,6 +11,7 @@ import io
 import os
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from weaklab import cli, specdsl
@@ -70,6 +71,24 @@ def test_spec_files_end_in_documented_codes(tmp_path_factory, data):
     assert code in DOCUMENTED_EXITS
     assert "Traceback" not in err.getvalue()
 
+
+# int() refuses strings of over 4,300 digits: (text, location of the error)
+_HUGE_INTEGER_SPECS = {
+    "width": ("width " + "9" * 5000 + ";\n", "1:7"),
+    "bit-index": ("width 2;\npred p := b" + "9" * 5000 + ";\n", "2:11"),
+}
+
+
+@pytest.mark.parametrize("text, where", _HUGE_INTEGER_SPECS.values(),
+                         ids=_HUGE_INTEGER_SPECS.keys())
+def test_huge_integers_end_in_a_located_spec_error(tmp_path, text, where):
+    path = tmp_path / "spec.wl"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["induce", "--spec", str(path), "--task", "t"])
+    assert code == 65
+    assert err.getvalue().startswith(f"{path}:{where}: width-violation: ")
 
 # SHA-256 of the front end's answers to _pinned_mutations(), computed
 # before the one-pass lexer replaced the cursor loop; any change in a

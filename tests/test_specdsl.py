@@ -116,6 +116,13 @@ _FRONT_END_ERRORS = [
      ("syntax", 5, 1, "expected 'decisions', found '}'")),
     ("end-inside-formula", "width 2;\npred p := b0 & (b1 |",
      ("syntax", 2, 21, "expected formula atom, found end of input")),
+    # int() refuses strings of over 4,300 digits
+    ("width-of-5000-digits", "width " + "9" * 5000 + ";\n",
+     ("width-violation", 1, 7, "width must be between 1 and 16")),
+    ("zero-padded-width-17", "width " + "0" * 5000 + "17;\n",
+     ("width-violation", 1, 7, "width must be between 1 and 16")),
+    ("bit-index-of-5000-digits", "width 2;\npred p := b" + "9" * 5000 + ";\n",
+     ("width-violation", 2, 11, "bit b" + "9" * 5000 + " out of range for width 2")),
 ]
 
 
@@ -130,6 +137,12 @@ def test_front_end_errors_are_pinned(text, expected):
     e = err.value
     assert e.category in (category if isinstance(category, tuple) else (category,))
     assert (e.line, e.col, e.message) == (line, col, message)
+
+
+def test_zero_padded_integers_keep_their_value():
+    zeros = "0" * 5000
+    doc = specdsl.parse(f"width {zeros}2;\npred p := b{zeros}1;\n")
+    assert (doc.width, doc.preds[0].expr) == (2, specdsl.BitRef(1))
 
 
 # ---------------------------------------------------------------------------
