@@ -90,8 +90,8 @@ def test_huge_integers_end_in_a_located_spec_error(tmp_path, text, where):
     assert code == 65
     assert err.getvalue().startswith(f"{path}:{where}: width-violation: ")
 
-# SHA-256 of the front end's answers to _pinned_mutations(), computed
-# before the one-pass lexer replaced the cursor loop; any change in a
+
+# SHA-256 of the front end's answers to _pinned_mutations(): any change in a
 # printed document or in an error's category, location or message moves it
 _MUTATION_DIGEST = "7e708ee9b2c909eb3433ae1ac10f57096838b5230f969e70e62fcb62a2910403"
 
