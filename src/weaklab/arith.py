@@ -5,10 +5,10 @@ encoded as 8-bit strings: a1 a0 b1 b0 o3 o2 o1 o0, with the output the low
 bits of the arithmetic result (position 0 is the leftmost character).
 Deleting one string position from every correct string yields the parent
 situations; a child samples m of the 16 correct strings.  One record,
-``BinOpTask``, serves parent and child alike.  Hypotheses are
-cube covers constrained to match the child's decisions exactly on the
-states reachable from its situations; prediction keeps the satisfying
-states whose deleted-bit projection is a parent situation.
+``BinOpTask``, serves parent and child alike.  A hypothesis is a state set
+that matches the child's decisions exactly on the states its situations
+reach: in state mode the closed-form largest, else a searched cube cover.
+Prediction keeps its states whose projection is a parent situation.
 
 A 4-bit analogue (1-bit operands, 2-bit output) exists for brute-force
 cross-checks.
@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from .minimize import (
     DEFAULT_NODE_BUDGET,
     Cover,
-    exact_cover_of,
+    exact_cover_of,  # unused here; perfbench/worker.py traces arith.exact_cover_of
     max_weakness_cover,
     min_literal_cover,
 )
@@ -137,17 +137,17 @@ def weakest_model_state(
     tau: Fraction = Fraction(1),
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> Cover:
-    """Weakness-side hypothesis for the child, a cube cover.
+    """Weakness-side hypothesis for the child.
 
-    ``state`` mode returns the unique satisfaction-maximal model (the child
-    decisions plus every state its situations cannot reach) as an exact
-    prime cover.  ``penalized`` mode searches covers of the child decisions
-    for the maximum of log2(|sat|) - tau*terms.
+    ``state`` mode returns the unique satisfaction-maximal model, the child
+    decisions plus every state its situations cannot reach, by its
+    satisfaction set alone.  ``penalized`` mode searches prime covers of
+    the child decisions for the maximum of log2(|sat|) - tau*terms.
     """
     width, on = child.width, child.on
     if mode == MODE_STATE:
         full = (1 << (1 << width)) - 1
-        return exact_cover_of(width, on | (full & ~child.reach_mask))
+        return Cover(width, None, on | (full & ~child.reach_mask), True, 0)
     if mode == MODE_PENALIZED:
         return max_weakness_cover(width, on, child.off(), tau=tau, budget=budget)
     raise ValueError(f"unknown weakness mode {mode!r}")
@@ -205,10 +205,7 @@ def run_trial(
     minimum total-literal cover of the child decisions, unreachable states
     free.  Search fallbacks flag the trial; no trial is dropped."""
     if seed_label is None:
-        if isinstance(seed, random.Random):
-            seed_label = "external-rng"
-        else:
-            seed_label = str(seed)
+        seed_label = "external-rng" if isinstance(seed, random.Random) else str(seed)
     task = gen_parent_task(op, deleted_bit, width)
     child = sample_child(task, m, seed)
     hyp_w = weakest_model_state(child, mode=mode, tau=tau, budget=budget)
@@ -399,9 +396,7 @@ def run_experiment(
                     trials=trials,
                     weak=_cell_stats([t.weak for t in cell]),
                     mdl=_cell_stats([t.mdl for t in cell]),
-                    flagged=sum(
-                        1 for t in cell if t.weak.flagged or t.mdl.flagged
-                    ),
+                    flagged=sum(1 for t in cell if t.weak.flagged or t.mdl.flagged),
                 )
             )
     return ExperimentReport(

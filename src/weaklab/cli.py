@@ -359,7 +359,7 @@ def _verify_table(out: dict) -> str:
 
 def cmd_induce(args) -> int:
     try:
-        with open(args.spec, encoding="utf-8") as fh:
+        with open(args.spec, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"weaklab: cannot read {args.spec}: {exc}", file=sys.stderr)

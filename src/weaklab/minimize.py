@@ -159,10 +159,11 @@ def _prime_table(n: int, off: int):
 @dataclass(frozen=True, slots=True)
 class Cover:
     """A selection of cubes, their (care, value) pairs in text order, with
-    its union extent and search provenance."""
+    its union extent and search provenance; ``cubes`` is None for a
+    hypothesis given by its extent alone."""
 
     n: int
-    cubes: tuple[tuple[int, int], ...]
+    cubes: tuple[tuple[int, int], ...] | None
     sat: int
     proven_optimal: bool
     nodes_used: int
@@ -182,7 +183,7 @@ def _greedy_cover(extents: list[int], target: int) -> list[int]:
     ``target`` does, so each extent keeps a bound on its gain, first its
     size: a step recounts only the extents whose bound beats the most
     found so far, and picks what a recount of every extent would pick: 47 µs
-    per call against 70 µs over the 2,400 greedy covers of the state-mode grid."""
+    per call against 70 µs over the 1,200 greedy covers of the state-mode grid."""
     bounds = [e.bit_count() for e in extents]
     chosen = []
     while target:
@@ -227,12 +228,13 @@ def _search(
     into its ``_prime_table``) that cover ``on``; returns the selection with
     the least (score, tie) key.
 
-    ``score(chosen, union)`` is an integer compared first; ``tie(chosen)``
-    orders selections of equal score and is built only for them.
-    ``extras(chosen, union, banned)`` lists the primes a node that covers
-    ``on`` may add.  ``hopeless(chosen, union, pool, size, need, reachable,
-    best)`` prunes a node whose subtree can neither beat nor tie the
-    incumbent score ``best``.  At a node that covers ``on``, ``pool`` lists
+    ``cost``, the chosen primes' literal sum, is carried down each path.
+    ``score(chosen, union, cost)`` is an integer compared first;
+    ``tie(chosen, cost)`` orders selections of equal score and is built only
+    for them.  ``extras(chosen, union, banned)`` lists the primes a node
+    that covers ``on`` may add.  ``hopeless(chosen, union, cost, pool, size,
+    need, reachable, best)`` prunes a node whose subtree can neither beat
+    nor tie the incumbent score ``best``.  At a node that covers ``on``, ``pool`` lists
     its ``size`` extras, ``need`` is empty and ``reachable`` is the union of
     ``union`` and the extras.  Elsewhere ``need`` holds the cheapest coverer
     of each of some uncovered ON states no prime covers two of, so any
@@ -240,7 +242,7 @@ def _search(
     iterates the ``size`` unbanned primes in table order and ``reachable``
     is the union of ``union`` and their extents, else all three are None.
     """
-    primes, extents, _, ranks = _prime_table(n, off)
+    primes, extents, lits, ranks = _prime_table(n, off)
     coverers, reach, seed = _cover_setup(n, off, on)
     m = len(extents)
 
@@ -250,24 +252,26 @@ def _search(
             union |= extents[i]
         return union
 
-    best = [score(seed, union_of(seed)), seed, None]  # the tie is built on demand
+    # the incumbent's score, selection, tie (built on demand) and cost
+    seed_cost = sum(map(lits.__getitem__, seed))
+    best = [score(seed, union_of(seed), seed_cost), seed, None, seed_cost]
     left = budget  # nodes; below zero once the budget is exhausted
     # if capped, free[i] is 1 while prime i is unbanned at the uncovered
     # node being expanded
     free = bytearray(b"\x01") * m if capped else None
 
-    def consider(chosen, sc):
+    def consider(chosen, cost, sc):
         # a selection that covers on and scores sc <= the incumbent's
         if sc < best[0]:
-            best[:] = sc, chosen, None
+            best[:] = sc, chosen, None, cost
             return
-        t = tie(chosen)
+        t = tie(chosen, cost)
         if best[2] is None:
-            best[2] = tie(best[1])
+            best[2] = tie(best[1], best[3])
         if t < best[2]:
-            best[:] = sc, chosen, t
+            best[:] = sc, chosen, t, cost
 
-    def expand(chosen, union, uncovered, banned, reachable, pool):
+    def expand(chosen, cost, union, uncovered, banned, reachable, pool):
         # a counted node: one that leaves some of on uncovered, or one that
         # covers on and has extras ``pool``; children that cover on are
         # scored here and entered only to branch over their extras
@@ -283,7 +287,7 @@ def _search(
                 unbanned, size = compress(range(m), free), m - banned.bit_count()
             else:
                 unbanned = size = None
-            if hopeless(chosen, union, unbanned, size, need, reachable, best[0]):
+            if hopeless(chosen, union, cost, unbanned, size, need, reachable, best[0]):
                 return
             # branch on the uncovered state with the fewest unbanned coverers
             allowed, fewest = ~banned, None
@@ -302,7 +306,7 @@ def _search(
                 low = pick & -pick
                 pool.append(low.bit_length() - 1)
                 pick ^= low
-        elif hopeless(chosen, union, pool, len(pool), (), reachable, best[0]):
+        elif hopeless(chosen, union, cost, pool, len(pool), (), reachable, best[0]):
             return
         # child t takes pool[t] and bans pool[:t], so an uncovered child can
         # still reach the primes free outside the pool, found once, and
@@ -314,6 +318,7 @@ def _search(
                 return
             e = extents[i]
             child, joined, rest = chosen + (i,), union | e, uncovered & ~e
+            spent = cost + lits[i]
             if rest:
                 if capped and outside is None:
                     for j in pool[t:]:
@@ -323,17 +328,17 @@ def _search(
                         free[j] = 1
                     tails = list(accumulate(map(extents.__getitem__, pool[::-1]), or_))
                 reachable = outside | tails[~t] if capped else None
-                expand(child, joined, rest, banned, reachable, None)
+                expand(child, spent, joined, rest, banned, reachable, None)
                 if left < 0:
                     return
             else:
-                sc = score(child, joined)
+                sc = score(child, joined, spent)
                 if sc <= best[0]:
-                    consider(child, sc)
+                    consider(child, spent, sc)
                 more = extras(child, joined, banned)
                 if more:
                     reachable = reduce(or_, map(extents.__getitem__, more), joined)
-                    expand(child, joined, 0, banned, reachable, more)
+                    expand(child, spent, joined, 0, banned, reachable, more)
                     if left < 0:
                         return
             banned |= 1 << i
@@ -346,14 +351,14 @@ def _search(
     left -= 1
     if left >= 0:
         if on:
-            expand((), 0, on, 0, reduce(or_, extents, 0) if capped else None, None)
+            expand((), 0, 0, on, 0, reduce(or_, extents, 0) if capped else None, None)
         else:  # the root covers on, as its children do
-            sc = score((), 0)
+            sc = score((), 0, 0)
             if sc <= best[0]:
-                consider((), sc)
+                consider((), 0, sc)
             more = extras((), 0, 0)
             if more:
-                expand((), 0, 0, 0, reduce(or_, map(extents.__getitem__, more)), more)
+                expand((), 0, 0, 0, 0, reduce(or_, map(extents.__getitem__, more)), more)
     chosen = best[1]
     cubes = tuple(primes[i] for i in sorted(chosen, key=ranks.__getitem__))
     return Cover(n, cubes, union_of(chosen), left >= 0, budget - left)
@@ -372,14 +377,14 @@ def min_literal_cover(
     # every prime, though only those that meet ON are ever chosen
     _, _, lits, ranks = _prime_table(n, off)
 
-    def score(chosen, union):
-        return sum(map(lits.__getitem__, chosen))
+    def score(chosen, union, cost):
+        return cost
 
-    def tie(chosen):
+    def tie(chosen, cost):
         return len(chosen), sorted(ranks[i] for i in chosen)
 
-    def hopeless(chosen, union, pool, size, need, reachable, best):
-        return score(chosen, union) + sum(map(lits.__getitem__, need)) > best
+    def hopeless(chosen, union, cost, pool, size, need, reachable, best):
+        return cost + sum(map(lits.__getitem__, need)) > best
 
     return _search(n, on, off, budget, score, tie, lambda *_: [], hopeless, False)
 
@@ -428,20 +433,20 @@ def max_weakness_cover(
         raise ValueError("tau must be >= 0")
     num, den = tau.numerator, tau.denominator
     # every prime, since an extra term may miss ON
-    _, extents, lits, ranks = _prime_table(n, off)
+    _, extents, _, ranks = _prime_table(n, off)
     m = len(extents)
     sizes = [e.bit_count() for e in extents]  # non-increasing
     gains = _LEAST_GAINS.get((n, num, den))
     if gains is None:
         gains = _LEAST_GAINS[n, num, den] = [None] * ((1 << n) + 1)
 
-    def score(chosen, union):
+    def score(chosen, union, cost):
         # k terms over u states: -(2^(den * (log2(u) - tau * k)) * 2^(num * m)),
         # for k <= m an exact integer, least for the best selection
         return -(union.bit_count() ** den << num * (m - len(chosen)))
 
-    def tie(chosen):
-        return sum(lits[i] for i in chosen), sorted(ranks[i] for i in chosen)
+    def tie(chosen, cost):
+        return cost, sorted(ranks[i] for i in chosen)
 
     def extras(chosen, union, banned):
         u = union.bit_count()
@@ -457,7 +462,7 @@ def max_weakness_cover(
                 admitted.append(i)
         return admitted
 
-    def hopeless(chosen, union, pool, size, need, reachable, best):
+    def hopeless(chosen, union, cost, pool, size, need, reachable, best):
         # j more terms reach at most |union| plus the j largest marginal
         # gains, and never more than cap, the size of reachable
         k = len(chosen)
@@ -496,8 +501,6 @@ def max_weakness_cover(
 def exact_cover_of(n: int, target: int) -> Cover:
     """Greedy prime cover whose union is exactly ``target`` (no don't-cares
     are available, so any prime selection stays inside the target)."""
-    if target == 0:
-        return Cover(n, (), 0, True, 0)
     full = (1 << (1 << n)) - 1
     primes, extents, _, ranks = _prime_table(n, full & ~target)
     chosen = sorted(_greedy_cover(extents, target), key=ranks.__getitem__)

@@ -2,7 +2,7 @@
 propositional formulas over its bits, optionally an explicit statement
 universe, and named tasks.
 
-Format (UTF-8, '#' starts a line comment):
+Format (UTF-8; a line ends at LF, CR LF or CR; '#' starts a line comment):
 
     width 3;
     pred p := b0 & !b1;          # b0 is the leftmost bit
@@ -151,8 +151,8 @@ class SpecDocument:
 
 
 _TOKEN = re.compile(
-    r"(?P<skip>[ \t\r]+|#[^\n]*)"
-    r"|(?P<newline>\n)"
+    r"(?P<skip>[ \t]+|#[^\r\n]*)"
+    r"|(?P<newline>\r\n?|\n)"
     # [^\W\d] also admits numerals such as '²'; _lex refuses them
     r"|(?P<name>[^\W\d](?:[^\W\d]|[0-9])*)"
     r"|(?P<pattern>[0-9]*-[0-9-]*)"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from weaklab import arith
+from weaklab import arith, minimize
 from weaklab.minimize import min_literal_cover
 from _oracles import completions, score_cmp, wald_interval
 
@@ -227,6 +227,22 @@ def test_trial_deterministic():
     a = arith.run_trial("mul", 2, 8, seed="fixed", mode="penalized")
     b = arith.run_trial("mul", 2, 8, seed="fixed", mode="penalized")
     assert a == b
+
+
+def test_state_mode_trial_builds_no_weakness_cover(monkeypatch):
+    # the state-mode hypothesis is the closed form alone: the one greedy
+    # cover of the trial is the MDL search's seed
+    calls = []
+    greedy = minimize._greedy_cover
+    monkeypatch.setattr(minimize, "_greedy_cover", lambda *a: calls.append(a) or greedy(*a))
+    minimize._cover_setup.cache_clear()
+    res = arith.run_trial("mul", 2, 10, seed="closed-form", mode="state")
+    rng = random.Random("closed-form")
+    child = arith.sample_child(arith.gen_parent_task("mul", 2), 10, rng)
+    full = (1 << 256) - 1
+    assert res.weak.hypothesis.sat == child.on | (full & ~child.reach_mask)
+    assert res.weak.hypothesis.proven_optimal and res.weak.hypothesis.cubes is None
+    assert len(calls) == 1
 
 
 def test_state_mode_extent_add_always_one():

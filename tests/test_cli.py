@@ -417,6 +417,18 @@ def test_induce_missing_file(capsys):
     assert run_cli("induce", "--spec", "/nonexistent.wl", "--task", "t") == 74
 
 
+def test_induce_reads_a_spec_with_a_byte_order_mark(tmp_path, capsys):
+    with_bom = tmp_path / "tiny.wl"
+    with open(spec_path("tiny.wl"), "rb") as fh:
+        with_bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    results = []
+    for path in (spec_path("tiny.wl"), str(with_bom)):
+        code = run_cli("induce", "--spec", path, "--task", "t1")
+        results.append((code, *capsys.readouterr()))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
+
+
 def test_induce_arith_child_task(capsys):
     code = run_cli(
         "induce", "--spec", spec_path("add8.wl"), "--task", "add_child",

@@ -353,8 +353,8 @@ def _golden_children():
 
 
 def test_greedy_seed_picks_as_a_first_max_scan():
-    # both searches cover ON over the child's table; state mode covers its
-    # target over the table of the target's complement
+    # both searches cover ON over the child's table; exact_cover_of covers
+    # the state-mode target over the table of the target's complement
     full = (1 << 256) - 1
     for child in _golden_children():
         target = child.on | (full & ~child.reach_mask)
@@ -378,15 +378,17 @@ def test_greedy_cover_picks_as_a_first_max_scan_in_any_order(extents, data):
 @pytest.mark.parametrize("mode", [arith.MODE_STATE, arith.MODE_PENALIZED])
 def test_cover_pairs_rebuild_sat_and_avoid_off(mode):
     # the searches read the table's extents and report its (care, value)
-    # pairs: the pairs' extents must OR to sat, which avoids the OFF searched
+    # pairs: the pairs' extents must OR to sat, which avoids the OFF searched;
+    # a state-mode hypothesis holds no cubes, so exact_cover_of covers its sat
     full = (1 << 256) - 1
     for child in _golden_children():
         if mode == arith.MODE_STATE:
-            weak_off = full & ~(child.on | (full & ~child.reach_mask))
+            target = child.on | (full & ~child.reach_mask)
+            weak, weak_off = minimize.exact_cover_of(8, target), full & ~target
         else:
-            weak_off = child.off()
+            weak, weak_off = arith.weakest_model_state(child, mode=mode), child.off()
         for cov, off in (
-            (arith.weakest_model_state(child, mode=mode), weak_off),
+            (weak, weak_off),
             (minimize.min_literal_cover(8, child.on, child.off()), child.off()),
         ):
             union = 0

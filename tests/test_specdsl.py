@@ -123,6 +123,10 @@ _FRONT_END_ERRORS = [
      ("width-violation", 1, 7, "width must be between 1 and 16")),
     ("bit-index-of-5000-digits", "width 2;\npred p := b" + "9" * 5000 + ";\n",
      ("width-violation", 2, 11, "bit b" + "9" * 5000 + " out of range for width 2")),
+    # CR LF and a lone CR each end one line, and a comment
+    ("cr-line-ends", "width 1;\rpred p : b0;\r", ("lexical", 2, 8, "expected ':='")),
+    ("crlf-line-ends", "width 1;\r\npred p : b0;\r\n", ("lexical", 2, 8, "expected ':='")),
+    ("comment-ends-at-cr", "width 1; # one\rpred p : b0;\n", ("lexical", 2, 8, "expected ':='")),
 ]
 
 
