@@ -234,13 +234,14 @@ def _search(
     for them.  ``extras(chosen, union, banned)`` lists the primes a node
     that covers ``on`` may add.  ``hopeless(chosen, union, cost, pool, size,
     need, reachable, best)`` prunes a node whose subtree can neither beat
-    nor tie the incumbent score ``best``.  At a node that covers ``on``, ``pool`` lists
-    its ``size`` extras, ``need`` is empty and ``reachable`` is the union of
-    ``union`` and the extras.  Elsewhere ``need`` holds the cheapest coverer
-    of each of some uncovered ON states no prime covers two of, so any
-    completion adds at least len(need) terms; if ``capped``, ``pool``
-    iterates the ``size`` unbanned primes in table order and ``reachable``
-    is the union of ``union`` and their extents, else all three are None.
+    nor tie the incumbent score ``best``.  At a node that covers ``on``,
+    ``pool`` lists its ``size`` extras, ``need`` is empty and ``reachable``
+    is the union of ``union`` and the extras.  Elsewhere ``need`` holds the
+    cheapest coverer of each of some uncovered ON states no prime covers
+    two of, so any completion adds at least len(need) terms; if ``capped``,
+    ``pool`` iterates the ``size`` unbanned primes in table order and
+    ``reachable`` is the union of ``union`` and their extents, else all
+    three are None.
     """
     primes, extents, lits, ranks = _prime_table(n, off)
     coverers, reach, seed = _cover_setup(n, off, on)
