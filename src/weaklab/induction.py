@@ -1,7 +1,7 @@
 """Proxy-driven induction and the exact generalisation probabilities.
 
-All probabilities are exact rationals; in the formula paths the denominator
-is a power of two by construction.
+All probabilities are exact rationals.  A formula value 2^a / 2^b (a <= b)
+is built as Fraction(1, 2^(b - a)), with no gcd of thousand-bit integers.
 """
 
 from __future__ import annotations
@@ -44,13 +44,13 @@ def generalisation_probability(task: VTask, h: Statement) -> Fraction:
         raise TaskPreconditionError(f"{h!r} is not a model of the task")
     lang = task.lang
     inside_h = (lang.extension_mask(h) & ~task.reach).bit_count()
-    return Fraction(1 << inside_h, 1 << (lang.size - task.reach.bit_count()))
+    return Fraction(1, 1 << (lang.size - task.reach.bit_count() - inside_h))
 
 
 def prior(lang: Language, h: Statement) -> Fraction:
     """Probability assigned to a statement by the weakness prior:
     2^|Z_h| / 2^|L|."""
-    return Fraction(1 << lang.weakness(h), 1 << lang.size)
+    return Fraction(1, 1 << (lang.size - lang.weakness(h)))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ explicit (a universe listed verbatim).  All counting is exact.
 
 A language is rows plus masks.  ``rows`` holds one member int per
 statement position, in global order (bit p set when predicate p is in the
-statement); ``derive`` extends each node only by the higher predicates
-whose tables meet its top one's.  ``_pred`` holds per predicate the mask of
+statement); ``derive`` builds each size level from the last in one block
+of C-level passes per predicate.  ``_pred`` holds per predicate the mask of
 the members holding it, read from the rows packed by ``array`` as 64-bit words.
 The extension of any statement of the vocabulary, member or not, is the AND
 of its predicates' masks, so weakness, models and probabilities are
@@ -27,7 +27,8 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, total_ordering
-from operator import and_
+from itertools import compress, islice, repeat
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, MembershipError, VocabularyError
@@ -54,7 +55,7 @@ class StateSpace:
             raise ValueError("width must be >= 0")
         if width > 20:
             raise ValueError("bit-string spaces wider than 20 are not supported")
-        return cls(tuple(format(i, f"0{width}b") for i in range(1 << width)))
+        return cls(tuple(map(format, range(1 << width), repeat(f"0{width}b"))))
 
     @property
     def size(self) -> int:
@@ -155,18 +156,19 @@ _WORD = (1 << 64) - 1
 def _column_masks(rows: Sequence[int], n_predicates: int) -> list[int]:
     """Per predicate p, the position mask whose bit i is bit p of row i.
 
-    The rows are packed 64 predicates at a time, one little-endian 8-byte
-    word per row, by one ``array("Q")``.  Predicate p's column is every 8th
-    byte from byte (p mod 64) >> 3; the translation to '0'/'1' by bit p & 7,
-    reversed so that position 0 is the last digit, is the mask in base 2.
+    The rows are packed last first, 64 predicates at a time, one
+    little-endian 8-byte word per row, by one ``array("Q")``.  Predicate p's
+    column is every 8th byte from byte (p mod 64) >> 3; its translation to
+    '0'/'1' by bit p & 7 is the mask in base 2, the last position first.
     """
     masks = []
     for low in range(0, n_predicates, 64):
-        words = array("Q", [h >> low & _WORD for h in rows] if n_predicates > 64 else rows)
+        words = array("Q", [h >> low & _WORD for h in reversed(rows)]
+                      if n_predicates > 64 else reversed(rows))
         if sys.byteorder == "big":
             words.byteswap()
         packed = words.tobytes()
-        masks += [int(packed[p >> 3::8].translate(_BIT_COLUMN[p & 7])[::-1] or b"0", 2)
+        masks += [int(packed[p >> 3::8].translate(_BIT_COLUMN[p & 7]) or b"0", 2)
                   for p in range(min(64, n_predicates - low))]
     return masks
 
@@ -199,33 +201,34 @@ class Language:
     ) -> "Language":
         """Enumerate every satisfiable subset of the vocabulary.
 
-        Subsets are generated in the global order.  Satisfiability is
-        monotone downward, so each size level extends the previous one.
-        A node of a level is its satisfying states, its member int and its
-        top predicate, and it extends only by the higher predicates whose
-        tables meet the top one's (never by its complement).  The member ints
-        of the levels are the rows, from which the predicate masks are read.
-        Raises CapacityError as soon as more than ``cap`` statements exist.
+        Satisfiability is monotone downward, so each size level extends the
+        last.  A level is held in reverse global order, as its sets' states
+        and member ints, so the ``above[k]`` sets of predicates above k only,
+        those k can extend, are a prefix.  One block per predicate, k from the
+        last down, ANDs that prefix with k's table and keeps the satisfiable
+        sets: the next level, reversed.  Turned back, the levels are the rows.
+        At most two are held at once; CapacityError is raised, per block, once
+        more than ``cap`` statements exist.
         """
         if cap < 1:
             raise ValueError("cap must be >= 1")
         _check_vocab_space(space, vocab)
-        tables, full = [p.truth for p in vocab], (1 << space.size) - 1
-        # suffix[j]: (truth, bit, k) per k > j meeting j's table; [-1]: the empty statement's
-        suffix = [tuple((t, 1 << k, k) for k, t in enumerate(tables) if k > j and t & top)
-                  for j, top in [*enumerate(tables), (-1, full)]]
-        rows: list[int] = []
-        level = [(full, 0, -1)] if space.size else []
-        while level:
-            if len(rows) + len(level) > cap:
-                raise CapacityError("derived language size", cap)
-            rows += [h for _, h, _ in level]
-            level = [
-                (b, h | bit, k)
-                for sat, h, top in level
-                for truth, bit, k in suffix[top]
-                if (b := sat & truth)
-            ]
+        tables = [p.truth for p in vocab]
+        # the level of the empty statement, unless there are no states
+        sats, hs = ([(1 << space.size) - 1], [0]) if space.size else ([], [])
+        rows, above = hs[:], [1] * len(tables)
+        while sats:
+            next_sats, next_hs, next_above = [], [], [0] * len(tables)
+            for k in reversed(range(len(tables))):
+                if prefix := above[k]:
+                    next_above[k] = len(next_hs)
+                    meets = list(map(and_, islice(sats, prefix), repeat(tables[k])))
+                    next_sats += filter(None, meets)
+                    next_hs += map(or_, compress(islice(hs, prefix), meets), repeat(1 << k))
+                    if len(rows) + len(next_hs) > cap:
+                        raise CapacityError("derived language size", cap)
+            rows += reversed(next_hs)
+            sats, hs, above = next_sats, next_hs, next_above
         return cls(space, vocab, DERIVED, tuple(rows), _column_masks(rows, len(vocab)))
 
     @classmethod

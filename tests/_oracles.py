@@ -19,6 +19,7 @@ from typing import Iterator
 from weaklab import (
     CapacityError, Language, MembershipError, Statement, VTask, make_task, oracle,
 )
+from weaklab.arith import BinOpTask
 from weaklab.lattice import EXPLICIT, row_members
 from weaklab.oracle import CensusTask, OptimalityReport, Violation
 from weaklab.specdsl import And, BitRef, Not
@@ -255,6 +256,23 @@ def completions(pattern: int, pos: int, width: int) -> tuple[int, int]:
     0 leftmost) is ``pattern``: the deleted bit put back as 0, then as 1."""
     text = format(pattern, f"0{width - 1}b")
     return tuple(int(text[:pos] + bit + text[pos:], 2) for bit in "01")
+
+
+def operand_swap_state(state: int) -> int:
+    """The width-8 string a1 a0 b1 b0 o3 o2 o1 o0 with its operands swapped:
+    positions 0 and 2, and 1 and 3, trade places; the output bits stay."""
+    text = format(state, "08b")
+    return int(text[2:4] + text[:2] + text[4:], 2)
+
+
+def operand_swap(child: BinOpTask) -> BinOpTask:
+    """The width-8 child of the swapped operand order: every decision
+    swapped, and the deleted bit mapped as its position is (0 and 2, 1 and
+    3).  For a commutative op it is a child of the same parent task."""
+    assert child.width == 8
+    bit = {0: 2, 1: 3, 2: 0, 3: 1}.get(child.deleted_bit, child.deleted_bit)
+    decisions = tuple(sorted(map(operand_swap_state, child.decisions)))
+    return BinOpTask.of(child.op, child.width, bit, decisions)
 
 
 # ---------------------------------------------------------------------------

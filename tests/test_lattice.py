@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -21,6 +22,7 @@ from weaklab import (
     oracle,
     specdsl,
 )
+from weaklab.lattice import row_members
 from conftest import random_language, spec_path
 
 from _oracles import (
@@ -86,6 +88,23 @@ def test_capacity_error_names_cap(fx):
     with pytest.raises(CapacityError) as err:
         Language.derive(fx.lang.space, fx.lang.vocab, cap=10)
     assert err.value.cap == 10
+
+
+def test_capacity_error_comes_before_the_level_that_passes_the_cap_is_built():
+    # 400 always-true predicates: level 1 fits a cap of 500, level 2 would
+    # hold 79,800 sets of 2,048 states (about 47 MB if built in full)
+    space = StateSpace(tuple(f"s{i}" for i in range(2048)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # identical truth tables
+        vocab = Vocabulary(tuple(Predicate(f"p{i}", (1 << 2048) - 1) for i in range(400)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            Language.derive(space, vocab, cap=500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_empty_state_space_gives_empty_language():
@@ -368,6 +387,17 @@ def test_derive_matches_naive_route(n, data):
     if N > 1:
         with pytest.raises(CapacityError):
             Language.derive(space, vocab, cap=N - 1)
+
+
+def test_derive_matches_naive_route_on_the_corpus_vocabulary():
+    # add8's 16 bit literals over 256 states: 6,561 rows over nine levels
+    compiled = _compile_add8().language
+    tables = [p.truth for p in compiled.vocab]
+    lang = Language.derive(compiled.space, compiled.vocab)
+    expected = naive_derived_statements(tables, compiled.space.size)
+    assert len(expected) == 3 ** 8
+    assert list(map(row_members, lang.rows)) == expected
+    assert lang._pred == naive_predicate_masks(expected, len(tables))
 
 
 def test_derived_statements_are_slotted_and_still_validated():
