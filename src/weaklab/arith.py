@@ -17,6 +17,7 @@ cross-checks.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,19 +32,11 @@ from .minimize import (
     min_literal_cover,
 )
 
-OPS = ("add", "mul")
+OPS = {"add": operator.add, "mul": operator.mul}
 MODE_STATE = "state"
 MODE_PENALIZED = "penalized"
 
 Z95 = 1.96
-
-
-def _op_fn(op: str):
-    if op == "add":
-        return lambda a, b: a + b
-    if op == "mul":
-        return lambda a, b: a * b
-    raise ValueError(f"unknown operation {op!r}; expected one of {OPS}")
 
 
 def encode(op: str, a: int, b: int, width: int = 8) -> int:
@@ -53,7 +46,9 @@ def encode(op: str, a: int, b: int, width: int = 8) -> int:
     output_bits = width // 2
     if not 0 <= a < 1 << operand_bits or not 0 <= b < 1 << operand_bits:
         raise ValueError("operand out of range")
-    out = _op_fn(op)(a, b) & ((1 << output_bits) - 1)
+    if op not in OPS:
+        raise ValueError(f"unknown operation {op!r}; expected one of {tuple(OPS)}")
+    out = OPS[op](a, b) & ((1 << output_bits) - 1)
     return (a << (operand_bits + output_bits)) | (b << output_bits) | out
 
 

@@ -173,7 +173,7 @@ def _column_masks(rows: Sequence[int], n_predicates: int) -> list[int]:
     return masks
 
 
-@dataclass(eq=False)
+@dataclass
 class Language:
     """Finite universe of statements over a vocabulary, held as rows plus
     masks: ``rows``, the member int of each position (bit p for predicate
@@ -182,13 +182,14 @@ class Language:
     position is the lowest bit of its extension.  Derived languages contain
     exactly the satisfiable subsets of the vocabulary; explicit languages
     contain a listed universe.  ``statements`` is built on first access.
+    Languages are equal when their space, vocabulary, mode and rows are.
     """
 
     space: StateSpace
     vocab: Vocabulary
     mode: str
     rows: tuple[int, ...]
-    _pred: list[int] = field(repr=False)  # per predicate, the members holding it
+    _pred: list[int] = field(repr=False, compare=False)  # per predicate, the members holding it
 
     # -- construction ------------------------------------------------------
 
@@ -346,18 +347,6 @@ class Language:
 
     def format_statement(self, s: Statement) -> str:
         return "{" + ",".join(self.vocab[i].name for i in s.members) + "}"
-
-    def same_as(self, other: "Language") -> bool:
-        """Structural identity: same space, vocabulary, mode and rows."""
-        return (
-            self is other
-            or (
-                self.space == other.space
-                and self.vocab == other.vocab
-                and self.mode == other.mode
-                and self.rows == other.rows
-            )
-        )
 
 
 def _sat_set(space: StateSpace, vocab: Vocabulary, s: Statement) -> int:

@@ -16,17 +16,18 @@ extents, literal counts and text ranks; every search reads it.
 One branch-and-bound engine serves both proxies.  It branches on the
 uncovered ON state with the fewest covering primes: child k takes that
 state's k-th coverer and bans the earlier ones in its subtree, so each
-selection lies in exactly one subtree.  A node that covers ON is scored
-in its parent's loop, then branched the same way over the extra primes
-its proxy admits.  The exact integer score is compared first; the
-tie-break key is built only when two scores tie.  A greedy max-gain cover
-is the first incumbent, so a search that runs out of nodes still returns a
-cover, flagged as unproven; it and the coverers of each ON state are built
-once for the two searches of a trial.
+selection lies in exactly one subtree.  Every node that covers ON, the
+root of an empty ON included, takes one path: it is scored, then branched
+the same way over the extra primes its proxy admits.  The exact integer
+score is compared first; the tie-break key is built only when two scores
+tie.  A greedy max-gain cover is the first incumbent, so a search that
+runs out of nodes still returns a cover, flagged as unproven; it and the
+coverers of each ON state are built once for the two searches of a trial.
 
 * Description length: fewest total literals, then fewest terms, over the
-  primes that meet ON.  No extras.  Bound: the cheapest literal count of
-  each of a set of uncovered ON states no prime covers two of.
+  primes that meet ON, scored as one integer, literals * (m + 1) + terms
+  for m primes.  No extras.  Bound: the cheapest literal count of each of
+  a set of uncovered ON states no prime covers two of.
 * Weakness: greatest log2(|union|) - tau * terms, then fewest literals,
   over all primes.  An extra is admitted only if it adds at least the
   least gain of the union's size u, the fewest new states g with
@@ -68,12 +69,6 @@ def _subsets(n: int) -> tuple[int, ...]:
         low = x & -x
         subsets.append(subsets[x ^ low] | subsets[x ^ low] << low)
     return tuple(subsets)
-
-
-def cube_extent(n: int, care: int, value: int) -> int:
-    """Bitmask of the states matched by the cube (care, value): value plus
-    each state whose set bits all lie outside ``care``."""
-    return _subsets(n)[~care & (1 << n) - 1] << value
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +146,8 @@ def _prime_table(n: int, off: int):
     lits = [care.bit_count() for care, _ in primes]
     ranks = tuple(sorted(range(len(primes)), key=lits.__getitem__))
     cubes = tuple(map(primes.__getitem__, ranks))
-    subsets, full = _subsets(n), (1 << n) - 1  # as cube_extent, without a call per cube
+    # a cube matches value plus each state whose set bits all lie outside care
+    subsets, full = _subsets(n), (1 << n) - 1
     extents = tuple(subsets[full ^ care] << value for care, value in cubes)
     return cubes, extents, tuple(map(lits.__getitem__, ranks)), ranks
 
@@ -226,23 +222,26 @@ def _search(
 ) -> Cover:
     """Branch and bound over the selections of primes of ``off`` (indices
     into its ``_prime_table``) that cover ``on``; returns the selection with
-    the least (score, tie) key.
+    the least (score, tie) key.  Raises ValueError if ``on`` meets ``off``.
 
     ``cost``, the chosen primes' literal sum, is carried down each path.
     ``score(chosen, union, cost)`` is an integer compared first;
     ``tie(chosen, cost)`` orders selections of equal score and is built only
     for them.  ``extras(chosen, union, banned)`` lists the primes a node
-    that covers ``on`` may add.  ``hopeless(chosen, union, cost, pool, size,
-    need, reachable, best)`` prunes a node whose subtree can neither beat
-    nor tie the incumbent score ``best``.  At a node that covers ``on``,
-    ``pool`` lists its ``size`` extras, ``need`` is empty and ``reachable``
-    is the union of ``union`` and the extras.  Elsewhere ``need`` holds the
-    cheapest coverer of each of some uncovered ON states no prime covers
-    two of, so any completion adds at least len(need) terms; if ``capped``,
-    ``pool`` iterates the ``size`` unbanned primes in table order and
-    ``reachable`` is the union of ``union`` and their extents, else all
-    three are None.
+    that covers ``on`` may add; every such node, the root included, is
+    scored, then bounded and branched over its extras, if any.
+    ``hopeless(chosen, union, cost, pool, size, need, reachable, best)``
+    prunes a node whose subtree can neither beat nor tie the incumbent
+    score ``best``.  At a node that covers ``on``, ``pool`` lists its
+    ``size`` extras, ``need`` is empty and ``reachable`` is the union of
+    ``union`` and the extras.  Elsewhere ``need`` holds the cheapest
+    coverer of each of some uncovered ON states no prime covers two of, so
+    any completion adds at least len(need) terms; if ``capped``, ``pool``
+    iterates the ``size`` unbanned primes in table order and ``reachable``
+    is the union of ``union`` and their extents, else all three are None.
     """
+    if on & off:
+        raise ValueError("ON and OFF sets intersect")
     primes, extents, lits, ranks = _prime_table(n, off)
     coverers, reach, seed = _cover_setup(n, off, on)
     m = len(extents)
@@ -272,10 +271,9 @@ def _search(
         if t < best[2]:
             best[:] = sc, chosen, t, cost
 
-    def expand(chosen, cost, union, uncovered, banned, reachable, pool):
+    def expand(chosen, cost, union, uncovered, banned, reachable):
         # a counted node: one that leaves some of on uncovered, or one that
-        # covers on and has extras ``pool``; children that cover on are
-        # scored here and entered only to branch over their extras
+        # covers on, scored here and then branched over its extras
         nonlocal left
         if uncovered:
             need = []
@@ -307,8 +305,16 @@ def _search(
                 low = pick & -pick
                 pool.append(low.bit_length() - 1)
                 pick ^= low
-        elif hopeless(chosen, union, cost, pool, len(pool), (), reachable, best[0]):
-            return
+        else:
+            sc = score(chosen, union, cost)
+            if sc <= best[0]:
+                consider(chosen, cost, sc)
+            pool = extras(chosen, union, banned)
+            if not pool:
+                return
+            reachable = reduce(or_, map(extents.__getitem__, pool), union)
+            if hopeless(chosen, union, cost, pool, len(pool), (), reachable, best[0]):
+                return
         # child t takes pool[t] and bans pool[:t], so an uncovered child can
         # still reach the primes free outside the pool, found once, and
         # pool[t:]
@@ -318,30 +324,19 @@ def _search(
             if left < 0:
                 return
             e = extents[i]
-            child, joined, rest = chosen + (i,), union | e, uncovered & ~e
-            spent = cost + lits[i]
-            if rest:
-                if capped and outside is None:
+            rest = uncovered & ~e
+            if capped and rest:
+                if outside is None:
                     for j in pool[t:]:
                         free[j] = 0
                     outside = reduce(or_, compress(extents, free), union)
                     for j in pool[t:]:
                         free[j] = 1
                     tails = list(accumulate(map(extents.__getitem__, pool[::-1]), or_))
-                reachable = outside | tails[~t] if capped else None
-                expand(child, spent, joined, rest, banned, reachable, None)
-                if left < 0:
-                    return
-            else:
-                sc = score(child, joined, spent)
-                if sc <= best[0]:
-                    consider(child, spent, sc)
-                more = extras(child, joined, banned)
-                if more:
-                    reachable = reduce(or_, map(extents.__getitem__, more), joined)
-                    expand(child, spent, joined, 0, banned, reachable, more)
-                    if left < 0:
-                        return
+                reachable = outside | tails[~t]
+            expand(chosen + (i,), cost + lits[i], union | e, rest, banned, reachable)
+            if left < 0:
+                return
             banned |= 1 << i
             if capped and uncovered:
                 free[i] = 0
@@ -351,15 +346,7 @@ def _search(
 
     left -= 1
     if left >= 0:
-        if on:
-            expand((), 0, 0, on, 0, reduce(or_, extents, 0) if capped else None, None)
-        else:  # the root covers on, as its children do
-            sc = score((), 0, 0)
-            if sc <= best[0]:
-                consider((), 0, sc)
-            more = extras((), 0, 0)
-            if more:
-                expand((), 0, 0, 0, 0, reduce(or_, map(extents.__getitem__, more)), more)
+        expand((), 0, 0, on, 0, reduce(or_, extents, 0) if capped else None)
     chosen = best[1]
     cubes = tuple(primes[i] for i in sorted(chosen, key=ranks.__getitem__))
     return Cover(n, cubes, union_of(chosen), left >= 0, budget - left)
@@ -371,21 +358,20 @@ def min_literal_cover(
     """Exact minimum total-literal cover of ``on`` avoiding ``off``; states
     in neither set are don't-cares.  Ties broken by fewer terms, then by
     the sorted cubes' text order."""
-    if on & off:
-        raise ValueError("ON and OFF sets intersect")
     if on == 0:
         return Cover(n, (), 0, True, 0)
     # every prime, though only those that meet ON are ever chosen
     _, _, lits, ranks = _prime_table(n, off)
+    weight = len(lits) + 1  # more than any term count
 
     def score(chosen, union, cost):
-        return cost
+        return cost * weight + len(chosen)
 
     def tie(chosen, cost):
-        return len(chosen), sorted(ranks[i] for i in chosen)
+        return sorted(ranks[i] for i in chosen)
 
     def hopeless(chosen, union, cost, pool, size, need, reachable, best):
-        return cost + sum(map(lits.__getitem__, need)) > best
+        return (cost + sum(map(lits.__getitem__, need))) * weight > best
 
     return _search(n, on, off, budget, score, tie, lambda *_: [], hopeless, False)
 
@@ -428,8 +414,6 @@ def max_weakness_cover(
     worst the greedy seed) is returned with proven_optimal False.  Ties are
     broken by fewer literals, then the sorted cubes' text order.
     """
-    if on & off:
-        raise ValueError("ON and OFF sets intersect")
     if tau < 0:
         raise ValueError("tau must be >= 0")
     num, den = tau.numerator, tau.denominator

@@ -43,6 +43,7 @@ from .lattice import (
     StateSpace,
     Statement,
     Vocabulary,
+    _sat_set,
 )
 from .tasks import VTask, make_task
 
@@ -507,33 +508,26 @@ def compile_document(
     def to_statement(names: tuple[str, ...]) -> Statement:
         return Statement.of(index[n] for n in names)
 
-    if doc.statements:
-        by_name: dict[str, Statement] = {}
-        bodies: dict[tuple[int, ...], str] = {}
-        listed = []
-        for sd in doc.statements:
-            s = to_statement(sd.members)
-            bits = (1 << (1 << width)) - 1
-            for i in s.members:
-                bits &= preds[i].truth
-            if not bits:
-                raise CompileError(
-                    f"statement {sd.name!r} = "
-                    f"{{{', '.join(sd.members)}}} is unsatisfiable",
-                    *sd.pos,
-                )
-            if s.members in bodies:
-                raise CompileError(
-                    f"statement {sd.name!r} duplicates {bodies[s.members]!r}",
-                    *sd.pos,
-                )
-            bodies[s.members] = sd.name
-            by_name[sd.name] = s
-            listed.append(s)
-        language = Language.explicit(space, vocab, listed)
+    named: dict[Statement, str] = {}  # each listed statement: its name
+    for sd in doc.statements:
+        s = to_statement(sd.members)
+        if not _sat_set(space, vocab, s):
+            raise CompileError(
+                f"statement {sd.name!r} = "
+                f"{{{', '.join(sd.members)}}} is unsatisfiable",
+                *sd.pos,
+            )
+        if s in named:
+            raise CompileError(
+                f"statement {sd.name!r} duplicates {named[s]!r}",
+                *sd.pos,
+            )
+        named[s] = sd.name
+    if named:
+        language = Language.explicit(space, vocab, named)
     else:
-        by_name = {}
         language = Language.derive(space, vocab, cap)
+    by_name = {name: s for s, name in named.items()}
 
     def resolve(elem: Elem) -> Statement:
         if isinstance(elem, NameElem):

@@ -137,6 +137,6 @@ def attempt_task(task: VTask, h: Statement, s: Statement) -> Decision:
 
 def is_child(a: VTask, w: VTask) -> bool:
     """Task containment: situations properly contained, decisions contained."""
-    if not a.lang.same_as(w.lang):
+    if a.lang != w.lang:
         raise IncompatibleLanguageError("tasks built over different languages")
     return set(a.situations) < set(w.situations) and a.decided & ~w.decided == 0

@@ -296,6 +296,12 @@ def all_cubes_extents(n: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def cube_extent(n: int, care: int, value: int) -> int:
+    """Bitmask of the states matched by the cube (care, value), by a scan
+    of every state."""
+    return sum(1 << state for state in range(1 << n) if state & care == value)
+
+
 def naive_cube_text(n: int, care: int, value: int) -> str:
     """Positional rendering, leftmost position (bit n-1) first."""
     return "".join(

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from weaklab import (
     CapacityError,
+    IncompatibleLanguageError,
     Language,
     MembershipError,
     Predicate,
@@ -130,7 +131,20 @@ def test_bit_space_is_its_state_names():
     assert StateSpace.bits(2) == StateSpace(names)
     spec = specdsl.compile_text("width 2; pred p := b0; pred q := !b1;").language
     vocab = Vocabulary((Predicate("p", 0b1100), Predicate("q", 0b0101)))
-    assert spec.same_as(Language.derive(StateSpace(names), vocab))
+    assert spec == Language.derive(StateSpace(names), vocab)
+
+
+def test_languages_are_equal_by_space_vocabulary_mode_and_rows():
+    # two derives of one vocabulary are equal, so their tasks compare; an
+    # explicit universe of the same rows differs from both by its mode
+    a, b = oracle.tiny_language(), oracle.tiny_language()
+    assert a is not b and a == b
+    explicit = Language.explicit(a.space, a.vocab, a.statements)
+    assert explicit.rows == a.rows and explicit != a
+    parent = make_task(b, [S(0), S(1)], [S(0), S(1)])
+    assert is_child(make_task(a, [S(0)], [S(0)]), parent)
+    with pytest.raises(IncompatibleLanguageError):
+        is_child(make_task(explicit, [S(0)], [S(0)]), parent)
 
 
 def test_enumeration_deterministic():
@@ -383,7 +397,7 @@ def test_derive_matches_naive_route(n, data):
     assert Language.explicit(space, vocab, lang.statements)._pred == masks
     # the cap admits exactly N statements
     N = len(expected)
-    assert Language.derive(space, vocab, cap=N).same_as(lang)
+    assert Language.derive(space, vocab, cap=N) == lang
     if N > 1:
         with pytest.raises(CapacityError):
             Language.derive(space, vocab, cap=N - 1)

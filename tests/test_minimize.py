@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from weaklab import arith, minimize
 from _oracles import (
     all_cubes_extents,
+    cube_extent,
     first_max_greedy,
     least_gain_search,
     min_literals_search,
@@ -33,7 +34,7 @@ def test_cube_text_and_extent():
     assert naive_cube_text(3, care, value) == "01-"
     assert minimize.Cover(3, ((care, value),), 0, True, 0).literal_count == 2
     # states with bit2(pos0)=0 and bit1(pos1)=1: '010' and '011' -> 2,3
-    assert minimize.cube_extent(3, care, value) == (1 << 2) | (1 << 3)
+    assert cube_extent(3, care, value) == (1 << 2) | (1 << 3)
 
 
 def test_all_cubes_count(cubes8):
@@ -43,7 +44,7 @@ def test_all_cubes_count(cubes8):
 
 def _prime_triples(n, off):
     return [
-        (care, value, minimize.cube_extent(n, care, value))
+        (care, value, cube_extent(n, care, value))
         for care, value in minimize.prime_cubes(n, off)
     ]
 
@@ -101,7 +102,7 @@ def test_prime_table_orders_by_literal_count_then_text():
         assert keys == sorted(keys)
         assert lits == tuple(care.bit_count() for care, _ in primes)
         assert extents == tuple(
-            minimize.cube_extent(n, care, value) for care, value in primes
+            cube_extent(n, care, value) for care, value in primes
         )
         by_rank = sorted(range(len(primes)), key=ranks.__getitem__)
         assert tuple(primes[i] for i in by_rank) == minimize.prime_cubes(n, off)
@@ -124,13 +125,13 @@ def test_primes_are_maximal_and_valid():
         primes = minimize.prime_cubes(n, off)
         seen = set()
         for care, value in primes:
-            assert minimize.cube_extent(n, care, value) & off == 0
+            assert cube_extent(n, care, value) & off == 0
             assert (care, value) not in seen
             seen.add((care, value))
             j = care
             while j:
                 bit = j & -j
-                wider = minimize.cube_extent(n, care & ~bit, value & ~bit)
+                wider = cube_extent(n, care & ~bit, value & ~bit)
                 assert wider & off, "expandable cube reported as prime"
                 j ^= bit
 
@@ -233,11 +234,12 @@ def test_max_weakness_cover_is_brute_force_argmax_dont_care_heavy(n, mix, tau):
     rng = random.Random(f"{n}{mix}{tau}")
     for _ in range(40):
         on, off = _dont_care_heavy(rng, n, mix, max_primes=14)
-        got = minimize.max_weakness_cover(n, on, off, tau=tau)
-        assert got.proven_optimal
-        u, k, lits, texts = _brute_weakness_argmax(n, on, off, tau)
-        assert (got.sat, got.term_count, got.literal_count) == (u, k, lits)
-        assert _texts(got) == texts
+        for on in (on, 0):  # an empty ON is covered at the root
+            got = minimize.max_weakness_cover(n, on, off, tau=tau)
+            assert got.proven_optimal
+            u, k, lits, texts = _brute_weakness_argmax(n, on, off, tau)
+            assert (got.sat, got.term_count, got.literal_count) == (u, k, lits)
+            assert _texts(got) == texts
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -423,7 +425,7 @@ def test_cover_pairs_rebuild_sat_and_avoid_off(mode):
         ):
             union = 0
             for care, value in cov.cubes:
-                union |= minimize.cube_extent(8, care, value)
+                union |= cube_extent(8, care, value)
             assert union == cov.sat
             assert cov.sat & off == 0 and child.on & ~cov.sat == 0
             assert _texts(cov) == sorted(set(_texts(cov)))
