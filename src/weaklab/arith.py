@@ -134,13 +134,13 @@ def weakest_model_state(
 ) -> Cover:
     """Weakness-side hypothesis for the child.
 
-    ``state`` mode returns the unique satisfaction-maximal model, the child
-    decisions plus every state its situations cannot reach, by its
-    satisfaction set alone.  ``penalized`` mode searches prime covers of
-    the child decisions for the maximum of log2(|sat|) - tau*terms.
+    ``state`` mode, and ``penalized`` at tau = 0 (its limit), return the unique
+    satisfaction-maximal model (child decisions plus every state the situations
+    cannot reach) by its satisfaction set.  ``penalized`` mode searches prime
+    covers of the child decisions for the maximum of log2(|sat|) - tau*terms.
     """
     width, on = child.width, child.on
-    if mode == MODE_STATE:
+    if mode == MODE_STATE or mode == MODE_PENALIZED and tau == 0:
         full = (1 << (1 << width)) - 1
         return Cover(width, None, on | (full & ~child.reach_mask), True, 0)
     if mode == MODE_PENALIZED:

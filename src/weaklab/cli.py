@@ -138,9 +138,10 @@ def build_parser() -> _Parser:
     ex.add_argument("--mode", choices=[arith.MODE_STATE, arith.MODE_PENALIZED],
                     default=arith.MODE_PENALIZED)
     ex.add_argument("--tau", type=_parse_tau, default=Fraction(1),
-                    help="weakness term penalty, a decimal or p/q rational without "
-                    "an exponent whose numerator and denominator in lowest terms "
-                    "are at most 64 (default 1)")
+                    help="weakness term penalty (default 1), a decimal or p/q "
+                    "rational without an exponent, numerator and denominator in "
+                    "lowest terms at most 64; state mode is the tau -> 0 limit, and "
+                    "tau 0 returns state mode's hypothesis")
     ex.add_argument("--budget", type=_positive_int, default=None,
                     help="search node budget per cover")
     ex.add_argument("--width", type=int, default=8, choices=[4, 8])
@@ -279,10 +280,11 @@ def cmd_verify(args) -> int:
         "deviations": fx_report.deviation_count,
     }
 
-    reports = [fx_report]  # then one record per swept language within the cap
-    for lang in sweep:
+    reports, swept = [fx_report], {}  # then one record per language within the cap
+    for lang in sweep:  # a census repeated in this call is swept once
         try:
-            reports.append(oracle.verify_weakness_optimality(lang, census_cap=cap))
+            reports.append(
+                oracle.verify_weakness_optimality(lang, census_cap=cap, swept=swept))
         except CapacityError:
             continue
     violations = [{"states": rep.states, "truth_tables": rep.truth_tables,

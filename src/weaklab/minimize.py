@@ -164,14 +164,6 @@ class Cover:
     proven_optimal: bool
     nodes_used: int
 
-    @property
-    def literal_count(self) -> int:
-        return sum(care.bit_count() for care, _ in self.cubes)
-
-    @property
-    def term_count(self) -> int:
-        return len(self.cubes)
-
 
 def _greedy_cover(extents: list[int], target: int) -> list[int]:
     """Indices of a cover of ``target``: each step takes the first extent

@@ -3,14 +3,16 @@
 Enumerates the full task census of a language (every nonempty proper
 situation set with every nonempty reachable decision set) and checks, for
 every task with models, that the weakest models are never beaten on the
-count of census parents they generalise to.  The census is swept one
-situation set at a time after one superset-sum (zeta) transform, O(n·2^n)
-for n members; a task with one model takes only the deviation test.
-``verify_weakness_optimality`` returns one record per language: state count
-and truth tables (which rebuild a derived language), the listed universe of
-an explicit language, census size, tasks checked, violations, and a count of
-the (task, model) pairs whose parent fraction differs from the formula,
-which counts decision subsets where the census counts concrete tasks.
+count of census parents they generalise to.  A census depends only on the
+members' extension masks: calls that share one ``swept`` dict sweep each
+distinct mask tuple once, one situation set at a time after one superset-sum
+(zeta) transform, O(n·2^n) for n members; a one-model task takes only the
+deviation test.  ``verify_weakness_optimality`` returns one record per
+language: state count and truth tables (which rebuild a derived language),
+the listed universe of an explicit language, census size, tasks checked,
+violations in its own members, and a count of the (task, model) pairs whose
+parent fraction differs from the formula, which counts decision subsets
+where the census counts concrete tasks.
 
 Also home of the two built-in fixtures: the two-state language, and the
 explicit-universe language on which the two proxies pick different models.
@@ -50,26 +52,22 @@ DEFAULT_CENSUS_CAP = 1_000_000
 
 
 def census_size(lang: Language, cap: int = DEFAULT_CENSUS_CAP) -> int:
-    """Exact census cardinality, without materializing tasks.
+    """Exact census cardinality, without materializing tasks; raises
+    CapacityError as soon as the running total exceeds ``cap``."""
+    return _census(lang.extension_masks(), cap)[1]
 
-    Raises CapacityError as soon as the running total exceeds ``cap``.
+
+def _census(ext: list[int], cap: int) -> tuple[list[int], int]:
+    """The census reach table over the member extension masks ``ext`` (reach[m]
+    is the mask of the members containing some statement at a set bit of m,
+    for every proper situation mask m) and the census size; raises
+    CapacityError as soon as the running total exceeds ``cap``.
     """
-    return _census(lang, cap)[2]
-
-
-def _census(lang: Language, cap: int) -> tuple[list[int], list[int], int]:
-    """The extension masks of the members, the reach table of the census
-    (reach[m] is the mask of the members containing some statement at a set
-    bit of m, for every proper situation mask m) and the census size.
-
-    Raises CapacityError as soon as the running total exceeds ``cap``.
-    """
-    n = lang.size
+    n = len(ext)
     # Every census situation set contributes at least 2^|S| - 1 decision
     # sets, so 3^n - 2^(n+1) + 1 is a cheap lower bound on the census.
     if n > 1 and 3**n - (1 << (n + 1)) + 1 > cap:
         raise CapacityError("task census", cap)
-    ext = lang.extension_masks()
     full = (1 << n) - 1
     reach = [0] * full
     total = 0
@@ -79,7 +77,7 @@ def _census(lang: Language, cap: int) -> tuple[list[int], list[int], int]:
         total += (1 << reach[mask].bit_count()) - 1
         if total > cap:
             raise CapacityError("task census", cap)
-    return ext, reach, total
+    return reach, total
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +109,8 @@ def census_tasks(
     ``parent_counts`` entry is 2^(n-|S|) - 2; the one model of a one-model task has
     the best count, so the check tests such a task for deviation only.
     """
-    ext, reach, _ = _census(lang, census_cap)
-    return _census_tasks(ext, reach)
+    ext = lang.extension_masks()
+    return _census_tasks(ext, _census(ext, census_cap)[0])
 
 
 def _census_tasks(ext: list[int], reach: list[int]) -> Iterator[CensusTask]:
@@ -173,21 +171,40 @@ class OptimalityReport:
 
 
 def verify_weakness_optimality(
-    lang: Language, census_cap: int = DEFAULT_CENSUS_CAP
+    lang: Language, census_cap: int = DEFAULT_CENSUS_CAP, swept: dict | None = None
 ) -> OptimalityReport:
     """Sweep every census task with a nonempty model set.
 
     Checks that every weakness-maximal model of a task attains the task's
     maximum parent count, and counts the (task, model) pairs whose parent
     fraction differs from the formula value 2^|Z̄_S ∩ Z_h| / 2^|Z̄_S|.
+    Calls that share one ``swept`` dict, under one cap, sweep each distinct
+    extension-mask tuple once.
     """
-    ext, reach, total_census = _census(lang, census_cap)
+    ext = lang.extension_masks()
+    swept = {} if swept is None else swept
+    if (key := tuple(ext)) not in swept:
+        swept[key] = _sweep(ext, census_cap)
+    size, tasks, deviations, raw = swept[key]
     tables = tuple(p.truth for p in lang.vocab)
     universe = tuple(map(row_members, lang.rows)) if lang.mode == EXPLICIT else None
-    rep = OptimalityReport(lang.space.size, tables, universe, total_census, 0, [], 0)
-    n = lang.size
+    rep = OptimalityReport(lang.space.size, tables, universe, size, tasks, [], deviations)
+    for s_mask, d, h, count, best_h, best in raw:  # a fresh list, this language's members
+        rep.violations.append(Violation(
+            tuple(s.members for s in lang.statements_of(s_mask)),
+            tuple(s.members for s in lang.statements_of(d)),
+            row_members(lang.rows[h]), count, row_members(lang.rows[best_h]), best,
+        ))
+    return rep
+
+
+def _sweep(ext: list[int], census_cap: int) -> tuple[int, int, int, list[tuple]]:
+    """Census size, tasks checked, deviation count and the violations as
+    position tuples (S, D, weak model, its count, best model, best count)."""
+    reach, size = _census(ext, census_cap)
+    n = len(ext)
     weak = [e.bit_count() for e in ext]
-    tasks = deviations = 0
+    tasks, deviations, raw = 0, 0, []
     for s_mask, zs, sets, above, groups, multi in _census_by_situations(ext, reach):
         tasks += len(groups)
         outside = n - zs.bit_count()
@@ -206,19 +223,8 @@ def verify_weakness_optimality(
                 if count << outside != total << (weak[h] - d.bit_count()):
                     deviations += 1
                 if count < best and weak[h] == w_max:
-                    best_h = models[counts.index(best)]
-                    rep.violations.append(
-                        Violation(
-                            tuple(s.members for s in lang.statements_of(s_mask)),
-                            tuple(s.members for s in lang.statements_of(d)),
-                            row_members(lang.rows[h]),
-                            count,
-                            row_members(lang.rows[best_h]),
-                            best,
-                        )
-                    )
-    rep.tasks_checked, rep.deviation_count = tasks, deviations
-    return rep
+                    raw.append((s_mask, d, h, count, models[counts.index(best)], best))
+    return size, tasks, deviations, raw
 
 
 # ---------------------------------------------------------------------------

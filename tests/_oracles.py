@@ -296,6 +296,16 @@ def all_cubes_extents(n: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def literal_count(cover) -> int:
+    """Literals of a cover's cubes: the care bits of every (care, value) pair."""
+    return sum(care.bit_count() for care, _ in cover.cubes)
+
+
+def term_count(cover) -> int:
+    """Cubes of a cover."""
+    return len(cover.cubes)
+
+
 def cube_extent(n: int, care: int, value: int) -> int:
     """Bitmask of the states matched by the cube (care, value), by a scan
     of every state."""

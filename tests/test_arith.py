@@ -6,7 +6,7 @@ import pytest
 
 from weaklab import arith, minimize
 from weaklab.minimize import min_literal_cover
-from _oracles import completions, score_cmp, wald_interval
+from _oracles import completions, literal_count, score_cmp, term_count, wald_interval
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +211,10 @@ def test_penalized_score_dominates_mdl_cover():
         if not (hw.proven_optimal and hl.proven_optimal):
             continue
         assert score_cmp(
-            hl.sat.bit_count(), hl.term_count,
-            hw.sat.bit_count(), hw.term_count, 1, 1,
+            hl.sat.bit_count(), term_count(hl),
+            hw.sat.bit_count(), term_count(hw), 1, 1,
         ) <= 0
-        assert hl.literal_count <= hw.literal_count
+        assert literal_count(hl) <= literal_count(hw)
 
 
 def test_trial_full_child_generalises_both():
@@ -243,6 +243,19 @@ def test_state_mode_trial_builds_no_weakness_cover(monkeypatch):
     assert res.weak.hypothesis.sat == child.on | (full & ~child.reach_mask)
     assert res.weak.hypothesis.proven_optimal and res.weak.hypothesis.cubes is None
     assert len(calls) == 1
+
+
+def test_penalized_tau_zero_is_state_mode_on_the_criterion_8_grid():
+    # at tau = 0 the weakness score is |sat| alone, maximised by state mode's
+    # closed form; every trial is proven, with no cover search to run out
+    grid = (["add", "mul"], [6, 10, 14])
+    kw = dict(trials=200, master_seed="acceptance-tables")
+    pen = arith.run_experiment(*grid, mode="penalized", tau=Fraction(0), **kw)
+    state = arith.run_experiment(*grid, mode="state", **kw)
+    assert sum(row.flagged for row in pen.rows) == 0
+    assert len(pen.trial_results) == 1200
+    assert pen.trial_results == state.trial_results
+    assert pen.rows == state.rows
 
 
 def test_state_mode_extent_add_always_one():

@@ -268,6 +268,22 @@ def test_verify_task_count_includes_the_fixture_language(tmp_path, capsys):
     assert "optimality: 0 languages, 1520 tasks," in capsys.readouterr().out
 
 
+def test_each_verify_call_sweeps_its_own_censuses(monkeypatch, capsys):
+    # the sweep memo belongs to one call: a second call in the same process
+    # sweeps as many censuses as the first, and fewer than it checks
+    calls = []
+    sweep = oracle._sweep
+    monkeypatch.setattr(oracle, "_sweep", lambda *a: calls.append(a) or sweep(*a))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert run_cli("verify", "--max-states", "3", "--max-vocab", "3") == 0
+        counts.append(len(calls))
+    assert "optimality: 112 languages," in capsys.readouterr().out
+    assert counts[0] == counts[1]
+    assert 1 < counts[0] < 1 + 112  # the fixture language, then each distinct census
+
+
 def test_verify_trivial_caps(capsys):
     assert run_cli("verify", "--max-states", "1", "--max-vocab", "1") == 0
 

@@ -242,6 +242,66 @@ def test_verify_reports_violation_in_loop(tiny, monkeypatch):
     assert per_task_optimality(tiny) == rep
 
 
+def _verify_4_4_languages(seed):
+    # the languages of `verify --max-states 4 --max-vocab 4 --seed SEED`
+    return [
+        *oracle.all_derived_languages(3, 4),
+        *oracle.sample_derived_languages(4, 50, seed=seed, max_vocab=5),
+    ]
+
+
+def _report_or_capacity(lang, **kwargs):
+    try:
+        return oracle.verify_weakness_optimality(lang, **kwargs)
+    except CapacityError:
+        return CapacityError
+
+
+@pytest.mark.parametrize("seed", ["weaklab-verify", "sweep-memo"])
+def test_shared_sweep_dict_gives_the_same_reports(fx, seed):
+    langs = [fx.lang, *_verify_4_4_languages(seed)]
+    swept = {}
+    shared = [_report_or_capacity(lang, swept=swept) for lang in langs]
+    alone = [_report_or_capacity(lang) for lang in langs]
+    assert shared == alone
+    assert shared.count(CapacityError) == 16
+    assert len(swept) < len(langs) - 16
+
+
+def test_a_shared_sweep_rebuilds_violations_per_language(monkeypatch):
+    # two derived languages with one extension-mask tuple but different
+    # statements: {}, {p0}, {p1} and {}, {p1}, {p2} (p0 is never true)
+    space = StateSpace(("s0", "s1"))
+    langs = [
+        oracle.Language.derive(space, Vocabulary(
+            tuple(Predicate(f"p{i}", t) for i, t in enumerate(tables))))
+        for tables in ((1, 2), (0, 1, 2))
+    ]
+    a, b = langs
+    assert a.extension_masks() == b.extension_masks()
+    assert a.statements != b.statements
+    calls = []
+
+    def fake_sweep(ext, cap):
+        # one raw violation: S = D = {member 1}, weak model 0, best model 1
+        calls.append(ext)
+        return 26, 5, 0, [(0b010, 0b010, 0, 1, 1, 2)]
+
+    monkeypatch.setattr(oracle, "_sweep", fake_sweep)
+    swept = {}
+    rep_a, rep_b = (oracle.verify_weakness_optimality(l, swept=swept) for l in langs)
+    assert len(calls) == 1
+    assert rep_a.violations is not rep_b.violations
+    for rep, lang in ((rep_a, a), (rep_b, b)):
+        s = [st.members for st in lang.statements]
+        assert rep.census_size == 26 and rep.tasks_checked == 5
+        assert rep.violations == [oracle.Violation((s[1],), (s[1],), s[0], 1, s[1], 2)]
+    # a caller may append to a report's list; the next report starts afresh
+    rep_a.violations.append(rep_b.violations[0])
+    assert len(oracle.verify_weakness_optimality(a, swept=swept).violations) == 1
+    assert len(rep_b.violations) == 1 and len(calls) == 1
+
+
 def test_exhaustive_small_sweep_clean():
     violations = 0
     n_langs = 0
