@@ -242,14 +242,6 @@ def test_verify_reports_violation_in_loop(tiny, monkeypatch):
     assert per_task_optimality(tiny) == rep
 
 
-def _verify_4_4_languages(seed):
-    # the languages of `verify --max-states 4 --max-vocab 4 --seed SEED`
-    return [
-        *oracle.all_derived_languages(3, 4),
-        *oracle.sample_derived_languages(4, 50, seed=seed, max_vocab=5),
-    ]
-
-
 def _report_or_capacity(lang, **kwargs):
     try:
         return oracle.verify_weakness_optimality(lang, **kwargs)
@@ -259,7 +251,12 @@ def _report_or_capacity(lang, **kwargs):
 
 @pytest.mark.parametrize("seed", ["weaklab-verify", "sweep-memo"])
 def test_shared_sweep_dict_gives_the_same_reports(fx, seed):
-    langs = [fx.lang, *_verify_4_4_languages(seed)]
+    # the fixture language, then those of `verify --max-states 4 --max-vocab 4`
+    langs = [
+        fx.lang,
+        *oracle.all_derived_languages(3, 4),
+        *oracle.sample_derived_languages(4, 50, seed=seed, max_vocab=5),
+    ]
     swept = {}
     shared = [_report_or_capacity(lang, swept=swept) for lang in langs]
     alone = [_report_or_capacity(lang) for lang in langs]
