@@ -14,7 +14,7 @@ numerator or denominator in lowest terms exceeds 64, an empty --dk, a
 --samples-at above 62 and a negative --max-states, --max-vocab or --samples;
 65 spec file errors, including a file that is not UTF-8; 74 I/O failure;
 75 capacity overflow, including a --census-cap too small for the fixture
-language.
+language and a derive past its 256 MiB mask budget.
 """
 
 from __future__ import annotations
@@ -172,7 +172,8 @@ def build_parser() -> _Parser:
     ind.add_argument("--task", required=True, help="task name")
     ind.add_argument("--proxy", choices=["weakness", "mdl"], default="weakness")
     ind.add_argument("--cap", type=_positive_int, default=specdsl.DEFAULT_LANGUAGE_CAP,
-                     help="derived-language size cap")
+                     help="statements a derived language may hold; a derive also "
+                     "stops once two levels' masks pass 256 MiB (states/8 B each)")
     ind.add_argument("--out", default=None, help="structured output path")
     ind.add_argument("--format", choices=["table", "structured"], default="table")
     return p
@@ -374,8 +375,9 @@ def cmd_induce(args) -> int:
     except specdsl.SpecError as exc:
         print(f"{args.spec}:{exc}", file=sys.stderr)
         return EXIT_SPEC
-    except CapacityError as exc:
-        print(f"weaklab: {exc}; raise --cap", file=sys.stderr)
+    except CapacityError as exc:  # the statement cap can be raised, the mask budget not
+        hint = "; raise --cap" if exc.cap == args.cap else ""
+        print(f"weaklab: {exc}{hint}", file=sys.stderr)
         return EXIT_CAPACITY
     for warning in compiled.warnings:
         print(f"{args.spec}:{warning}", file=sys.stderr)

@@ -34,6 +34,8 @@ from typing import Iterable, Iterator, Sequence
 from .errors import CapacityError, MembershipError, VocabularyError
 
 DEFAULT_LANGUAGE_CAP = 1_000_000
+# bytes of satisfaction masks a derive may hold, at ceil(states / 8) per mask
+DERIVE_MASK_BYTES = 1 << 28
 
 DERIVED = "derived"
 EXPLICIT = "explicit"
@@ -209,7 +211,8 @@ class Language:
         last down, ANDs that prefix with k's table and keeps the satisfiable
         sets: the next level, reversed.  Turned back, the levels are the rows.
         At most two are held at once; CapacityError is raised, per block, once
-        more than ``cap`` statements exist.
+        more than ``cap`` statements exist or the two levels' masks pass
+        ``DERIVE_MASK_BYTES``.
         """
         if cap < 1:
             raise ValueError("cap must be >= 1")
@@ -217,7 +220,7 @@ class Language:
         tables = [p.truth for p in vocab]
         # the level of the empty statement, unless there are no states
         sats, hs = ([(1 << space.size) - 1], [0]) if space.size else ([], [])
-        rows, above = hs[:], [1] * len(tables)
+        rows, above, mask_bytes = hs[:], [1] * len(tables), -(-space.size // 8)
         while sats:
             next_sats, next_hs, next_above = [], [], [0] * len(tables)
             for k in reversed(range(len(tables))):
@@ -228,6 +231,8 @@ class Language:
                     next_hs += map(or_, compress(islice(hs, prefix), meets), repeat(1 << k))
                     if len(rows) + len(next_hs) > cap:
                         raise CapacityError("derived language size", cap)
+                    if (len(sats) + len(next_sats)) * mask_bytes > DERIVE_MASK_BYTES:
+                        raise CapacityError("derived language mask bytes", DERIVE_MASK_BYTES)
             rows += reversed(next_hs)
             sats, hs, above = next_sats, next_hs, next_above
         return cls(space, vocab, DERIVED, tuple(rows), _column_masks(rows, len(vocab)))

@@ -5,14 +5,17 @@ situation set with every nonempty reachable decision set) and checks, for
 every task with models, that the weakest models are never beaten on the
 count of census parents they generalise to.  A census depends only on the
 members' extension masks: calls that share one ``swept`` dict sweep each
-distinct mask tuple once, one situation set at a time after one superset-sum
-(zeta) transform, O(n·2^n) for n members; a one-model task takes only the
-deviation test.  ``verify_weakness_optimality`` returns one record per
-language: state count and truth tables (which rebuild a derived language),
-the listed universe of an explicit language, census size, tasks checked,
-violations in its own members, and a count of the (task, model) pairs whose
-parent fraction differs from the formula, which counts decision subsets
-where the census counts concrete tasks.
+distinct mask tuple once and refuse one over the cap once.  A sweep groups
+the members by decision set once per distinct situation reach Z_S, after one
+superset-sum (zeta) transform, O(n·2^n) for n members; each situation set
+then takes one lookup for the deviation test (``_sweep`` says why), and only
+its tasks of two or more models take the violation test.
+``verify_weakness_optimality`` returns one record per language: state count
+and truth tables (which rebuild a derived language), the listed universe of
+an explicit language, census size, tasks checked, violations in its own
+members, and a count of the (task, model) pairs whose parent fraction
+differs from the formula (which counts decision subsets where the census
+counts concrete tasks).
 
 Also home of the two built-in fixtures: the two-state language, and the
 explicit-universe language on which the two proxies pick different models.
@@ -85,68 +88,6 @@ def _census(ext: list[int], cap: int) -> tuple[list[int], int]:
 
 
 @dataclass(frozen=True)
-class CensusTask:
-    """One census task with models, as position masks and counts."""
-
-    situations: int
-    decisions: int
-    models: tuple[int, ...]  # positions, in global order
-    parent_counts: tuple[int, ...]  # census parents each model is a model of
-    total_parents: int
-
-
-def census_tasks(
-    lang: Language, census_cap: int = DEFAULT_CENSUS_CAP
-) -> Iterator[CensusTask]:
-    """Every census task with models and its parent counts, situation masks up, then
-    decision sets by first model; raises CapacityError at the call, not at ``next``.
-
-    A parent of (S, D) has a situation set T ⊋ S short of the full mask and decisions
-    D ⊆ D' ⊆ Z_T, so ``total_parents`` sums 2^(|Z_T| - |D|) over those T.  The
-    superset sums g[m] of 2^|Z_T| over T ⊇ m short of full, n passes of 2^n
-    additions, give it as (g[S] - 2^|Z_S|) >> |D|.  A model h is a model of the one
-    parent with D' = Z_T ∩ Z_h per T (D ⊆ Z_S ⊆ Z_T and D ⊆ Z_h), so each
-    ``parent_counts`` entry is 2^(n-|S|) - 2; the one model of a one-model task has
-    the best count, so the check tests such a task for deviation only.
-    """
-    ext = lang.extension_masks()
-    return _census_tasks(ext, _census(ext, census_cap)[0])
-
-
-def _census_tasks(ext: list[int], reach: list[int]) -> Iterator[CensusTask]:
-    for s_mask, _, sets, above, groups, multi in _census_by_situations(ext, reach):
-        for d, models in groups.items():
-            counts = multi.get(d, (sets,))
-            yield CensusTask(s_mask, d, tuple(models), counts, above >> d.bit_count())
-
-
-def _census_by_situations(ext: list[int], reach: list[int]) -> Iterator[tuple]:
-    """Per situation mask S: S, Z_S, its parent count 2^(n-|S|) - 2, the sum
-    above S, {D: models} by first model, {D: parent counts} if 2+ models."""
-    n = len(ext)
-    full = (1 << n) - 1
-    # g[m]: sum of 2^|reach[T]| over the masks T ⊇ m short of full
-    g = [1 << z.bit_count() for z in reach] + [0]
-    for i in range(n):
-        bit = 1 << i
-        for m in range(full):
-            if not m & bit:
-                g[m] += g[m | bit]
-    for s_mask in range(1, full):
-        zs = reach[s_mask]
-        count = (1 << (n - s_mask.bit_count())) - 2  # parent situation sets
-        groups: dict[int, list[int]] = {}
-        multi: dict[int, tuple[int, ...]] = {}
-        for h, e in enumerate(ext):
-            if (d := zs & e) in groups:
-                groups[d].append(h)
-                multi[d] = (count,) * len(groups[d])
-            elif d:
-                groups[d] = [h]
-        yield s_mask, zs, count, g[s_mask] - (1 << zs.bit_count()), groups, multi
-
-
-@dataclass(frozen=True)
 class Violation:
     """A weakness-maximal model that failed to attain the maximum parent
     count of its task; grounds for failing the whole suite."""
@@ -184,8 +125,14 @@ def verify_weakness_optimality(
     ext = lang.extension_masks()
     swept = {} if swept is None else swept
     if (key := tuple(ext)) not in swept:
-        swept[key] = _sweep(ext, census_cap)
-    size, tasks, deviations, raw = swept[key]
+        try:
+            swept[key] = _sweep(ext, census_cap)
+        except CapacityError:
+            swept[key] = None  # refused, and a census over the cap stays over it
+            raise
+    if (result := swept[key]) is None:
+        raise CapacityError("task census", census_cap)
+    size, tasks, deviations, raw = result
     tables = tuple(p.truth for p in lang.vocab)
     universe = tuple(map(row_members, lang.rows)) if lang.mode == EXPLICIT else None
     rep = OptimalityReport(lang.space.size, tables, universe, size, tasks, [], deviations)
@@ -198,33 +145,78 @@ def verify_weakness_optimality(
     return rep
 
 
+def _parent_counts(s_mask: int, d: int, models: list[int], sets: int) -> tuple[int, ...]:
+    """The census parents each model of the task (S, D) is a model of, for a task
+    with two or more models: per parent situation set T, the one parent with
+    D' = Z_T ∩ Z_h, so ``sets`` = 2^(n-|S|) - 2 for every model.  The one place
+    that reads a per-model parent count; another census measure replaces it."""
+    return (sets,) * len(models)
+
+
 def _sweep(ext: list[int], census_cap: int) -> tuple[int, int, int, list[tuple]]:
     """Census size, tasks checked, deviation count and the violations as
-    position tuples (S, D, weak model, its count, best model, best count)."""
+    position tuples (S, D, weak model, its count, best model, best count).
+
+    A parent of (S, D) has a situation set T ⊋ S short of the full mask and
+    decisions D ⊆ D' ⊆ Z_T, so (S, D) has (g[S] - 2^|Z_S|) >> |D| parents, where
+    g[m] sums 2^|Z_T| over T ⊇ m short of full.  The rest of S's tasks depends
+    on S only through Z_S, so one pass per distinct Z_S groups the members h by
+    D = Z_S ∩ Z_h.  Model h's fraction sets / parents equals the formula
+    2^|Z̄_S ∩ Z_h| / 2^|Z̄_S| when left = above · 2^x_h, for left =
+    sets · 2^(n-|Z_S|), above = g[S] - 2^|Z_S| and x_h = |Z_h| - 2|D|, so the
+    pass counts the models by x_h and each S looks up the one x that fits.
+    """
     reach, size = _census(ext, census_cap)
     n = len(ext)
+    full = (1 << n) - 1
     weak = [e.bit_count() for e in ext]
+    # g[m]: sum of 2^|reach[T]| over the masks T ⊇ m short of full
+    g = [1 << z.bit_count() for z in reach] + [0]
+    for i in range(n):
+        bit = 1 << i
+        for m in range(full):
+            if not m & bit:
+                g[m] += g[m | bit]
+    by_reach: dict[int, tuple] = {}
     tasks, deviations, raw = 0, 0, []
-    for s_mask, zs, sets, above, groups, multi in _census_by_situations(ext, reach):
-        tasks += len(groups)
-        outside = n - zs.bit_count()
-        left = sets << outside
-        for d, models in groups.items():
-            total = above >> d.bit_count()
-            # count / total != 2^a / 2^outside, a = |ext[h] \ Z_S| = weak[h] - |D|;
-            # a task without parents has count = total = 0 and never counts
-            if len(models) == 1:
-                deviations += left != total << (weak[models[0]] - d.bit_count())
-                continue
-            counts = multi[d]
-            w_max = max([weak[h] for h in models])
+    for s_mask in range(1, full):
+        zs = reach[s_mask]
+        if (grouped := by_reach.get(zs)) is None:
+            grouped = by_reach[zs] = _group(ext, weak, zs)
+        n_tasks, n_models, by_x, multi, z = grouped
+        tasks += n_tasks
+        sets = (1 << (n - s_mask.bit_count())) - 2  # parent situation sets
+        # above = 0 exactly when |S| = n - 1; then left = 0 too and all match
+        if above := g[s_mask] - (1 << z):
+            left = sets << (n - z)
+            # left = above · 2^x for one x when their odd parts are equal
+            l_low, a_low = left & -left, above & -above
+            if left * a_low == above * l_low:
+                n_models -= by_x.get(l_low.bit_length() - a_low.bit_length(), 0)
+            deviations += n_models
+        for d, models, w_max in multi:  # a lone model has its task's best count
+            counts = _parent_counts(s_mask, d, models, sets)
             best = max(counts)
             for h, count in zip(models, counts):
-                if count << outside != total << (weak[h] - d.bit_count()):
-                    deviations += 1
                 if count < best and weak[h] == w_max:
                     raw.append((s_mask, d, h, count, models[counts.index(best)], best))
     return size, tasks, deviations, raw
+
+
+def _group(ext: list[int], weak: list[int], zs: int) -> tuple[int, int, dict, list, int]:
+    """For the situation sets of reach ``zs``: the task count, the model count,
+    {x_h: models}, (D, models, weakness maximum) per task of 2+ models, |Z_S|."""
+    groups: dict[int, list[int]] = {}
+    by_x: dict[int, int] = {}
+    models = 0
+    for h, e in enumerate(ext):
+        if d := zs & e:
+            groups.setdefault(d, []).append(h)
+            x = weak[h] - 2 * d.bit_count()
+            by_x[x] = by_x.get(x, 0) + 1
+            models += 1
+    multi = [(d, hs, max([weak[h] for h in hs])) for d, hs in groups.items() if len(hs) > 1]
+    return len(groups), models, by_x, multi, zs.bit_count()
 
 
 # ---------------------------------------------------------------------------

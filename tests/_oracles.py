@@ -3,9 +3,13 @@
 Everything here is deliberately naive: plain set algebra, exhaustive
 enumeration, and uniform-cost search.  None of it shares code with the
 package's own algorithms; the task census only hands its naively
-enumerated tasks to the public ``make_task`` for validation, and the
-census walk starts from the public extension masks and yields the
-package's ``CensusTask`` records so they compare field for field.
+enumerated tasks to the public ``make_task`` for validation.  The census
+task records (``CensusTask``) are built here twice, by one superset-sum
+transform per situation set (``census_tasks``) and by a walk over every
+superset (``walk_census_tasks``), both from the public extension masks; the
+first is the per-situation route that ``oracle``'s per-reach sweep is
+checked against, and it reads each multi-model task's parent counts through
+``oracle._parent_counts``, so a test that replaces that count changes both.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from weaklab import (
 )
 from weaklab.arith import BinOpTask
 from weaklab.lattice import EXPLICIT, row_members
-from weaklab.oracle import CensusTask, OptimalityReport, Violation
+from weaklab.oracle import OptimalityReport, Violation
 from weaklab.specdsl import And, BitRef, Not
 
 
@@ -162,6 +166,69 @@ def enumerate_tasks(lang: Language, cap: int = 1_000_000) -> TaskCensus:
     return TaskCensus(lang, tuple(tasks), len(tasks))
 
 
+@dataclass(frozen=True)
+class CensusTask:
+    """One census task with models, as position masks and counts."""
+
+    situations: int
+    decisions: int
+    models: tuple[int, ...]  # positions, in global order
+    parent_counts: tuple[int, ...]  # census parents each model is a model of
+    total_parents: int
+
+
+def census_tasks(
+    lang: Language, census_cap: float = oracle.DEFAULT_CENSUS_CAP
+) -> Iterator[CensusTask]:
+    """Every census task with models and its parent counts, situation masks up, then
+    decision sets by first model; raises CapacityError at the call, not at ``next``.
+
+    A parent of (S, D) has a situation set T ⊋ S short of the full mask and
+    decisions D ⊆ D' ⊆ Z_T, so ``total_parents`` sums 2^(|Z_T| - |D|) over those
+    T.  The superset sums g[m] of 2^|Z_T| over T ⊇ m short of full, n passes of
+    2^n additions, give it as (g[S] - 2^|Z_S|) >> |D|.  A model h is a model of
+    the one parent with D' = Z_T ∩ Z_h per T (D ⊆ Z_S ⊆ Z_T and D ⊆ Z_h), so
+    each ``parent_counts`` entry is 2^(n-|S|) - 2.
+    """
+    oracle.census_size(lang, census_cap)
+    return _census_tasks(lang.extension_masks())
+
+
+def _census_tasks(ext: list[int]) -> Iterator[CensusTask]:
+    for s_mask, _, sets, above, groups, multi in _census_by_situations(ext):
+        for d, models in groups.items():
+            counts = multi.get(d, (sets,))
+            yield CensusTask(s_mask, d, tuple(models), counts, above >> d.bit_count())
+
+
+def _census_by_situations(ext: list[int]) -> Iterator[tuple]:
+    """Per situation mask S: S, Z_S, its parent count 2^(n-|S|) - 2, the sum
+    above S, {D: models} by first model, {D: parent counts} if 2+ models."""
+    n = len(ext)
+    full = (1 << n) - 1
+    reach = [0] * full
+    for mask in range(1, full):
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | ext[low.bit_length() - 1]
+    # g[m]: sum of 2^|reach[T]| over the masks T ⊇ m short of full
+    g = [1 << z.bit_count() for z in reach] + [0]
+    for i in range(n):
+        bit = 1 << i
+        for m in range(full):
+            if not m & bit:
+                g[m] += g[m | bit]
+    for s_mask in range(1, full):
+        zs = reach[s_mask]
+        count = (1 << (n - s_mask.bit_count())) - 2  # parent situation sets
+        groups: dict[int, list[int]] = {}
+        for h, e in enumerate(ext):
+            if d := zs & e:
+                groups.setdefault(d, []).append(h)
+        multi = {d: oracle._parent_counts(s_mask, d, models, count)
+                 for d, models in groups.items() if len(models) > 1}
+        yield s_mask, zs, count, g[s_mask] - (1 << zs.bit_count()), groups, multi
+
+
 def walk_census_tasks(lang: Language) -> Iterator[CensusTask]:
     """The census-task records by walking every proper superset T of every
     situation set S, 3^n steps for n members; the reach table is ORed
@@ -206,7 +273,7 @@ def per_task_optimality(
     """The weakness-optimality check one ``census_tasks`` record at a time:
     every model of every task takes the deviation test, and every task takes
     the violation test, whatever its number of models."""
-    records = oracle.census_tasks(lang, census_cap)
+    records = census_tasks(lang, census_cap)
     ext = lang.extension_masks()
     n = len(ext)
     reach = [0] * (1 << n)

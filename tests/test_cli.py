@@ -284,6 +284,50 @@ def test_each_verify_call_sweeps_its_own_censuses(monkeypatch, capsys):
     assert counts == [1 + 12, 1 + 12]
 
 
+def test_verify_refuses_each_census_over_the_cap_once(tmp_path, monkeypatch):
+    # at 4 states and 4 predicates, 16 languages are over the default census
+    # cap with 7 distinct censuses: one _census run refuses each census, and
+    # the swept dict refuses its repeats
+    from weaklab import CapacityError
+
+    langs = [*oracle.all_derived_languages(3, 4),
+             *oracle.sample_derived_languages(4, 50, seed="perfbench-7.0", max_vocab=5)]
+    over = []
+    for lang in langs:
+        try:
+            oracle.census_size(lang)
+        except CapacityError:
+            over.append(tuple(lang.extension_masks()))
+    assert (len(over), len(set(over))) == (16, 7)
+    census, verify = oracle._census, oracle.verify_weakness_optimality
+    verifying, refused = [], []
+
+    def counted_census(ext, cap):
+        try:
+            return census(ext, cap)
+        except CapacityError:
+            if verifying:  # not the sampler's draws
+                refused.append(tuple(ext))
+            raise
+
+    def counted_verify(*args, **kwargs):
+        verifying.append(args)
+        try:
+            return verify(*args, **kwargs)
+        finally:
+            verifying.pop()
+
+    monkeypatch.setattr(oracle, "_census", counted_census)
+    monkeypatch.setattr(oracle, "verify_weakness_optimality", counted_verify)
+    out = tmp_path / "v.json"
+    assert run_cli("verify", "--max-states", "4", "--max-vocab", "4",
+                   "--seed", "perfbench-7.0", "--out", str(out)) == 0
+    assert sorted(refused) == sorted(set(over))
+    optimality = json.loads(out.read_text())["optimality"]
+    assert optimality["languages_skipped_over_cap"] == 16
+    assert optimality["languages_checked"] == len(langs) - 16
+
+
 def test_verify_trivial_caps(capsys):
     assert run_cli("verify", "--max-states", "1", "--max-vocab", "1") == 0
 

@@ -108,6 +108,38 @@ def test_capacity_error_comes_before_the_level_that_passes_the_cap_is_built():
     assert peak < 4 << 20
 
 
+def test_a_derive_past_its_mask_budget_exits_75_while_it_is_small(
+    tmp_path, monkeypatch, capsys
+):
+    # the 24 bit literals of width 12 derive 3^12 = 531,441 statements, within
+    # the statement cap, holding up to 239,360 masks charged at 512 bytes at
+    # once (levels 8 and 9, 122 MB).  A budget scaled down to 1 MiB stops the
+    # derive in level 4, as the default 256 MiB stops the 32 literals of
+    # width 16 (8 KB masks, 4,480 + 29,120 in levels 3 and 4) in level 4.
+    from weaklab import cli, lattice
+
+    literals = "".join(f"pred p{i} := b{i}; pred n{i} := !b{i};\n" for i in range(12))
+    spec = tmp_path / "literals.wl"
+    spec.write_text(f"width 12;\n{literals}task t {{ situations {{ {{}} }} decisions {{ {{p0}} }} }}\n")
+    with pytest.raises(SystemExit):  # --help names the default budget
+        cli.main(["induce", "--help"])
+    assert f"{lattice.DERIVE_MASK_BYTES >> 20} MiB" in " ".join(capsys.readouterr().out.split())
+    # only the statement cap, which the caller sets, comes with a hint to raise it
+    assert cli.main(["induce", "--spec", str(spec), "--task", "t", "--cap", "10"]) == 75
+    assert capsys.readouterr().err.endswith("exceeds cap of 10; raise --cap\n")
+    monkeypatch.setattr(lattice, "DERIVE_MASK_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        code = cli.main(["induce", "--spec", str(spec), "--task", "t"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 75
+    assert capsys.readouterr().err == (
+        "weaklab: derived language mask bytes exceeds cap of 1048576\n")
+    assert peak < 4 << 20
+
+
 def test_empty_state_space_gives_empty_language():
     space = StateSpace(())
     vocab = Vocabulary((Predicate("p", 0),))

@@ -1,4 +1,8 @@
+import collections
+import functools
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -16,6 +20,7 @@ from weaklab import (
 from weaklab.induction import generalisation_probability
 from conftest import random_language
 from _oracles import (
+    census_tasks,
     enumerate_tasks,
     naive_census_count,
     naive_extension,
@@ -94,7 +99,7 @@ def test_tiny_verify_known_row(tiny):
     # same 2 of its 6 census parents; formula values 1 and 1/4
     p = 1 << tiny.position(S(0))
     (record,) = [
-        r for r in oracle.census_tasks(tiny) if r.situations == p and r.decisions == p
+        r for r in census_tasks(tiny) if r.situations == p and r.decisions == p
     ]
     models = [tiny.statements[h] for h in record.models]
     assert models == [S(), S(0)]
@@ -109,13 +114,13 @@ def test_models_share_parent_counts(tiny, fx):
     # observed in exhaustive sweeps: under the census measure every model of
     # a task attains the same parent count, which is why violations are zero
     for lang in (tiny, fx.lang):
-        records = list(oracle.census_tasks(lang))
+        records = list(census_tasks(lang))
         assert len(records) == oracle.verify_weakness_optimality(lang).tasks_checked
         assert all(len(set(r.parent_counts)) == 1 for r in records)
 
 
 def test_single_model_tasks_trivially_clean(tiny):
-    for r in oracle.census_tasks(tiny):
+    for r in census_tasks(tiny):
         assert all(count <= r.total_parents for count in r.parent_counts)
 
 
@@ -129,7 +134,7 @@ def test_deviation_count_matches_fractions(tiny):
             break
     for lang in (tiny, lang):
         expected = 0
-        for r in oracle.census_tasks(lang):
+        for r in census_tasks(lang):
             task = _task_of(lang, r)
             for h, count in zip(r.models, r.parent_counts):
                 formula = generalisation_probability(task, lang.statements[h])
@@ -152,7 +157,7 @@ def test_parent_counts_match_object_level_scan(tiny):
             langs.append(cand)
     for lang in langs:
         census = enumerate_tasks(lang).tasks
-        for r in oracle.census_tasks(lang):
+        for r in census_tasks(lang):
             situations = lang.statements_of(r.situations)
             decisions = lang.statements_of(r.decisions)
             task = next(
@@ -184,7 +189,7 @@ def test_census_tasks_match_superset_walk(tiny, fx):
     ]
     assert len(langs) == 4 + 112 + 50
     for lang in langs:
-        assert list(oracle.census_tasks(lang)) == list(walk_census_tasks(lang))
+        assert list(census_tasks(lang)) == list(walk_census_tasks(lang))
 
 
 def test_sweep_matches_per_task_reference(tiny, fx):
@@ -218,22 +223,79 @@ def test_sweep_matches_per_task_reference(tiny, fx):
         assert oracle.verify_weakness_optimality(lang, math.inf) == expected
 
 
+def _explicit_sub_universes(count, seed):
+    # distinct censuses of explicit languages that list 2 or more members of a
+    # derived language of at most 3 states and 3 predicates
+    langs = [lang for lang in oracle.all_derived_languages(3, 3) if lang.size >= 2]
+    rng = random.Random(seed)
+    found = {}
+    while len(found) < count:
+        lang = rng.choice(langs)
+        members = rng.sample(lang.statements, rng.randint(2, lang.size))
+        sub = oracle.Language.explicit(lang.space, lang.vocab, members)
+        found.setdefault(tuple(sub.extension_masks()), sub)
+    return list(found.values())
+
+
+def test_sweep_matches_per_situation_route_on_sub_universes():
+    # the per-reach sweep against the per-situation route, report for report
+    for lang in _explicit_sub_universes(60, "explicit-sub-universes"):
+        assert oracle.verify_weakness_optimality(lang) == per_task_optimality(lang)
+
+
+def test_sub_universes_take_every_branch_of_the_deviation_test():
+    # the sweep matches model h of S's tasks when left = above · 2^x_h,
+    # x_h = |Z_h| - 2|D|; sort the situation sets of the sample above by the
+    # branch they take, from brute-force sums over the proper supersets
+    branches = collections.Counter()
+    for lang in _explicit_sub_universes(60, "explicit-sub-universes"):
+        ext = lang.extension_masks()
+        n, full = len(ext), (1 << len(ext)) - 1
+
+        def reach(mask):
+            return functools.reduce(operator.or_, (e for i, e in enumerate(ext) if mask >> i & 1))
+
+        for s_mask in range(1, full):
+            zs = reach(s_mask)
+            xs = [e.bit_count() - 2 * (zs & e).bit_count() for e in ext if zs & e]
+            supersets = [t for t in range(s_mask + 1, full) if t & s_mask == s_mask]
+            above = sum(1 << reach(t).bit_count() for t in supersets)
+            left = ((1 << (n - s_mask.bit_count())) - 2) << (n - zs.bit_count())
+            assert (left == 0) == (above == 0) == (s_mask.bit_count() == n - 1)
+            if not above:
+                branches["no parents"] += 1
+                continue
+            ratio = Fraction(left, above)
+            power = math.log2(ratio) if all(
+                k & (k - 1) == 0 for k in (ratio.numerator, ratio.denominator)) else None
+            matched = sum(ratio == Fraction(2) ** x for x in xs)
+            if power is None:
+                assert matched == 0
+                branches["not a power of two"] += 1
+            else:
+                branches[("power of two", power < 0, matched > 0)] += 1
+    # a power of two below 1 and equal to 1, each with and without a model
+    # that matches it (no ratio above 1 occurs in the sample)
+    assert set(branches) == {"no parents", "not a power of two", *itertools.product(
+        ["power of two"], [True, False], [True, False])}
+
+
 def test_verify_reports_violation_in_loop(tiny, monkeypatch):
     # every model of a census task has the same parent count, so lower the
     # weakness-maximal model's count in one two-model task of the sweep:
     # S = D = {{p}}, whose models are {} (weakness 3) and {p} (weakness 1)
     p = 1 << tiny.position(S(0))
     empty, only_p = tiny.position(S()), tiny.position(S(0))
-    sweep = oracle._census_by_situations
+    parent_counts = oracle._parent_counts
 
-    def tampered(ext, reach):
-        for s_mask, zs, count, above, groups, multi in sweep(ext, reach):
-            if s_mask == p:
-                assert groups[p] == [empty, only_p] and multi[p] == (count, count)
-                multi = {**multi, p: (count - 1, count)}
-            yield s_mask, zs, count, above, groups, multi
+    def tampered(s_mask, d, models, sets):
+        counts = parent_counts(s_mask, d, models, sets)
+        if s_mask == d == p:
+            assert models == [empty, only_p] and counts == (sets, sets)
+            return sets - 1, sets
+        return counts
 
-    monkeypatch.setattr(oracle, "_census_by_situations", tampered)
+    monkeypatch.setattr(oracle, "_parent_counts", tampered)
     rep = oracle.verify_weakness_optimality(tiny)
     (v,) = rep.violations
     assert v.situations == tuple(s.members for s in tiny.statements_of(p))
