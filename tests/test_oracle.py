@@ -193,7 +193,7 @@ def test_census_tasks_match_superset_walk(tiny, fx):
 
 
 def test_sweep_matches_per_task_reference(tiny, fx):
-    # the per-situation sweep against the per-task check over the census
+    # the per-reach sweep against the per-task check over the census
     # records, report for report: the default cap's languages of at most 3
     # states and 4 predicates, the 4-state samples of `verify --max-vocab 4`,
     # the fixtures, and 12- and 14-member 4-state languages without a cap
