@@ -10,11 +10,11 @@ Exit codes: 0 success; 1 verification violation or empty model set;
 2 flagged trials present (results still written); 64 usage, including a
 negative --tau, one in exponent form (write 1/1000, not 1e-3) or one whose
 numerator or denominator in lowest terms exceeds 64, an empty --dk, a
---trials, --budget, --cap, --census-cap or --samples-at below 1, a
---samples-at above 62 and a negative --max-states, --max-vocab or --samples;
-65 spec file errors, including a file that is not UTF-8; 74 I/O failure;
-75 capacity overflow, including a --census-cap too small for the fixture
-language and a derive past its 256 MiB mask budget.
+--trials, --budget, --cap or --census-cap below 1 and a negative
+--max-states or --max-vocab; 65 spec file errors, including a file that is
+not UTF-8; 74 I/O failure; 75 capacity overflow, including a --census-cap
+too small for the fixture language and a derive past its 256 MiB mask
+budget.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def _parse_tau(text: str) -> Fraction:
     return tau
 
 
-def _int_from(least: int, most: float = math.inf):
+def _int_from(least: int):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -114,8 +114,6 @@ def _int_from(least: int, most: float = math.inf):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if value < least:
             raise argparse.ArgumentTypeError(f"must be >= {least}: {text!r}")
-        if value > most:
-            raise argparse.ArgumentTypeError(f"must be <= {most}: {text!r}")
         return value
 
     return parse
@@ -152,15 +150,11 @@ def build_parser() -> _Parser:
     ve = sub.add_parser("verify", help="fixture checks and the exhaustive "
                         "weakness-optimality sweep on small languages")
     ve.add_argument("--max-states", type=_count, default=3,
-                    help="sweep every language of at most min(this, 3) states; if this "
-                    "is at least --samples-at, sample at that many states (default 3)")
+                    help="sweep every language of at most min(this, 3) states and "
+                    "--max-vocab predicates; above 3, also sweep 50 4-state languages "
+                    "of 1 to --max-vocab + 1 predicates drawn by --seed (default 3)")
     ve.add_argument("--max-vocab", type=_count, default=3,
-                    help="predicates per swept language; samples draw up to this + 1")
-    # the sampler draws truth tables from range(1 << N), at most sys.maxsize long
-    ve.add_argument("--samples-at", type=_int_from(1, 62), default=4, metavar="N",
-                    help="additionally sample languages with N states, 1 to 62")
-    ve.add_argument("--samples", type=_count, default=50,
-                    help="number of sampled languages (default 50)")
+                    help="predicates per swept language (default 3)")
     ve.add_argument("--census-cap", type=_positive_int,
                     default=oracle.DEFAULT_CENSUS_CAP)
     ve.add_argument("--seed", default="weaklab-verify")
@@ -263,14 +257,9 @@ def cmd_verify(args) -> int:
         sweep: list = list(oracle.all_derived_languages(
             min(args.max_states, 3), args.max_vocab
         ))
-        if args.max_states >= args.samples_at and args.samples > 0:
+        if args.max_states > 3:
             sweep += oracle.sample_derived_languages(
-                args.samples_at,
-                args.samples,
-                seed=args.seed,
-                max_vocab=args.max_vocab + 1,
-                census_cap=cap,
-            )
+                4, 50, seed=args.seed, max_vocab=args.max_vocab + 1, census_cap=cap)
     except CapacityError as exc:
         print(f"capacity: {exc}; lower --max-states/--max-vocab", file=sys.stderr)
         return EXIT_CAPACITY

@@ -330,7 +330,7 @@ def all_derived_languages(
     for n_states in range(1, max_states + 1):
         space = StateSpace(tuple(f"s{i}" for i in range(n_states)))
         tables = range(1 << n_states)
-        for k in range(0, max_vocab + 1):
+        for k in range(0, min(max_vocab, len(tables)) + 1):  # no k-subsets past that
             for combo in itertools.combinations(tables, k):
                 yield Language.derive(space, _numbered_vocabulary(combo))
 

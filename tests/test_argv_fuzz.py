@@ -4,7 +4,8 @@ Each example is a subcommand with random flags, each given a valid or a
 mutated value, now and then with a flag left without its value or an
 unknown flag added.  Every run must end in a documented exit code with
 no traceback.  Valid values stay small (--trials <= 2, --dk in {1, 2},
---max-states <= 2) so the whole test takes a few seconds.
+--max-vocab <= 3, where a --max-states above 3 sweeps 3 states and the
+seeded 4-state languages) so the whole test takes a few seconds.
 """
 
 import contextlib
@@ -40,10 +41,8 @@ _FLAGS = {
         "--format": (["csv", "table", "structured"], ["x"]),
     },
     "verify": {
-        "--max-states": (["0", "1", "2"], ["-1", "x", "63"]),
+        "--max-states": (["0", "1", "4", "63"], ["-1", "x"]),
         "--max-vocab": (["0", "1", "2", "3"], ["-1", "x"]),
-        "--samples-at": (["1", "2"], ["0", "x", "63"]),
-        "--samples": (["0", "1", "2"], ["-1", "x"]),
         "--census-cap": (["1", "100", "20000"], ["0", "x"]),
         "--seed": _SEED,
         "--out": _OUT,
@@ -63,10 +62,10 @@ _FLAGS = {
 }
 # small valid defaults, put first so that a drawn flag overrides them;
 # without them most runs would stop at a missing flag or take the default
-# 1,200-trial grid or 3-state sweep, and few would reach verify's sampling
+# 1,200-trial grid or 3-state sweep
 _SMALL = {
     "experiment": ["--trials", "1", "--dk", "1"],
-    "verify": ["--max-states", "1", "--samples-at", "1", "--samples", "2"],
+    "verify": ["--max-states", "1"],
     "induce": ["--spec", spec_path("tiny.wl"), "--task", "t1"],
 }
 

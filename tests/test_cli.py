@@ -18,12 +18,13 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
-def run_proc(*argv):
+def run_proc(*argv, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "weaklab.cli", *argv],
         capture_output=True,
         text=True,
         env=cli_env(),
+        timeout=timeout,
     )
 
 
@@ -188,7 +189,8 @@ _DEEP_SPECS = {
         (["verify", "--census-cap", "100"], 75),
         (["verify", "--census-cap", "0"], 64),
         (["verify", "--census-cap", "-3"], 64),
-        (["verify", "--samples-at", "0", "--max-states", "1"], 64),
+        # the sampled languages' state count and number are fixed at 4 and 50
+        (["verify", "--max-states", "1", "--samples-at", "4"], 64),
         (["induce", "--spec", "{sup_width}", "--task", "t1"], 65),
         (["induce", "--spec", "{sup_bit}", "--task", "t1"], 65),
         (["induce", "--spec", "{sup_name}", "--task", "t1"], 65),
@@ -196,18 +198,17 @@ _DEEP_SPECS = {
         (["induce", "--spec", "{deep_nots}", "--task", "t1"], 65),
         (["induce", "--spec", "{long_or}", "--task", "t1"], 65),
         (["verify", "--max-vocab", "-1", "--max-states", "1"], 64),
-        # more predicates asked for than one state has truth tables
-        (["verify", "--max-states", "1", "--samples-at", "1", "--samples", "2"], 0),
+        # more predicates asked for than 3 or 4 states have truth tables
+        (["verify", "--max-states", "4", "--max-vocab", "16"], 0),
         (["verify", "--max-states", "-1"], 64),
-        (["verify", "--max-states", "1", "--samples", "-1"], 64),
+        (["verify", "--max-states", "1", "--samples", "50"], 64),
         # the exact scores grow with tau's terms: 1/65 and 65 are refused
         (["experiment", "--tau", "1/65", "--trials", "1"], 64),
         (["experiment", "--tau", "130/2", "--trials", "1"], 64),
         (["experiment", "--tau", "1/64", "--trials", "1", "--dk", "1", "--width", "4"], 0),
         # an exponent is refused before Fraction expands it as 10**exp
         (["experiment", "--tau", "1e-999999999", "--trials", "1"], 64),
-        # the sampler cannot draw from range(1 << 63)
-        (["verify", "--max-states", "63", "--samples-at", "63", "--samples", "1"], 64),
+        (["verify", "--max-states", "4", "--samples-at", "4", "--samples", "50"], 64),
     ],
 )
 def test_bad_input_ends_in_documented_code(tmp_path, argv, code):
@@ -221,6 +222,8 @@ def test_bad_input_ends_in_documented_code(tmp_path, argv, code):
     proc = run_proc(*(a.format(**paths) for a in argv))
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
+    if {"--samples-at", "--samples"} & set(argv):
+        assert "unrecognized arguments" in proc.stderr
     if code == 65 and "{not_utf8}" not in argv:
         assert re.search(r"\.wl:\d+:\d+: ", proc.stderr)  # a located SpecError
     if argv == ["verify", "--census-cap", "100"]:
@@ -330,6 +333,18 @@ def test_verify_refuses_each_census_over_the_cap_once(tmp_path, monkeypatch):
 
 def test_verify_trivial_caps(capsys):
     assert run_cli("verify", "--max-states", "1", "--max-vocab", "1") == 0
+
+
+def test_verify_vocabulary_stops_at_the_truth_tables():
+    # one state has 2 truth tables, so any --max-vocab past 2 sweeps the same
+    # languages, in a time that must not grow with --max-vocab
+    lines = []
+    for vocab in ("2", "1000000000"):
+        proc = run_proc("verify", "--max-states", "1", "--max-vocab", vocab, timeout=30)
+        assert proc.returncode == 0
+        lines += [line for line in proc.stdout.splitlines()
+                  if line.startswith("optimality:")]
+    assert len(lines) == 2 and lines[0] == lines[1]
 
 
 def test_verify_violation_path(tmp_path, capsys, monkeypatch):

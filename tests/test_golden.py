@@ -18,6 +18,9 @@ from weaklab import cli
 from conftest import SPEC_DIR
 
 VERIFY_SHA256 = "e3aa7f64a4ffa7b03cec6c8d0437e57ea5e7aa4b98f173851d9fa6a1a3698861"
+# `verify --max-states 4 --max-vocab 4 --seed golden-4`, the one that adds
+# the seeded 4-state languages to the sweep
+VERIFY_SAMPLED_SHA256 = "5256831e7ddce78787fd559ac89ce9b563136c0e1156db1b8bbc2c85fc5b4080"
 INDUCE_SHA256 = "248ea34d1cc34b0857a0ddec6b792b5f0d6c636d755cda6ebc6917b3d73415a0"
 # `experiment --op both --dk 6,10,14 --trials 2 --seed golden-1` at the
 # default budget; no trial of either mode is budget-flagged
@@ -68,6 +71,15 @@ def test_verify_report_is_byte_identical(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SHA256
+
+
+def test_sampled_verify_report_is_byte_identical(tmp_path):
+    out = tmp_path / "verify-4.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", "--max-states", "4", "--max-vocab", "4",
+                         "--seed", "golden-4", "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SAMPLED_SHA256
 
 
 def test_induce_corpus_output_is_byte_identical():
