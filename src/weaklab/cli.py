@@ -5,23 +5,25 @@ Subcommands: ``experiment`` (arithmetic trials and table/CSV/JSON reports),
 sweep), ``induce`` (run induction on a task from a spec file).  ``verify``'s
 task count includes the fixture language's tasks, its language count does
 not: ``--max-states 0 --max-vocab 0`` checks 0 languages and 1520 tasks.
+``verify`` skips a language of more than ``--max-members`` members (default
+10, at most 20): a census sweep takes O(n·2^n) time and memory for n
+members, up to about 9 s and 0.5 GB at 20.
 
 Exit codes: 0 success; 1 verification violation or empty model set;
 2 flagged trials present (results still written); 64 usage, including a
 negative --tau, one in exponent form (write 1/1000, not 1e-3) or one whose
 numerator or denominator in lowest terms exceeds 64, an empty --dk, a
---trials, --budget, --cap or --census-cap below 1 and a negative
---max-states or --max-vocab; 65 spec file errors, including a file that is
-not UTF-8; 74 I/O failure; 75 capacity overflow, including a --census-cap
-too small for the fixture language and a derive past its 256 MiB mask
-budget.
+--trials, --budget or --cap below 1, a --max-members outside 1..20 and a
+negative --max-states or --max-vocab; 65 spec file errors, including a file
+that is not UTF-8; 74 I/O failure; 75 capacity overflow, including a
+--max-members below the fixture language's 8 members and a derive past its
+256 MiB mask budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import sys
@@ -155,8 +157,13 @@ def build_parser() -> _Parser:
                     "of 1 to --max-vocab + 1 predicates drawn by --seed (default 3)")
     ve.add_argument("--max-vocab", type=_count, default=3,
                     help="predicates per swept language (default 3)")
-    ve.add_argument("--census-cap", type=_positive_int,
-                    default=oracle.DEFAULT_CENSUS_CAP)
+    ve.add_argument("--max-members", type=int, metavar="N",
+                    choices=range(1, oracle.MAX_MEMBERS + 1),
+                    default=oracle.DEFAULT_MAX_MEMBERS,
+                    help="skip a language of more than N members, 1 to "
+                    f"{oracle.MAX_MEMBERS} (default {oracle.DEFAULT_MAX_MEMBERS}); a census "
+                    "sweep takes O(N·2^N) time and memory, up to about 9 s and 0.5 GB "
+                    "at 20 and twice that per member more")
     ve.add_argument("--seed", default="weaklab-verify")
     ve.add_argument("--out", default=None, help="structured report path")
     ve.add_argument("--format", choices=["table", "structured"], default="structured")
@@ -243,14 +250,13 @@ def cmd_verify(args) -> int:
           f"weakness->{out['fixture']['weakness_winner']} "
           f"mdl->{out['fixture']['mdl_winner']}")
 
-    cap = args.census_cap
+    cap = args.max_members
     try:
-        fx_report = oracle.verify_weakness_optimality(fx.lang, census_cap=cap)
+        fx_report = oracle.verify_weakness_optimality(fx.lang, max_members=cap)
     except CapacityError:
         # the fixture language is fixed, so only a larger cap lets it through
-        census = oracle.census_size(fx.lang, cap=math.inf)
-        print(f"capacity: the fixture language's census has {census} tasks, "
-              f"over --census-cap {cap}; raise --census-cap to at least {census}",
+        print(f"capacity: the fixture language has {fx.lang.size} members, over "
+              f"--max-members {cap}; raise --max-members to at least {fx.lang.size}",
               file=sys.stderr)
         return EXIT_CAPACITY
     try:
@@ -259,7 +265,7 @@ def cmd_verify(args) -> int:
         ))
         if args.max_states > 3:
             sweep += oracle.sample_derived_languages(
-                4, 50, seed=args.seed, max_vocab=args.max_vocab + 1, census_cap=cap)
+                4, 50, seed=args.seed, max_vocab=args.max_vocab + 1, max_members=cap)
     except CapacityError as exc:
         print(f"capacity: {exc}; lower --max-states/--max-vocab", file=sys.stderr)
         return EXIT_CAPACITY
@@ -274,7 +280,7 @@ def cmd_verify(args) -> int:
     for lang in sweep:  # a census repeated in this call is swept once
         try:
             reports.append(
-                oracle.verify_weakness_optimality(lang, census_cap=cap, swept=swept))
+                oracle.verify_weakness_optimality(lang, max_members=cap, swept=swept))
         except CapacityError:
             continue
     violations = [{"states": rep.states, "truth_tables": rep.truth_tables,

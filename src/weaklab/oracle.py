@@ -5,11 +5,13 @@ situation set with every nonempty reachable decision set) and checks, for
 every task with models, that the weakest models are never beaten on the
 count of census parents they generalise to.  A census depends only on the
 members' extension masks: calls that share one ``swept`` dict sweep each
-distinct mask tuple once and refuse one over the cap once.  A sweep groups
-the members by decision set once per distinct situation reach Z_S, after one
-superset-sum (zeta) transform, O(n·2^n) for n members; each situation set
-then takes one lookup for the deviation test (``_sweep`` says why), and only
-its tasks of two or more models take the violation test.
+distinct mask tuple once.  A sweep groups the members by decision set once
+per distinct situation reach Z_S, after one superset-sum (zeta) transform,
+O(n·2^n) time and memory for n members; each situation set then takes one
+lookup for the deviation test (``_sweep`` says why), and only its tasks of
+two or more models take the violation test.  So the cap counts members, not
+tasks: a language of more than ``max_members`` (default 10, at most
+``MAX_MEMBERS``) is refused before its masks are built.
 ``verify_weakness_optimality`` returns one record per language: state count
 and truth tables (which rebuild a derived language), the listed universe of
 an explicit language, census size, tasks checked, violations in its own
@@ -47,39 +49,25 @@ from .lattice import (
 )
 from .tasks import VTask, make_task
 
-DEFAULT_CENSUS_CAP = 1_000_000
+DEFAULT_MAX_MEMBERS = 10  # keeps the derived languages of censuses <= 10^6 tasks
+MAX_MEMBERS = 20  # a 20-member sweep takes up to about 9 s and 0.5 GB
 
 
 # ---------------------------------------------------------------------------
 # census
 
 
-def census_size(lang: Language, cap: int = DEFAULT_CENSUS_CAP) -> int:
-    """Exact census cardinality, without materializing tasks; raises
-    CapacityError as soon as the running total exceeds ``cap``."""
-    return _census(lang.extension_masks(), cap)[1]
-
-
-def _census(ext: list[int], cap: int) -> tuple[list[int], int]:
+def _census(ext: list[int]) -> tuple[list[int], int]:
     """The census reach table over the member extension masks ``ext`` (reach[m]
     is the mask of the members containing some statement at a set bit of m,
-    for every proper situation mask m) and the census size; raises
-    CapacityError as soon as the running total exceeds ``cap``.
-    """
-    n = len(ext)
-    # Every census situation set contributes at least 2^|S| - 1 decision
-    # sets, so 3^n - 2^(n+1) + 1 is a cheap lower bound on the census.
-    if n > 1 and 3**n - (1 << (n + 1)) + 1 > cap:
-        raise CapacityError("task census", cap)
-    full = (1 << n) - 1
+    for every proper situation mask m) and the census size."""
+    full = (1 << len(ext)) - 1
     reach = [0] * full
     total = 0
     for mask in range(1, full):
         low = mask & -mask
         reach[mask] = reach[mask ^ low] | ext[low.bit_length() - 1]
         total += (1 << reach[mask].bit_count()) - 1
-        if total > cap:
-            raise CapacityError("task census", cap)
     return reach, total
 
 
@@ -112,27 +100,24 @@ class OptimalityReport:
 
 
 def verify_weakness_optimality(
-    lang: Language, census_cap: int = DEFAULT_CENSUS_CAP, swept: dict | None = None
+    lang: Language, max_members: int = DEFAULT_MAX_MEMBERS, swept: dict | None = None
 ) -> OptimalityReport:
     """Sweep every census task with a nonempty model set.
 
     Checks that every weakness-maximal model of a task attains the task's
     maximum parent count, and counts the (task, model) pairs whose parent
     fraction differs from the formula value 2^|Z̄_S ∩ Z_h| / 2^|Z̄_S|.
-    Calls that share one ``swept`` dict, under one cap, sweep each distinct
-    extension-mask tuple once.
+    Raises CapacityError for a language of more than ``max_members``
+    members, before its extension masks are built.  Calls that share one
+    ``swept`` dict sweep each distinct extension-mask tuple once.
     """
+    if lang.size > max_members:
+        raise CapacityError("census members", max_members)
     ext = lang.extension_masks()
     swept = {} if swept is None else swept
     if (key := tuple(ext)) not in swept:
-        try:
-            swept[key] = _sweep(ext, census_cap)
-        except CapacityError:
-            swept[key] = None  # refused, and a census over the cap stays over it
-            raise
-    if (result := swept[key]) is None:
-        raise CapacityError("task census", census_cap)
-    size, tasks, deviations, raw = result
+        swept[key] = _sweep(ext)
+    size, tasks, deviations, raw = swept[key]
     tables = tuple(p.truth for p in lang.vocab)
     universe = tuple(map(row_members, lang.rows)) if lang.mode == EXPLICIT else None
     rep = OptimalityReport(lang.space.size, tables, universe, size, tasks, [], deviations)
@@ -153,7 +138,7 @@ def _parent_counts(s_mask: int, d: int, models: list[int], sets: int) -> tuple[i
     return (sets,) * len(models)
 
 
-def _sweep(ext: list[int], census_cap: int) -> tuple[int, int, int, list[tuple]]:
+def _sweep(ext: list[int]) -> tuple[int, int, int, list[tuple]]:
     """Census size, tasks checked, deviation count and the violations as
     position tuples (S, D, weak model, its count, best model, best count).
 
@@ -166,7 +151,7 @@ def _sweep(ext: list[int], census_cap: int) -> tuple[int, int, int, list[tuple]]
     sets · 2^(n-|Z_S|), above = g[S] - 2^|Z_S| and x_h = |Z_h| - 2|D|, so the
     pass counts the models by x_h and each S looks up the one x that fits.
     """
-    reach, size = _census(ext, census_cap)
+    reach, size = _census(ext)
     n = len(ext)
     full = (1 << n) - 1
     weak = [e.bit_count() for e in ext]
@@ -340,10 +325,10 @@ def sample_derived_languages(
     count: int,
     seed: int | str,
     max_vocab: int = 4,
-    census_cap: int = DEFAULT_CENSUS_CAP,
+    max_members: int = DEFAULT_MAX_MEMBERS,
 ) -> list[Language]:
-    """Seeded sample of derived languages over ``n_states`` states whose
-    census fits ``census_cap``, each with 1 to ``max_vocab`` predicates of
+    """Seeded sample of derived languages over ``n_states`` states of at most
+    ``max_members`` members, each with 1 to ``max_vocab`` predicates of
     distinct truth tables (so no more than 2^n_states); oversized draws are
     skipped, up to 200 per language asked for."""
     rng = random.Random(f"weaklab-language-sample|{seed}|{n_states}")
@@ -357,9 +342,6 @@ def sample_derived_languages(
         k = rng.randint(1, min(max_vocab, 1 << n_states))
         combo = sorted(rng.sample(range(1 << n_states), k))
         lang = Language.derive(space, _numbered_vocabulary(combo))
-        try:
-            census_size(lang, census_cap)
-        except CapacityError:
-            continue
-        out.append(lang)
+        if lang.size <= max_members:
+            out.append(lang)
     return out

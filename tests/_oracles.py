@@ -10,6 +10,9 @@ superset (``walk_census_tasks``), both from the public extension masks; the
 first is the per-situation route that ``oracle``'s per-reach sweep is
 checked against, and it reads each multi-model task's parent counts through
 ``oracle._parent_counts``, so a test that replaces that count changes both.
+``census_size`` counts a census under a task cap, refusing before its 2^n
+reach table where a lower bound already passes the cap, so that tests can
+filter random languages of up to 32 members by census size.
 """
 
 from __future__ import annotations
@@ -134,6 +137,31 @@ def naive_census_count(universe: list[frozenset[int]]) -> int:
     return count
 
 
+CENSUS_CAP = 1_000_000
+
+
+def census_size(lang: Language, cap: float = CENSUS_CAP) -> int:
+    """Exact census cardinality, without materializing tasks; raises
+    CapacityError as soon as the running total exceeds ``cap``, and before
+    the 2^n reach table for n members when a lower bound already does."""
+    ext = lang.extension_masks()
+    n = len(ext)
+    # Every census situation set contributes at least 2^|S| - 1 decision
+    # sets, so 3^n - 2^(n+1) + 1 is a cheap lower bound on the census.
+    if n > 1 and 3**n - (1 << (n + 1)) + 1 > cap:
+        raise CapacityError("task census", cap)
+    full = (1 << n) - 1
+    reach = [0] * full
+    total = 0
+    for mask in range(1, full):
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | ext[low.bit_length() - 1]
+        total += (1 << reach[mask].bit_count()) - 1
+        if total > cap:
+            raise CapacityError("task census", cap)
+    return total
+
+
 @dataclass
 class TaskCensus:
     """All tasks of a language with nonempty situations (a proper subset of
@@ -144,7 +172,7 @@ class TaskCensus:
     count: int
 
 
-def enumerate_tasks(lang: Language, cap: int = 1_000_000) -> TaskCensus:
+def enumerate_tasks(lang: Language, cap: int = CENSUS_CAP) -> TaskCensus:
     """Materialize the census in deterministic order (situation sets by
     size then lexicographic position, decision sets likewise), each task
     built by the public make_task from naively computed reachable sets."""
@@ -178,7 +206,7 @@ class CensusTask:
 
 
 def census_tasks(
-    lang: Language, census_cap: float = oracle.DEFAULT_CENSUS_CAP
+    lang: Language, census_cap: float = CENSUS_CAP
 ) -> Iterator[CensusTask]:
     """Every census task with models and its parent counts, situation masks up, then
     decision sets by first model; raises CapacityError at the call, not at ``next``.
@@ -190,7 +218,7 @@ def census_tasks(
     the one parent with D' = Z_T ∩ Z_h per T (D ⊆ Z_S ⊆ Z_T and D ⊆ Z_h), so
     each ``parent_counts`` entry is 2^(n-|S|) - 2.
     """
-    oracle.census_size(lang, census_cap)
+    census_size(lang, census_cap)
     return _census_tasks(lang.extension_masks())
 
 
@@ -268,7 +296,7 @@ def walk_census_tasks(lang: Language) -> Iterator[CensusTask]:
 
 
 def per_task_optimality(
-    lang: Language, census_cap: float = oracle.DEFAULT_CENSUS_CAP
+    lang: Language, census_cap: float = CENSUS_CAP
 ) -> OptimalityReport:
     """The weakness-optimality check one ``census_tasks`` record at a time:
     every model of every task takes the deviation test, and every task takes
@@ -283,7 +311,7 @@ def per_task_optimality(
     tables = tuple(p.truth for p in lang.vocab)
     universe = tuple(map(row_members, lang.rows)) if lang.mode == EXPLICIT else None
     rep = OptimalityReport(
-        lang.space.size, tables, universe, oracle.census_size(lang, census_cap), 0, [], 0
+        lang.space.size, tables, universe, census_size(lang, census_cap), 0, [], 0
     )
     weak = [e.bit_count() for e in ext]
     for task in records:

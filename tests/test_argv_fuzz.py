@@ -43,7 +43,7 @@ _FLAGS = {
     "verify": {
         "--max-states": (["0", "1", "4", "63"], ["-1", "x"]),
         "--max-vocab": (["0", "1", "2", "3"], ["-1", "x"]),
-        "--census-cap": (["1", "100", "20000"], ["0", "x"]),
+        "--max-members": (["1", "8", "20"], ["0", "21", "x"]),
         "--seed": _SEED,
         "--out": _OUT,
         "--format": _FORMAT,

@@ -186,9 +186,10 @@ _DEEP_SPECS = {
         (["induce", "--spec", "{tiny}", "--task", "t1", "--cap", "0"], 64),
         (["induce", "--spec", "{tiny}", "--task", "t1", "--max-states", "3"], 64),
         (["induce", "--spec", "{not_utf8}", "--task", "t1"], 65),
-        (["verify", "--census-cap", "100"], 75),
-        (["verify", "--census-cap", "0"], 64),
-        (["verify", "--census-cap", "-3"], 64),
+        (["verify", "--max-members", "7"], 75),
+        # the cap counts members, so --census-cap is no option
+        (["verify", "--census-cap", "100"], 64),
+        (["verify", "--max-members", "0"], 64),
         # the sampled languages' state count and number are fixed at 4 and 50
         (["verify", "--max-states", "1", "--samples-at", "4"], 64),
         (["induce", "--spec", "{sup_width}", "--task", "t1"], 65),
@@ -209,6 +210,9 @@ _DEEP_SPECS = {
         # an exponent is refused before Fraction expands it as 10**exp
         (["experiment", "--tau", "1e-999999999", "--trials", "1"], 64),
         (["verify", "--max-states", "4", "--samples-at", "4", "--samples", "50"], 64),
+        # past the 20-member limit, whose worst-case sweep holds 0.5 GB
+        (["verify", "--max-members", "21"], 64),
+        (["verify", "--max-members", "1000000000000000000000000000000"], 64),
     ],
 )
 def test_bad_input_ends_in_documented_code(tmp_path, argv, code):
@@ -222,13 +226,13 @@ def test_bad_input_ends_in_documented_code(tmp_path, argv, code):
     proc = run_proc(*(a.format(**paths) for a in argv))
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
-    if {"--samples-at", "--samples"} & set(argv):
+    if {"--samples-at", "--samples", "--census-cap"} & set(argv):
         assert "unrecognized arguments" in proc.stderr
     if code == 65 and "{not_utf8}" not in argv:
         assert re.search(r"\.wl:\d+:\d+: ", proc.stderr)  # a located SpecError
-    if argv == ["verify", "--census-cap", "100"]:
-        # only a larger cap admits the fixture language's census
-        assert "raise --census-cap" in proc.stderr
+    if argv == ["verify", "--max-members", "7"]:
+        # only a larger cap admits the fixture language's 8 members
+        assert "raise --max-members to at least 8" in proc.stderr
         assert "--max-states" not in proc.stderr
 
 
@@ -287,48 +291,53 @@ def test_each_verify_call_sweeps_its_own_censuses(monkeypatch, capsys):
     assert counts == [1 + 12, 1 + 12]
 
 
-def test_verify_refuses_each_census_over_the_cap_once(tmp_path, monkeypatch):
-    # at 4 states and 4 predicates, 16 languages are over the default census
-    # cap with 7 distinct censuses: one _census run refuses each census, and
-    # the swept dict refuses its repeats
+def test_sampler_runs_no_census(monkeypatch):
+    # a draw is kept or skipped by its member count alone
+    calls = []
+    census = oracle._census
+    monkeypatch.setattr(oracle, "_census", lambda ext: calls.append(ext) or census(ext))
+    oracle.sample_derived_languages(4, 50, seed="perfbench-7.0", max_vocab=5)
+    assert calls == []
+
+
+def test_verify_runs_no_census_over_the_member_cap(tmp_path, monkeypatch):
+    # at 4 states and 4 predicates, 16 languages are over the default cap
+    # with 7 distinct censuses: verify runs _census once for the fixture
+    # language and once per distinct census within the cap, never for these
+    from _oracles import census_size
     from weaklab import CapacityError
 
+    fx = oracle.divergence_fixture()
     langs = [*oracle.all_derived_languages(3, 4),
              *oracle.sample_derived_languages(4, 50, seed="perfbench-7.0", max_vocab=5)]
     over = []
     for lang in langs:
         try:
-            oracle.census_size(lang)
+            census_size(lang)
         except CapacityError:
             over.append(tuple(lang.extension_masks()))
     assert (len(over), len(set(over))) == (16, 7)
-    census, verify = oracle._census, oracle.verify_weakness_optimality
-    verifying, refused = [], []
-
-    def counted_census(ext, cap):
-        try:
-            return census(ext, cap)
-        except CapacityError:
-            if verifying:  # not the sampler's draws
-                refused.append(tuple(ext))
-            raise
-
-    def counted_verify(*args, **kwargs):
-        verifying.append(args)
-        try:
-            return verify(*args, **kwargs)
-        finally:
-            verifying.pop()
-
-    monkeypatch.setattr(oracle, "_census", counted_census)
-    monkeypatch.setattr(oracle, "verify_weakness_optimality", counted_verify)
+    within = {tuple(lang.extension_masks()) for lang in [fx.lang, *langs]
+              if lang.size <= oracle.DEFAULT_MAX_MEMBERS}
+    calls = []
+    census = oracle._census
+    monkeypatch.setattr(oracle, "_census",
+                        lambda ext: calls.append(tuple(ext)) or census(ext))
     out = tmp_path / "v.json"
     assert run_cli("verify", "--max-states", "4", "--max-vocab", "4",
                    "--seed", "perfbench-7.0", "--out", str(out)) == 0
-    assert sorted(refused) == sorted(set(over))
+    assert sorted(calls) == sorted(within)
+    assert not set(calls) & set(over)
     optimality = json.loads(out.read_text())["optimality"]
     assert optimality["languages_skipped_over_cap"] == 16
     assert optimality["languages_checked"] == len(langs) - 16
+    # a larger --max-members admits them: 4 have more than 12 members, none 16
+    for cap, skipped in ((12, 4), (16, 0)):
+        assert run_cli("verify", "--max-states", "4", "--max-vocab", "4", "--seed",
+                       "perfbench-7.0", "--max-members", str(cap), "--out", str(out)) == 0
+        optimality = json.loads(out.read_text())["optimality"]
+        assert optimality["languages_skipped_over_cap"] == skipped
+        assert skipped == sum(lang.size > cap for lang in langs)
 
 
 def test_verify_trivial_caps(capsys):

@@ -20,6 +20,8 @@ from weaklab import (
 from weaklab.induction import generalisation_probability
 from conftest import random_language
 from _oracles import (
+    CENSUS_CAP,
+    census_size,
     census_tasks,
     enumerate_tasks,
     naive_census_count,
@@ -43,7 +45,7 @@ def test_tiny_census_is_26(tiny):
     # independent recount by naive subset enumeration
     universe = [frozenset(s.members) for s in tiny.statements]
     assert naive_census_count(universe) == 26
-    assert oracle.census_size(tiny) == 26
+    assert census_size(tiny) == 26
 
 
 def test_census_tasks_are_valid(tiny, fx):
@@ -57,11 +59,37 @@ def test_census_tasks_are_valid(tiny, fx):
             assert {frozenset(z.members) for z in reachable} == naive
 
 
-def test_census_cap(fx):
+def test_census_cap(fx, monkeypatch):
     with pytest.raises(CapacityError):
         enumerate_tasks(fx.lang, cap=10)
     with pytest.raises(CapacityError):
-        oracle.census_size(fx.lang, cap=10)
+        census_size(fx.lang, cap=10)
+    # the sweep's cap counts members, and refuses before any mask is built
+    assert fx.lang.size == 8
+    monkeypatch.setattr(oracle.Language, "extension_masks", lambda self: pytest.fail())
+    with pytest.raises(CapacityError):
+        oracle.verify_weakness_optimality(fx.lang, max_members=7)
+
+
+def test_member_cap_keeps_the_languages_a_census_cap_kept():
+    # every derived language of at most 3 states and every 4-state vocabulary
+    # of 1 to 5 predicates: a census over 10^6 tasks exactly when more than
+    # the default 10 members
+    space = StateSpace(tuple(f"s{i}" for i in range(4)))
+    langs = [*oracle.all_derived_languages(3, 8), *(
+        oracle.Language.derive(space, Vocabulary(
+            tuple(Predicate(f"p{i}", t) for i, t in enumerate(tables))))
+        for k in range(1, 6) for tables in itertools.combinations(range(16), k))]
+    assert len(langs) == 7_160
+    kept, refused = [], []
+    for lang in langs:
+        try:
+            census_size(lang, CENSUS_CAP)
+        except CapacityError:
+            refused.append(lang.size)
+        else:
+            kept.append(lang.size)
+    assert (max(kept), min(refused)) == (oracle.DEFAULT_MAX_MEMBERS, 11)
 
 
 def test_empty_language_has_no_tasks():
@@ -74,7 +102,7 @@ def test_census_size_matches_enumeration():
     rng = random.Random(2024)
     for _ in range(20):
         lang = random_language(rng, max_states=3, max_vocab=3)
-        assert oracle.census_size(lang) == enumerate_tasks(lang).count
+        assert census_size(lang) == enumerate_tasks(lang).count
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +158,7 @@ def test_deviation_count_matches_fractions(tiny):
     rng = random.Random(811)
     while True:
         lang = random_language(rng, max_states=3, max_vocab=3)
-        if lang.size >= 4 and oracle.census_size(lang) <= 2_000:
+        if lang.size >= 4 and census_size(lang) <= 2_000:
             break
     for lang in (tiny, lang):
         expected = 0
@@ -153,7 +181,7 @@ def test_parent_counts_match_object_level_scan(tiny):
     rng = random.Random(505)
     while len(langs) < 4:
         cand = random_language(rng, max_states=3, max_vocab=2)
-        if 2 <= cand.size and oracle.census_size(cand) <= 400:
+        if 2 <= cand.size and census_size(cand) <= 400:
             langs.append(cand)
     for lang in langs:
         census = enumerate_tasks(lang).tasks
@@ -341,7 +369,7 @@ def test_a_shared_sweep_rebuilds_violations_per_language(monkeypatch):
     assert a.statements != b.statements
     calls = []
 
-    def fake_sweep(ext, cap):
+    def fake_sweep(ext):
         # one raw violation: S = D = {member 1}, weak model 0, best model 1
         calls.append(ext)
         return 26, 5, 0, [(0b010, 0b010, 0, 1, 1, 2)]
@@ -380,7 +408,8 @@ def test_sampling_deterministic():
     a = oracle.sample_derived_languages(4, 10, seed=5)
     b = oracle.sample_derived_languages(4, 10, seed=5)
     assert [l.statements for l in a] == [l.statements for l in b]
-    assert all(oracle.census_size(l) <= oracle.DEFAULT_CENSUS_CAP for l in a)
+    assert all(census_size(l) <= CENSUS_CAP for l in a)
+    assert all(l.size <= oracle.DEFAULT_MAX_MEMBERS for l in a)
 
 
 # ---------------------------------------------------------------------------
