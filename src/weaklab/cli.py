@@ -6,8 +6,7 @@ sweep), ``induce`` (run induction on a task from a spec file).  ``verify``'s
 task count includes the fixture language's tasks, its language count does
 not: ``--max-states 0 --max-vocab 0`` checks 0 languages and 1520 tasks.
 ``verify`` skips a language of more than ``--max-members`` members (default
-10, at most 20): a census sweep takes O(n·2^n) time and memory for n
-members, up to about 9 s and 0.5 GB at 20.
+10, at most 20, the limit of a census sweep's time and memory).
 
 Exit codes: 0 success; 1 verification violation or empty model set;
 2 flagged trials present (results still written); 64 usage, including a
@@ -162,8 +161,8 @@ def build_parser() -> _Parser:
                     default=oracle.DEFAULT_MAX_MEMBERS,
                     help="skip a language of more than N members, 1 to "
                     f"{oracle.MAX_MEMBERS} (default {oracle.DEFAULT_MAX_MEMBERS}); a census "
-                    "sweep takes O(N·2^N) time and memory, up to about 9 s and 0.5 GB "
-                    "at 20 and twice that per member more")
+                    "sweep takes O(N·2^N) time and O(2^N) memory, up to about 12 s and "
+                    "140 MB at 20 and twice that per member more")
     ve.add_argument("--seed", default="weaklab-verify")
     ve.add_argument("--out", default=None, help="structured report path")
     ve.add_argument("--format", choices=["table", "structured"], default="structured")

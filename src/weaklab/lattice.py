@@ -26,7 +26,7 @@ import sys
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property, reduce, total_ordering
+from functools import cached_property, total_ordering
 from itertools import compress, islice, repeat
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
@@ -334,8 +334,14 @@ class Language:
         """Per statement position i, the extension mask of statement i: the
         AND of the masks of the predicates of row i.  Built afresh on each
         call, with no ``Statement``."""
-        pred, full = self._pred, (1 << self.size) - 1
-        return [reduce(and_, map(pred.__getitem__, row_members(h)), full) for h in self.rows]
+        pred, full, out = self._pred, (1 << self.size) - 1, []
+        for h in self.rows:  # AND the masks at the row's set bits
+            mask = full
+            while h:
+                mask &= pred[(h & -h).bit_length() - 1]
+                h &= h - 1
+            out.append(mask)
+        return out
 
     def statements_of(self, mask: int) -> tuple[Statement, ...]:
         """Members at the set bits of a position mask, in global order."""

@@ -4,20 +4,17 @@ Enumerates the full task census of a language (every nonempty proper
 situation set with every nonempty reachable decision set) and checks, for
 every task with models, that the weakest models are never beaten on the
 count of census parents they generalise to.  A census depends only on the
-members' extension masks: calls that share one ``swept`` dict sweep each
-distinct mask tuple once.  A sweep groups the members by decision set once
-per distinct situation reach Z_S, after one superset-sum (zeta) transform,
-O(n·2^n) time and memory for n members; each situation set then takes one
-lookup for the deviation test (``_sweep`` says why), and only its tasks of
-two or more models take the violation test.  So the cap counts members, not
-tasks: a language of more than ``max_members`` (default 10, at most
-``MAX_MEMBERS``) is refused before its masks are built.
-``verify_weakness_optimality`` returns one record per language: state count
-and truth tables (which rebuild a derived language), the listed universe of
-an explicit language, census size, tasks checked, violations in its own
-members, and a count of the (task, model) pairs whose parent fraction
-differs from the formula (which counts decision subsets where the census
-counts concrete tasks).
+members' extension masks, and calls that share one ``swept`` dict sweep each
+distinct mask tuple once.  A sweep builds its reach table, census size and
+superset sums in whole-list passes, O(n·2^n) for n members, then visits the
+situation sets grouped by reach, one group alive at a time (``_sweep``).  So
+the cap counts members: a language of more than ``max_members`` (default 10,
+at most ``MAX_MEMBERS``) is refused before its masks are built.  Each
+language yields one ``OptimalityReport``: state count and truth tables (which
+rebuild a derived language), the listed universe of an explicit language,
+census size, tasks checked, violations in its own members, and a deviation
+count (the formula it checks counts decision subsets where the census counts
+concrete tasks).
 
 Also home of the two built-in fixtures: the two-state language, and the
 explicit-universe language on which the two proxies pick different models.
@@ -28,6 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import add, itemgetter, or_
 from typing import Iterable, Iterator
 
 from .errors import CapacityError, FixtureError
@@ -50,25 +48,38 @@ from .lattice import (
 from .tasks import VTask, make_task
 
 DEFAULT_MAX_MEMBERS = 10  # keeps the derived languages of censuses <= 10^6 tasks
-MAX_MEMBERS = 20  # a 20-member sweep takes up to about 9 s and 0.5 GB
+MAX_MEMBERS = 20  # a 20-member sweep takes up to about 12 s and 140 MB
 
 
 # ---------------------------------------------------------------------------
 # census
 
 
-def _census(ext: list[int]) -> tuple[list[int], int]:
-    """The census reach table over the member extension masks ``ext`` (reach[m]
-    is the mask of the members containing some statement at a set bit of m,
-    for every proper situation mask m) and the census size."""
-    full = (1 << len(ext)) - 1
-    reach = [0] * full
-    total = 0
-    for mask in range(1, full):
-        low = mask & -mask
-        reach[mask] = reach[mask ^ low] | ext[low.bit_length() - 1]
-        total += (1 << reach[mask].bit_count()) - 1
-    return reach, total
+def _census(ext: list[int]) -> tuple[list[int], list[int], int]:
+    """The reach table over the member extension masks ``ext`` (reach[m]: the
+    members containing some statement at a set bit of m), each mask's term
+    2^|reach[m]| (0 at the full mask, no situation set), and the census size."""
+    reach = [0]
+    for e in ext:  # the masks with member i are those without it, OR its mask
+        reach += list(map(or_, reach, itertools.repeat(e)))
+    terms = list(map((1).__lshift__, map(int.bit_count, reach)))
+    terms[-1] = 0
+    return reach, terms, sum(terms) - len(reach) + 1  # each S adds 2^|Z_S| - 1, mask 0 1
+
+
+def _superset_sums(g: list[int]) -> None:
+    """In place over 2^n entries, g[m] becomes the sum of g[t] over t ⊇ m: per
+    bit, the masks without it take their partners', by strided slices while
+    the bit is low and by contiguous blocks once it is high."""
+    size = len(g)
+    for i in range(size.bit_length() - 1):
+        bit, step = 1 << i, 2 << i
+        if bit * step < size:
+            for r in range(bit):
+                g[r::step] = map(add, g[r::step], g[r + bit::step])
+        else:
+            for lo in range(0, size, step):
+                g[lo:lo + bit] = map(add, g[lo:lo + bit], g[lo + bit:lo + step])
 
 
 # ---------------------------------------------------------------------------
@@ -145,63 +156,47 @@ def _sweep(ext: list[int]) -> tuple[int, int, int, list[tuple]]:
     A parent of (S, D) has a situation set T ⊋ S short of the full mask and
     decisions D ⊆ D' ⊆ Z_T, so (S, D) has (g[S] - 2^|Z_S|) >> |D| parents, where
     g[m] sums 2^|Z_T| over T ⊇ m short of full.  The rest of S's tasks depends
-    on S only through Z_S, so one pass per distinct Z_S groups the members h by
-    D = Z_S ∩ Z_h.  Model h's fraction sets / parents equals the formula
-    2^|Z̄_S ∩ Z_h| / 2^|Z̄_S| when left = above · 2^x_h, for left =
-    sets · 2^(n-|Z_S|), above = g[S] - 2^|Z_S| and x_h = |Z_h| - 2|D|, so the
-    pass counts the models by x_h and each S looks up the one x that fits.
+    on S only through Z_S, so the situation sets are visited grouped by Z_S, and
+    one pass per group sorts the members h by D = Z_S ∩ Z_h.  Model h's fraction
+    sets / parents equals the formula 2^|Z̄_S ∩ Z_h| / 2^|Z̄_S| when left =
+    above · 2^x_h, for left = sets · 2^(n-|Z_S|), above = g[S] - 2^|Z_S| and
+    x_h = |Z_h| - 2|D|, so the pass counts the models by x_h and each S looks
+    up the one x that fits.  The violations come out in S order.
     """
-    reach, size = _census(ext)
-    n = len(ext)
-    full = (1 << n) - 1
-    weak = [e.bit_count() for e in ext]
-    # g[m]: sum of 2^|reach[T]| over the masks T ⊇ m short of full
-    g = [1 << z.bit_count() for z in reach] + [0]
-    for i in range(n):
-        bit = 1 << i
-        for m in range(full):
-            if not m & bit:
-                g[m] += g[m | bit]
-    by_reach: dict[int, tuple] = {}
+    reach, g, size = _census(ext)
+    n, weak = len(ext), [e.bit_count() for e in ext]
+    _superset_sums(g)
     tasks, deviations, raw = 0, 0, []
-    for s_mask in range(1, full):
-        zs = reach[s_mask]
-        if (grouped := by_reach.get(zs)) is None:
-            grouped = by_reach[zs] = _group(ext, weak, zs)
-        n_tasks, n_models, by_x, multi, z = grouped
-        tasks += n_tasks
-        sets = (1 << (n - s_mask.bit_count())) - 2  # parent situation sets
-        # above = 0 exactly when |S| = n - 1; then left = 0 too and all match
-        if above := g[s_mask] - (1 << z):
-            left = sets << (n - z)
-            # left = above · 2^x for one x when their odd parts are equal
-            l_low, a_low = left & -left, above & -above
-            if left * a_low == above * l_low:
-                n_models -= by_x.get(l_low.bit_length() - a_low.bit_length(), 0)
-            deviations += n_models
-        for d, models, w_max in multi:  # a lone model has its task's best count
-            counts = _parent_counts(s_mask, d, models, sets)
-            best = max(counts)
-            for h, count in zip(models, counts):
-                if count < best and weak[h] == w_max:
-                    raw.append((s_mask, d, h, count, models[counts.index(best)], best))
+    by_reach = sorted(range(1, len(reach) - 1), key=reach.__getitem__)
+    for zs, s_masks in itertools.groupby(by_reach, reach.__getitem__):
+        groups: dict[int, list[int]] = {}  # D: its models h
+        by_x: dict[int, int] = {}  # x_h: models
+        for h, e in enumerate(ext):
+            if d := zs & e:
+                groups.setdefault(d, []).append(h)
+                x = weak[h] - 2 * d.bit_count()
+                by_x[x] = by_x.get(x, 0) + 1
+        multi = [(d, hs, max([weak[h] for h in hs])) for d, hs in groups.items() if len(hs) > 1]
+        n_models, z, s_masks = sum(by_x.values()), zs.bit_count(), list(s_masks)
+        tasks += len(groups) * len(s_masks)
+        for s_mask in s_masks:
+            sets = (1 << (n - s_mask.bit_count())) - 2  # parent situation sets
+            # above = 0 exactly when |S| = n - 1; then left = 0 too and all match
+            if above := g[s_mask] - (1 << z):
+                left = sets << (n - z)
+                # left = above · 2^x for one x when their odd parts are equal
+                l_low, a_low = left & -left, above & -above
+                x = l_low.bit_length() - a_low.bit_length()
+                deviations += n_models - (by_x.get(x, 0) if left * a_low == above * l_low else 0)
+            for d, models, w_max in multi:  # a lone model has its task's best count
+                counts = _parent_counts(s_mask, d, models, sets)
+                if (best := max(counts)) == min(counts):
+                    continue
+                for h, count in zip(models, counts):
+                    if count < best and weak[h] == w_max:
+                        raw.append((s_mask, d, h, count, models[counts.index(best)], best))
+    raw.sort(key=itemgetter(0))  # out of the visit by reach; stable within each S
     return size, tasks, deviations, raw
-
-
-def _group(ext: list[int], weak: list[int], zs: int) -> tuple[int, int, dict, list, int]:
-    """For the situation sets of reach ``zs``: the task count, the model count,
-    {x_h: models}, (D, models, weakness maximum) per task of 2+ models, |Z_S|."""
-    groups: dict[int, list[int]] = {}
-    by_x: dict[int, int] = {}
-    models = 0
-    for h, e in enumerate(ext):
-        if d := zs & e:
-            groups.setdefault(d, []).append(h)
-            x = weak[h] - 2 * d.bit_count()
-            by_x[x] = by_x.get(x, 0) + 1
-            models += 1
-    multi = [(d, hs, max([weak[h] for h in hs])) for d, hs in groups.items() if len(hs) > 1]
-    return len(groups), models, by_x, multi, zs.bit_count()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ checked against, and it reads each multi-model task's parent counts through
 ``oracle._parent_counts``, so a test that replaces that count changes both.
 ``census_size`` counts a census under a task cap, refusing before its 2^n
 reach table where a lower bound already passes the cap, so that tests can
-filter random languages of up to 32 members by census size.
+filter random languages of up to 32 members by census size.  The reach
+tables, superset sums and census sizes here are built one mask at a time;
+they are what ``oracle``'s whole-list census kernels are checked against.
 """
 
 from __future__ import annotations
@@ -144,7 +146,11 @@ def census_size(lang: Language, cap: float = CENSUS_CAP) -> int:
     """Exact census cardinality, without materializing tasks; raises
     CapacityError as soon as the running total exceeds ``cap``, and before
     the 2^n reach table for n members when a lower bound already does."""
-    ext = lang.extension_masks()
+    return masks_census_size(lang.extension_masks(), cap)
+
+
+def masks_census_size(ext: list[int], cap: float = CENSUS_CAP) -> int:
+    """``census_size`` over the member extension masks ``ext``."""
     n = len(ext)
     # Every census situation set contributes at least 2^|S| - 1 decision
     # sets, so 3^n - 2^(n+1) + 1 is a cheap lower bound on the census.
