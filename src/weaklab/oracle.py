@@ -64,7 +64,7 @@ def _census(ext: list[int]) -> tuple[list[int], list[int], int]:
         reach += list(map(or_, reach, itertools.repeat(e)))
     terms = list(map((1).__lshift__, map(int.bit_count, reach)))
     terms[-1] = 0
-    return reach, terms, sum(terms) - len(reach) + 1  # each S adds 2^|Z_S| - 1, mask 0 1
+    return reach, terms, sum(terms) - len(reach) + 1  # less mask 0's term 1 and 1 per S
 
 
 def _superset_sums(g: list[int]) -> None:
