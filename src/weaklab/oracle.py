@@ -5,16 +5,16 @@ situation set with every nonempty reachable decision set) and checks, for
 every task with models, that the weakest models are never beaten on the
 count of census parents they generalise to.  A census depends only on the
 members' extension masks, and calls that share one ``swept`` dict sweep each
-distinct mask tuple once.  A sweep builds its reach table, census size and
-superset sums in whole-list passes, O(n·2^n) for n members, then visits the
-situation sets grouped by reach, one group alive at a time (``_sweep``).  So
-the cap counts members: a language of more than ``max_members`` (default 10,
-at most ``MAX_MEMBERS``) is refused before its masks are built.  Each
-language yields one ``OptimalityReport``: state count and truth tables (which
-rebuild a derived language), the listed universe of an explicit language,
-census size, tasks checked, violations in its own members, and a deviation
-count (the formula it checks counts decision subsets where the census counts
-concrete tasks).
+distinct mask tuple once.  A sweep builds its reach table and census size in
+whole-list passes, O(n·2^n) for n members, then visits the situation sets
+grouped by reach, one group alive at a time, and reads each multi-model
+task's per-model parent counts for the whole group in one ``_parent_counts``
+call (``_sweep``).  So the cap counts members: a language of more than
+``max_members`` (default 10, at most ``MAX_MEMBERS``) is refused before its
+masks are built.  Each language yields one ``OptimalityReport``: state count
+and truth tables (which rebuild a derived language), the listed universe of
+an explicit language, census size, tasks checked, and violations in its own
+members.
 
 Also home of the two built-in fixtures: the two-state language, and the
 explicit-universe language on which the two proxies pick different models.
@@ -48,29 +48,29 @@ from .lattice import (
 from .tasks import VTask, make_task
 
 DEFAULT_MAX_MEMBERS = 10  # keeps the derived languages of censuses <= 10^6 tasks
-MAX_MEMBERS = 20  # a 20-member sweep takes up to about 12 s and 140 MB
+MAX_MEMBERS = 20  # a 20-member sweep takes up to about 4 s and 110 MB of peak RSS
 
 
 # ---------------------------------------------------------------------------
 # census
 
 
-def _census(ext: list[int]) -> tuple[list[int], list[int], int]:
+def _census(ext: list[int]) -> tuple[list[int], int]:
     """The reach table over the member extension masks ``ext`` (reach[m]: the
-    members containing some statement at a set bit of m), each mask's term
-    2^|reach[m]| (0 at the full mask, no situation set), and the census size."""
+    members containing some statement at a set bit of m) and the census size."""
     reach = [0]
     for e in ext:  # the masks with member i are those without it, OR its mask
         reach += list(map(or_, reach, itertools.repeat(e)))
-    terms = list(map((1).__lshift__, map(int.bit_count, reach)))
-    terms[-1] = 0
-    return reach, terms, sum(terms) - len(reach) + 1  # less mask 0's term 1 and 1 per S
+    terms = sum(map((1).__lshift__, map(int.bit_count, reach)))  # 2^|Z_m| over every m
+    # less the full mask's term (no situation set), mask 0's term 1 and 1 per S
+    return reach, terms - (1 << reach[-1].bit_count()) - len(reach) + 1
 
 
 def _superset_sums(g: list[int]) -> None:
     """In place over 2^n entries, g[m] becomes the sum of g[t] over t ⊇ m: per
     bit, the masks without it take their partners', by strided slices while
-    the bit is low and by contiguous blocks once it is high."""
+    the bit is low and by contiguous blocks once it is high.  The sweep calls
+    none; a per-model census measure read from superset sums would."""
     size = len(g)
     for i in range(size.bit_length() - 1):
         bit, step = 1 << i, 2 << i
@@ -107,7 +107,6 @@ class OptimalityReport:
     census_size: int
     tasks_checked: int
     violations: list[Violation]
-    deviation_count: int
 
 
 def verify_weakness_optimality(
@@ -116,11 +115,10 @@ def verify_weakness_optimality(
     """Sweep every census task with a nonempty model set.
 
     Checks that every weakness-maximal model of a task attains the task's
-    maximum parent count, and counts the (task, model) pairs whose parent
-    fraction differs from the formula value 2^|Z̄_S ∩ Z_h| / 2^|Z̄_S|.
-    Raises CapacityError for a language of more than ``max_members``
-    members, before its extension masks are built.  Calls that share one
-    ``swept`` dict sweep each distinct extension-mask tuple once.
+    maximum parent count.  Raises CapacityError for a language of more than
+    ``max_members`` members, before its extension masks are built.  Calls
+    that share one ``swept`` dict sweep each distinct extension-mask tuple
+    once.
     """
     if lang.size > max_members:
         raise CapacityError("census members", max_members)
@@ -128,10 +126,10 @@ def verify_weakness_optimality(
     swept = {} if swept is None else swept
     if (key := tuple(ext)) not in swept:
         swept[key] = _sweep(ext)
-    size, tasks, deviations, raw = swept[key]
+    size, tasks, raw = swept[key]
     tables = tuple(p.truth for p in lang.vocab)
     universe = tuple(map(row_members, lang.rows)) if lang.mode == EXPLICIT else None
-    rep = OptimalityReport(lang.space.size, tables, universe, size, tasks, [], deviations)
+    rep = OptimalityReport(lang.space.size, tables, universe, size, tasks, [])
     for s_mask, d, h, count, best_h, best in raw:  # a fresh list, this language's members
         rep.violations.append(Violation(
             tuple(s.members for s in lang.statements_of(s_mask)),
@@ -141,62 +139,53 @@ def verify_weakness_optimality(
     return rep
 
 
-def _parent_counts(s_mask: int, d: int, models: list[int], sets: int) -> tuple[int, ...]:
-    """The census parents each model of the task (S, D) is a model of, for a task
-    with two or more models: per parent situation set T, the one parent with
-    D' = Z_T ∩ Z_h, so ``sets`` = 2^(n-|S|) - 2 for every model.  The one place
-    that reads a per-model parent count; another census measure replaces it."""
-    return (sets,) * len(models)
+def _parent_counts(s_masks: list[int], d: int, models: list[int], n: int) -> list[list[int]]:
+    """One column per model of the tasks (S, D), S over the situation sets
+    ``s_masks`` of one reach, D with two or more models, n members: the census
+    parents the model is a model of, per S in order.  A parent has a situation
+    set T ⊋ S short of the full mask and decisions D ⊆ D' ⊆ Z_T, and model h is
+    a model of the one with D' = Z_T ∩ Z_h, so every model reads 2^(n-|S|) - 2,
+    the number of such T.  The one place that reads a per-model parent count;
+    another census measure replaces it."""
+    col = [(1 << (n - s.bit_count())) - 2 for s in s_masks]
+    return [col] * len(models)
 
 
-def _sweep(ext: list[int]) -> tuple[int, int, int, list[tuple]]:
-    """Census size, tasks checked, deviation count and the violations as
-    position tuples (S, D, weak model, its count, best model, best count).
+def _sweep(ext: list[int]) -> tuple[int, int, list[tuple]]:
+    """Census size, tasks checked and the violations as position tuples
+    (S, D, weak model, its count, best model, best count).
 
-    A parent of (S, D) has a situation set T ⊋ S short of the full mask and
-    decisions D ⊆ D' ⊆ Z_T, so (S, D) has (g[S] - 2^|Z_S|) >> |D| parents, where
-    g[m] sums 2^|Z_T| over T ⊇ m short of full.  The rest of S's tasks depends
-    on S only through Z_S, so the situation sets are visited grouped by Z_S, and
-    one pass per group sorts the members h by D = Z_S ∩ Z_h.  Model h's fraction
-    sets / parents equals the formula 2^|Z̄_S ∩ Z_h| / 2^|Z̄_S| when left =
-    above · 2^x_h, for left = sets · 2^(n-|Z_S|), above = g[S] - 2^|Z_S| and
-    x_h = |Z_h| - 2|D|, so the pass counts the models by x_h and each S looks
-    up the one x that fits.  The violations come out in S order.
+    The tasks of S depend on S only through Z_S, so the situation sets are
+    visited grouped by Z_S, one group alive at a time; one pass per group sorts
+    the members h by D = Z_S ∩ Z_h, and each task with two or more models takes
+    one ``_parent_counts`` call for the whole group.  The violations are sorted
+    back into S order.
     """
-    reach, g, size = _census(ext)
+    reach, size = _census(ext)
     n, weak = len(ext), [e.bit_count() for e in ext]
-    _superset_sums(g)
-    tasks, deviations, raw = 0, 0, []
+    tasks, raw = 0, []
     by_reach = sorted(range(1, len(reach) - 1), key=reach.__getitem__)
     for zs, s_masks in itertools.groupby(by_reach, reach.__getitem__):
         groups: dict[int, list[int]] = {}  # D: its models h
-        by_x: dict[int, int] = {}  # x_h: models
         for h, e in enumerate(ext):
             if d := zs & e:
                 groups.setdefault(d, []).append(h)
-                x = weak[h] - 2 * d.bit_count()
-                by_x[x] = by_x.get(x, 0) + 1
-        multi = [(d, hs, max([weak[h] for h in hs])) for d, hs in groups.items() if len(hs) > 1]
-        n_models, z, s_masks = sum(by_x.values()), zs.bit_count(), list(s_masks)
+        s_masks = list(s_masks)
         tasks += len(groups) * len(s_masks)
-        for s_mask in s_masks:
-            sets = (1 << (n - s_mask.bit_count())) - 2  # parent situation sets
-            # above = 0 exactly when |S| = n - 1; then left = 0 too and all match
-            if above := g[s_mask] - (1 << z):
-                left = sets << (n - z)
-                # left = above · 2^x for one x when their odd parts are equal
-                l_low, a_low = left & -left, above & -above
-                x = l_low.bit_length() - a_low.bit_length()
-                deviations += n_models - (by_x.get(x, 0) if left * a_low == above * l_low else 0)
-            for d, models, w_max in multi:  # a lone model has its task's best count
-                counts = _parent_counts(s_mask, d, models, sets)
-                if (best := max(counts)) == min(counts):
-                    continue
+        for d, models in groups.items():
+            if len(models) < 2:  # a lone model has its task's best count
+                continue
+            cols = _parent_counts(s_masks, d, models, n)
+            if cols.count(cols[0]) == len(cols):  # a tie at every S
+                continue
+            w_max = max([weak[h] for h in models])
+            for s_mask, counts in zip(s_masks, zip(*cols)):
+                best = max(counts)
                 for h, count in zip(models, counts):
                     if count < best and weak[h] == w_max:
                         raw.append((s_mask, d, h, count, models[counts.index(best)], best))
     raw.sort(key=itemgetter(0))  # out of the visit by reach; stable within each S
-    return size, tasks, deviations, raw
+    return size, tasks, raw
 
 
 # ---------------------------------------------------------------------------

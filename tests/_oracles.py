@@ -10,6 +10,8 @@ superset (``walk_census_tasks``), both from the public extension masks; the
 first is the per-situation route that ``oracle``'s per-reach sweep is
 checked against, and it reads each multi-model task's parent counts through
 ``oracle._parent_counts``, so a test that replaces that count changes both.
+``deviation_count`` compares those counts with the formula value of
+``induction.generalisation_probability``; the sweep itself keeps one measure.
 ``census_size`` counts a census under a task cap, refusing before its 2^n
 reach table where a lower bound already passes the cap, so that tests can
 filter random languages of up to 32 members by census size.  The reach
@@ -258,7 +260,7 @@ def _census_by_situations(ext: list[int]) -> Iterator[tuple]:
         for h, e in enumerate(ext):
             if d := zs & e:
                 groups.setdefault(d, []).append(h)
-        multi = {d: oracle._parent_counts(s_mask, d, models, count)
+        multi = {d: tuple(col[0] for col in oracle._parent_counts([s_mask], d, models, n))
                  for d, models in groups.items() if len(models) > 1}
         yield s_mask, zs, count, g[s_mask] - (1 << zs.bit_count()), groups, multi
 
@@ -305,34 +307,20 @@ def per_task_optimality(
     lang: Language, census_cap: float = CENSUS_CAP
 ) -> OptimalityReport:
     """The weakness-optimality check one ``census_tasks`` record at a time:
-    every model of every task takes the deviation test, and every task takes
-    the violation test, whatever its number of models."""
+    every task takes the violation test, whatever its number of models."""
     records = census_tasks(lang, census_cap)
-    ext = lang.extension_masks()
-    n = len(ext)
-    reach = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        reach[mask] = reach[mask ^ low] | ext[low.bit_length() - 1]
     tables = tuple(p.truth for p in lang.vocab)
     universe = tuple(map(row_members, lang.rows)) if lang.mode == EXPLICIT else None
     rep = OptimalityReport(
-        lang.space.size, tables, universe, census_size(lang, census_cap), 0, [], 0
+        lang.space.size, tables, universe, census_size(lang, census_cap), 0, []
     )
-    weak = [e.bit_count() for e in ext]
+    weak = [e.bit_count() for e in lang.extension_masks()]
     for task in records:
         rep.tasks_checked += 1
-        zs = reach[task.situations]
-        outside = n - zs.bit_count()
-        total = task.total_parents
         counts = task.parent_counts
         w_max = max([weak[h] for h in task.models])
         best = max(counts)
         for h, count in zip(task.models, counts):
-            # count / total != 2^a / 2^outside, in integers; a task without
-            # parents has count = total = 0, so it never counts
-            if count << outside != total << (ext[h] & ~zs).bit_count():
-                rep.deviation_count += 1
             if count < best and weak[h] == w_max:
                 best_h = task.models[counts.index(best)]
                 rep.violations.append(
@@ -346,6 +334,27 @@ def per_task_optimality(
                     )
                 )
     return rep
+
+
+def deviation_count(lang: Language, census_cap: float = CENSUS_CAP) -> int:
+    """The (task, model) pairs of the census whose parent fraction count / total
+    differs from the formula value 2^|Z̄_S ∩ Z_h| / 2^|Z̄_S|, the complement Z̄_S
+    taken over the n members; the formula counts decision subsets where the
+    census counts concrete tasks.  A task without parents has count = total =
+    0, so it never counts."""
+    ext = lang.extension_masks()
+    n, deviations = len(ext), 0
+    for task in census_tasks(lang, census_cap):
+        zs = 0
+        for i in range(n):
+            if task.situations >> i & 1:
+                zs |= ext[i]
+        outside = n - zs.bit_count()
+        for h, count in zip(task.models, task.parent_counts):
+            # count / total != 2^a / 2^outside, in integers
+            if count << outside != task.total_parents << (ext[h] & ~zs).bit_count():
+                deviations += 1
+    return deviations
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ _DEEP_SPECS = {
         # an exponent is refused before Fraction expands it as 10**exp
         (["experiment", "--tau", "1e-999999999", "--trials", "1"], 64),
         (["verify", "--max-states", "4", "--samples-at", "4", "--samples", "50"], 64),
-        # past the 20-member limit, whose worst-case sweep holds about 140 MB
+        # past the 20-member limit, whose worst-case sweep holds about 110 MB
         (["verify", "--max-members", "21"], 64),
         (["verify", "--max-members", "1000000000000000000000000000000"], 64),
     ],

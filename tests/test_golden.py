@@ -17,10 +17,10 @@ import pytest
 from weaklab import cli
 from conftest import SPEC_DIR
 
-VERIFY_SHA256 = "e3aa7f64a4ffa7b03cec6c8d0437e57ea5e7aa4b98f173851d9fa6a1a3698861"
+VERIFY_SHA256 = "60bf4dc329a7721572cdc71a16c82990bdaeede12d9f29a9e5c095dfd8a70042"
 # `verify --max-states 4 --max-vocab 4 --seed golden-4`, the one that adds
 # the seeded 4-state languages to the sweep
-VERIFY_SAMPLED_SHA256 = "5256831e7ddce78787fd559ac89ce9b563136c0e1156db1b8bbc2c85fc5b4080"
+VERIFY_SAMPLED_SHA256 = "7f5057273f39599a382858bf3bb147d6623b28743b25ffde37ef2f57c139d0cf"
 INDUCE_SHA256 = "248ea34d1cc34b0857a0ddec6b792b5f0d6c636d755cda6ebc6917b3d73415a0"
 # `experiment --op both --dk 6,10,14 --trials 2 --seed golden-1` at the
 # default budget; no trial of either mode is budget-flagged

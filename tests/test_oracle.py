@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import functools
 import itertools
 import math
@@ -27,6 +26,7 @@ from _oracles import (
     census_size,
     _census_by_situations,
     census_tasks,
+    deviation_count,
     enumerate_tasks,
     masks_census_size,
     naive_census_count,
@@ -120,11 +120,11 @@ def test_census_size_matches_enumeration():
 def test_census_kernels_match_the_naive_loops(ext):
     # the doubling reach table, the census size and the sliced superset sums
     # against the mask-by-mask loops of the reference routes, on any masks
-    reach, terms, size = oracle._census(ext)
+    reach, size = oracle._census(ext)
     full = (1 << len(ext)) - 1
-    assert len(reach) == len(terms) == full + 1
-    assert terms == [1 << z.bit_count() for z in reach[:full]] + [0]
+    assert len(reach) == full + 1
     assert size == masks_census_size(ext, math.inf)
+    terms = [1 << z.bit_count() for z in reach[:full]] + [0]
     g = terms[:]
     oracle._superset_sums(g)
     rows = list(_census_by_situations(ext))
@@ -182,7 +182,7 @@ def test_single_model_tasks_trivially_clean(tiny):
 
 
 def test_deviation_count_matches_fractions(tiny):
-    # the check counts deviations with shifted integers; recount them with
+    # the reference counts deviations with shifted integers; recount them with
     # Fractions from the record and the task-level formula
     rng = random.Random(811)
     while True:
@@ -198,7 +198,13 @@ def test_deviation_count_matches_fractions(tiny):
                 if r.total_parents and Fraction(count, r.total_parents) != formula:
                     expected += 1
         assert expected > 0
-        assert oracle.verify_weakness_optimality(lang).deviation_count == expected
+        assert deviation_count(lang) == expected
+
+
+def test_divergence_fixture_deviation_count(fx):
+    # the fixture language's (task, model) pairs whose parent fraction differs
+    # from the formula value
+    assert deviation_count(fx.lang) == 1507
 
 
 def test_parent_counts_match_object_level_scan(tiny):
@@ -301,11 +307,13 @@ def test_sweep_matches_per_situation_route_on_sub_universes():
 
 
 def test_sub_universes_take_every_branch_of_the_deviation_test():
-    # the sweep matches model h of S's tasks when left = above · 2^x_h,
+    # model h of S's tasks matches the formula when left = above · 2^x_h,
     # x_h = |Z_h| - 2|D|; sort the situation sets of the sample above by the
-    # branch they take, from brute-force sums over the proper supersets
+    # branch they take, from brute-force sums over the proper supersets, and
+    # count the unmatched models against the reference deviation count
     branches = collections.Counter()
     for lang in _explicit_sub_universes(60, "explicit-sub-universes"):
+        deviations = 0
         ext = lang.extension_masks()
         n, full = len(ext), (1 << len(ext)) - 1
 
@@ -326,11 +334,13 @@ def test_sub_universes_take_every_branch_of_the_deviation_test():
             power = math.log2(ratio) if all(
                 k & (k - 1) == 0 for k in (ratio.numerator, ratio.denominator)) else None
             matched = sum(ratio == Fraction(2) ** x for x in xs)
+            deviations += len(xs) - matched
             if power is None:
                 assert matched == 0
                 branches["not a power of two"] += 1
             else:
                 branches[("power of two", power < 0, matched > 0)] += 1
+        assert deviation_count(lang) == deviations
     # a power of two below 1 and equal to 1, each with and without a model
     # that matches it (no ratio above 1 occurs in the sample)
     assert set(branches) == {"no parents", "not a power of two", *itertools.product(
@@ -345,12 +355,14 @@ def test_verify_reports_violation_in_loop(tiny, monkeypatch):
     empty, only_p = tiny.position(S()), tiny.position(S(0))
     parent_counts = oracle._parent_counts
 
-    def tampered(s_mask, d, models, sets):
-        counts = parent_counts(s_mask, d, models, sets)
-        if s_mask == d == p:
-            assert models == [empty, only_p] and counts == (sets, sets)
-            return sets - 1, sets
-        return counts
+    def tampered(s_masks, d, models, n):
+        cols = parent_counts(s_masks, d, models, n)
+        if d == p and p in s_masks:
+            assert models == [empty, only_p] and cols[0] == cols[1]
+            low = cols[0][:]
+            low[s_masks.index(p)] -= 1
+            return [low, cols[1]]
+        return cols
 
     monkeypatch.setattr(oracle, "_parent_counts", tampered)
     rep = oracle.verify_weakness_optimality(tiny)
@@ -365,13 +377,13 @@ def test_violations_keep_situation_order_through_the_reach_visit(monkeypatch):
     # the sweep visits the situation sets grouped by reach, and sorts its
     # violations back into situation order: rank each multi-model task's models
     # by weakness, weakest last, so that every weakness-maximal model is beaten
-    # unless its task's models tie.  The reference's deviation test reads the
-    # tampered counts where the sweep's reads the closed form, so the deviation
-    # counts are left out of the comparison
+    # unless its task's models tie
     weak = []
+    parent_counts = oracle._parent_counts
 
-    def tampered(s_mask, d, models, sets):
-        return tuple(sets - weak[h] for h in models)
+    def tampered(s_masks, d, models, n):
+        cols = parent_counts(s_masks, d, models, n)
+        return [[count - weak[h] for count in col] for h, col in zip(models, cols)]
 
     monkeypatch.setattr(oracle, "_parent_counts", tampered)
     langs = [*oracle.sample_derived_languages(4, 50, seed="weaklab-verify", max_vocab=5),
@@ -380,22 +392,92 @@ def test_violations_keep_situation_order_through_the_reach_visit(monkeypatch):
     for lang in langs:
         weak[:] = [e.bit_count() for e in lang.extension_masks()]
         rep, ref = oracle.verify_weakness_optimality(lang), per_task_optimality(lang)
-        assert dataclasses.replace(rep, deviation_count=ref.deviation_count) == ref
+        assert rep == ref
         violations += len(rep.violations)
-        raw = oracle._sweep(lang.extension_masks())[3]
+        raw = oracle._sweep(lang.extension_masks())[2]
         reach = oracle._census(lang.extension_masks())[0]
         visit = sorted(range(len(raw)), key=lambda i: reach[raw[i][0]])
         out_of_order += visit != sorted(visit)
     assert (violations, out_of_order) == (3027, 75)
 
 
+def _multi_model_tasks_by_reach(ext):
+    # {(Z_S, D): (models, the situation sets S of that reach, increasing)} for
+    # every task with two or more models, from a reach ORed member by member
+    found = {}
+    for s_mask in range(1, (1 << len(ext)) - 1):
+        zs = functools.reduce(operator.or_, (e for i, e in enumerate(ext) if s_mask >> i & 1))
+        for d in {zs & e for e in ext} - {0}:
+            models = [h for h, e in enumerate(ext) if zs & e == d]
+            if len(models) > 1:
+                found.setdefault((zs, d), (models, []))[1].append(s_mask)
+    return found
+
+
+def _three_state_language(tables):
+    vocab = Vocabulary(tuple(Predicate(f"p{i}", t) for i, t in enumerate(tables)))
+    return oracle.Language.derive(StateSpace(("s0", "s1", "s2")), vocab)
+
+
+def test_the_sweep_reads_parent_counts_once_per_reach_and_task(fx, monkeypatch):
+    # one `_parent_counts` call per (distinct Z_S, D) with two or more models,
+    # over every situation set of that reach in increasing order
+    calls = []
+    parent_counts = oracle._parent_counts
+
+    def recorded(s_masks, d, models, n):
+        calls.append((tuple(s_masks), d, tuple(models), n))
+        return parent_counts(s_masks, d, models, n)
+
+    monkeypatch.setattr(oracle, "_parent_counts", recorded)
+    for lang, n_calls in ((_three_state_language((1, 3, 5)), 31), (fx.lang, 44)):
+        ext = lang.extension_masks()
+        calls.clear()
+        oracle._sweep(ext)
+        expected = _multi_model_tasks_by_reach(ext)
+        assert len(calls) == len(expected) == n_calls
+        assert sorted(calls) == sorted(
+            (tuple(s_masks), d, tuple(models), len(ext))
+            for (_, d), (models, s_masks) in expected.items())
+
+
+def test_a_tie_broken_at_one_situation_set_is_a_violation_there_alone(monkeypatch):
+    # lower one weakness-maximal model's count at one situation set of a reach
+    # group, for every situation set of every multi-model task's group: the
+    # sweep must report that set, and no other, as the one violation
+    lang = _three_state_language((1, 3, 5))
+    ext = lang.extension_masks()
+    weak = [e.bit_count() for e in ext]
+    parent_counts = oracle._parent_counts
+    tasks = _multi_model_tasks_by_reach(ext)
+    assert max(len(s_masks) for _, s_masks in tasks.values()) > 2
+    checked = 0
+    for (_, d), (models, s_masks) in tasks.items():
+        w_max = max(weak[h] for h in models)
+        h = next(h for h in models if weak[h] == w_max)
+        best_h = models[1] if h == models[0] else models[0]
+        for i, target in enumerate(s_masks):
+            def tampered(ss, dd, mm, n):
+                cols = parent_counts(ss, dd, mm, n)
+                if dd == d and ss == s_masks:
+                    cols = [col[:] for col in cols]
+                    cols[mm.index(h)][i] -= 1
+                return cols
+
+            monkeypatch.setattr(oracle, "_parent_counts", tampered)
+            count = (1 << (len(ext) - target.bit_count())) - 2
+            assert oracle._sweep(ext)[2] == [(target, d, h, count - 1, best_h, count)]
+            checked += 1
+    assert checked == 133
+
+
 def test_an_antichain_sweep_holds_one_reach_group_at_a_time():
     # every situation set of an antichain has its own reach; the sweep holds
-    # the reach table and superset sums, not a grouping per reach
+    # the reach table, not a grouping per reach
     ext = [1 << i for i in range(14)]
     tracemalloc.start()
     try:
-        size, tasks, deviations, raw = oracle._sweep(ext)
+        size, tasks, raw = oracle._sweep(ext)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -443,7 +525,7 @@ def test_a_shared_sweep_rebuilds_violations_per_language(monkeypatch):
     def fake_sweep(ext):
         # one raw violation: S = D = {member 1}, weak model 0, best model 1
         calls.append(ext)
-        return 26, 5, 0, [(0b010, 0b010, 0, 1, 1, 2)]
+        return 26, 5, [(0b010, 0b010, 0, 1, 1, 2)]
 
     monkeypatch.setattr(oracle, "_sweep", fake_sweep)
     swept = {}
