@@ -196,16 +196,8 @@ def cmd_experiment(args) -> int:
         seed = str(random.SystemRandom().randrange(2**32))
         print(f"# entropy seed (pass --seed {seed} to replay)")
     budget = args.budget if args.budget is not None else arith.DEFAULT_NODE_BUDGET
-    report = arith.run_experiment(
-        ops,
-        args.dk,
-        trials=args.trials,
-        master_seed=seed,
-        mode=args.mode,
-        tau=args.tau,
-        budget=budget,
-        width=args.width,
-    )
+    report = arith.run_experiment(ops, args.dk, trials=args.trials, master_seed=seed,
+                                  mode=args.mode, tau=args.tau, budget=budget, width=args.width)
     print(report.to_table(), end="")
     if args.out:
         if args.format == "csv":
@@ -238,16 +230,15 @@ def cmd_verify(args) -> int:
         print(f"fixture: FAIL ({exc})")
         return EXIT_VIOLATION
     fmt = fx.lang.format_statement
-    out["fixture"] = {
+    fixture = out["fixture"] = {
         "models": [fmt(m) for m in fx.models],
         "weakness_winner": fmt(fx.weakness_winner),
         "mdl_winner": fmt(fx.mdl_winner),
         "weakness_values": {fmt(s): w for s, w in fx.weakness_values.items()},
         "passed": True,
     }
-    print(f"fixture: PASS models={out['fixture']['models']} "
-          f"weakness->{out['fixture']['weakness_winner']} "
-          f"mdl->{out['fixture']['mdl_winner']}")
+    print(f"fixture: PASS models={fixture['models']} "
+          f"weakness->{fixture['weakness_winner']} mdl->{fixture['mdl_winner']}")
 
     cap = args.max_members
     try:
@@ -259,28 +250,26 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return EXIT_CAPACITY
     try:
-        sweep: list = list(oracle.all_derived_languages(
-            min(args.max_states, 3), args.max_vocab
-        ))
+        sweep = [*oracle.all_derived_languages(min(args.max_states, 3), args.max_vocab)]
         if args.max_states > 3:
             sweep += oracle.sample_derived_languages(
                 4, 50, seed=args.seed, max_vocab=args.max_vocab + 1, max_members=cap)
     except CapacityError as exc:
         print(f"capacity: {exc}; lower --max-states/--max-vocab", file=sys.stderr)
         return EXIT_CAPACITY
-    out["fixture_language"] = {
-        "census": fx_report.census_size,
-        "tasks_checked": fx_report.tasks_checked,
-        "violations": len(fx_report.violations),
-    }
+    out["fixture_language"] = {"census": fx_report.census_size, "tasks_checked":
+                               fx_report.tasks_checked, "violations": len(fx_report.violations)}
 
-    reports, swept = [fx_report], {}  # then one record per language within the cap
-    for lang in sweep:  # a census repeated in this call is swept once
-        try:
-            reports.append(
-                oracle.verify_weakness_optimality(lang, max_members=cap, swept=swept))
-        except CapacityError:
-            continue
+    reports, swept, checked = [fx_report], {}, {}  # then one per language within the cap
+    for lang in sweep:  # a universe repeated in this call is checked once, a census swept once
+        if lang.rows not in checked:
+            try:
+                checked[lang.rows] = oracle.verify_weakness_optimality(
+                    lang, max_members=cap, swept=swept)
+            except CapacityError:
+                checked[lang.rows] = None
+        if rep := checked[lang.rows]:  # a copy naming this language's states and tables
+            reports.append(rep.of(lang))
     violations = [{"states": rep.states, "truth_tables": rep.truth_tables,
                    **({} if rep.universe is None else {"universe": rep.universe}),
                    **asdict(v)} for rep in reports for v in rep.violations]
@@ -326,14 +315,8 @@ def cmd_verify(args) -> int:
 
 
 def _prior_rows(lang) -> list[dict]:
-    return [
-        {
-            "anchor": lang.format_statement(r.anchor),
-            "family_size": len(r.members),
-            "total": str(r.total),
-        }
-        for r in oracle.prior_report(lang)
-    ]
+    return [{"anchor": lang.format_statement(r.anchor), "family_size": len(r.members),
+             "total": str(r.total)} for r in oracle.prior_report(lang)]
 
 
 def _verify_table(out: dict) -> str:
@@ -343,9 +326,7 @@ def _verify_table(out: dict) -> str:
         "violations={violation_count}".format(**out["optimality"]),
     ]
     for name, rows in out["prior_reports"].items():
-        lines.append(f"prior[{name}]:")
-        for r in rows:
-            lines.append(f"  {r['anchor']}: {r['total']}")
+        lines += [f"prior[{name}]:", *(f"  {r['anchor']}: {r['total']}" for r in rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -402,16 +383,11 @@ def cmd_induce(args) -> int:
     if args.format == "structured":
         print(structured, end="")
     else:
-        print(
-            f"task {args.task}: proxy={args.proxy}\n"
-            f"  model: {result['model']}\n"
-            f"  weakness: {result['weakness']}\n"
-            f"  description length: {result['description_length']}\n"
-            f"  generalisation probability: {_fmt_frac(gen_p)}\n"
-            f"  prior: {_fmt_frac(pri)}\n"
-            f"  (model set size {result['model_count']})\n",
-            end="",
-        )
+        print(f"task {args.task}: proxy={args.proxy}\n  model: {result['model']}\n"
+              f"  weakness: {result['weakness']}\n"
+              f"  description length: {result['description_length']}\n"
+              f"  generalisation probability: {_fmt_frac(gen_p)}\n  prior: {_fmt_frac(pri)}\n"
+              f"  (model set size {result['model_count']})\n", end="")
     if args.out and not _write_out(args.out, structured):
         return EXIT_IO
     return EXIT_OK

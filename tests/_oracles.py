@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from weaklab import (
-    CapacityError, Language, MembershipError, Statement, VTask, make_task, oracle,
+    CapacityError, Language, MembershipError, Predicate, Statement, StateSpace, VTask,
+    Vocabulary, make_task, oracle,
 )
 from weaklab.arith import BinOpTask
 from weaklab.lattice import EXPLICIT, row_members
@@ -67,6 +69,30 @@ def naive_derived_statements(tables: list[int], n_states: int) -> list[tuple[int
         for r in range(len(holding) + 1):
             found.update(itertools.combinations(holding, r))
     return sorted(found, key=lambda m: (len(m), m))
+
+
+def state_row_key(tables: tuple[int, ...], n_states: int) -> tuple[int, frozenset[int]]:
+    """The predicate count and the set of state rows, a state row being the
+    int with bit p set where predicate p holds at that state."""
+    rows = {sum(1 << p for p, t in enumerate(tables) if t >> state & 1)
+            for state in range(n_states)}
+    return len(tables), frozenset(rows)
+
+
+def sampler_draws(n_states: int, count: int, seed, max_vocab: int = 4,
+                  max_members: int = oracle.DEFAULT_MAX_MEMBERS) -> list[tuple[tuple, bool]]:
+    """Every draw of ``oracle.sample_derived_languages`` as (tables, kept), by
+    its random stream, each draw derived in full and kept by its size."""
+    rng = random.Random(f"weaklab-language-sample|{seed}|{n_states}")
+    space = StateSpace(tuple(f"s{i}" for i in range(n_states)))
+    draws, kept = [], 0
+    while kept < count:
+        k = rng.randint(1, min(max_vocab, 1 << n_states))
+        tables = tuple(sorted(rng.sample(range(1 << n_states), k)))
+        vocab = Vocabulary(tuple(Predicate(f"p{i}", t) for i, t in enumerate(tables)))
+        draws.append((tables, Language.derive(space, vocab).size <= max_members))
+        kept += draws[-1][1]
+    return draws
 
 
 def naive_predicate_masks(statements: list[tuple[int, ...]], n_predicates: int) -> list[int]:

@@ -140,3 +140,33 @@ def test_traced_experiment_renders_through_the_report(monkeypatch, tmp_path):
         finally:
             tracer.restore()
         assert [s.name for s in tracer.spans].count("arith.report") == 2, fmt
+
+
+def test_traced_verify_sweep_keeps_its_layer_spans(monkeypatch):
+    # the verify-sweep workload's per-layer metrics read `lattice.derive`
+    # spans, wrapped around both language generators, and
+    # `oracle.verify_weakness_optimality` spans that carry `tasks`; a refactor
+    # that derived or checked past those names would zero the metrics
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    worker = importlib.import_module("worker")
+
+    tracer = tracing.Tracer()
+    try:
+        worker.install_tracing(tracer)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--max-states", "4", "--max-vocab", "4",
+                             "--seed", "contract"]) == 0
+    finally:
+        tracer.restore()
+    derive = [s for s in tracer.spans if s.name == "lattice.derive"]
+    # one span per exhaustive language and one for the generator's end, then
+    # one for the sampler's call
+    assert len(derive) == 183 + 1 + 1
+    assert all(s.duration_ns > 0 for s in derive)
+    # the fixture language, then one check per universe; those over the
+    # member cap record their error instead
+    checks = [s.data for s in tracer.spans if s.name == "oracle.verify_weakness_optimality"]
+    tasks = [d["tasks"] for d in checks if "error" not in d]
+    assert len(tasks) > 1 and all(isinstance(n, int) for n in tasks) and sum(tasks) > 1520
+    assert len(tasks) + checks.count({"error": "CapacityError"}) == len(checks)

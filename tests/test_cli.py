@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -531,3 +533,89 @@ def test_induce_arith_parent_has_no_conjunctive_model(capsys):
     )
     assert code == 1
     assert "model set empty" in capsys.readouterr().out
+
+
+def _weighed_parent_counts(monkeypatch):
+    # the tamper of test_violations_keep_situation_order_through_the_reach_visit:
+    # each multi-model task's models ranked by weakness, weakest last, so that
+    # violations exist; the weakness is read per checked language
+    weak = []
+    parent_counts, verify = oracle._parent_counts, oracle.verify_weakness_optimality
+
+    def tampered(s_masks, d, models, n):
+        cols = parent_counts(s_masks, d, models, n)
+        return [[count - weak[h] for count in col] for h, col in zip(models, cols)]
+
+    def weighed(lang, *args, **kwargs):
+        weak[:] = [e.bit_count() for e in lang.extension_masks()]
+        return verify(lang, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_parent_counts", tampered)
+    monkeypatch.setattr(oracle, "verify_weakness_optimality", weighed)
+    return weighed
+
+
+def test_copied_reports_name_their_own_languages(tmp_path, monkeypatch):
+    # verify checks each statement universe once and gives every language of
+    # it a copy of that report: with violations present, every language's
+    # violations, states and truth tables are those of a fresh check of a
+    # fresh derive of it, report by report
+    from weaklab import CapacityError, Language
+
+    weighed = _weighed_parent_counts(monkeypatch)
+    monkeypatch.chdir(tmp_path)  # the reproducer file goes to the working directory
+    seed = "perfbench-3.1"
+    assert run_cli("verify", "--max-states", "4", "--max-vocab", "4", "--seed", seed,
+                   "--out", "v.json") == 1
+    data = json.loads((tmp_path / "v.json").read_text())
+    langs = [*oracle.all_derived_languages(3, 4),
+             *oracle.sample_derived_languages(4, 50, seed=seed, max_vocab=5)]
+    reports = [weighed(oracle.divergence_fixture().lang)]
+    for lang in langs:
+        try:
+            reports.append(weighed(Language.derive(lang.space, lang.vocab)))
+        except CapacityError:
+            continue
+    expected = [{"states": rep.states, "truth_tables": rep.truth_tables,
+                 **({} if rep.universe is None else {"universe": rep.universe}),
+                 **dataclasses.asdict(v)} for rep in reports for v in rep.violations]
+    opt = data["optimality"]
+    assert opt["violations"] == json.loads(json.dumps(expected))
+    assert opt["tasks_checked"] == sum(rep.tasks_checked for rep in reports)
+    assert opt["languages_checked"] == len(reports) - 1 == 217
+    # 17,337 violations name 207 languages, which share 44 universes
+    named = {(v["states"], tuple(v["truth_tables"])) for v in opt["violations"]}
+    assert (len(opt["violations"]), len(named), len({lang.rows for lang in langs})) == (
+        17337, 207, 44)
+
+
+def test_verify_derives_and_checks_each_universe_once(monkeypatch, capsys):
+    # one `verify --max-states 4 --max-vocab 4` call derives each key, the
+    # predicate count and the set of state rows, once per generator call and
+    # checks each statement universe once; the keys are counted by brute force
+    # over the exhaustive languages and every sampler draw
+    from _oracles import sampler_draws, state_row_key
+    from weaklab import Language
+
+    seed = "perfbench-1.3"
+    exhaustive = [(tables, n) for n in range(1, 4)
+                  for k in range(5) for tables in itertools.combinations(range(1 << n), k)]
+    draws = [tables for tables, _ in sampler_draws(4, 50, seed, max_vocab=5)]
+    keys = ({state_row_key(t, n) for t, n in exhaustive}, {state_row_key(t, 4) for t in draws})
+    universes = {lang.rows for lang in [
+        *oracle.all_derived_languages(3, 4),
+        *oracle.sample_derived_languages(4, 50, seed=seed, max_vocab=5)]}
+    derives, checks = [], []
+    derive, verify = Language.derive.__func__, oracle.verify_weakness_optimality
+    monkeypatch.setattr(Language, "derive", classmethod(
+        lambda cls, *a, **k: derives.append(a[1]) or derive(cls, *a, **k)))
+    monkeypatch.setattr(oracle, "verify_weakness_optimality",
+                        lambda lang, **k: checks.append(lang) or verify(lang, **k))
+    assert run_cli("verify", "--max-states", "4", "--max-vocab", "4", "--seed", seed) == 0
+    assert "optimality: 217 languages" in capsys.readouterr().out
+    # one derive per key, plus the two-state language's for the prior report
+    assert (len(exhaustive), len(draws)) == (183, 67)
+    assert [len(k) for k in keys] == [66, 48]
+    assert len(derives) == 66 + 48 + 1
+    # the fixture language, then one check per universe, over the cap or not
+    assert len(checks) == 1 + len(universes) and len(universes) == 43

@@ -20,6 +20,7 @@ from weaklab import (
     oracle,
 )
 from weaklab.induction import generalisation_probability
+from weaklab.lattice import DEFAULT_LANGUAGE_CAP
 from conftest import random_language
 from _oracles import (
     CENSUS_CAP,
@@ -32,6 +33,8 @@ from _oracles import (
     naive_census_count,
     naive_extension,
     per_task_optimality,
+    sampler_draws,
+    state_row_key,
     walk_census_tasks,
 )
 
@@ -564,6 +567,71 @@ def test_sampling_deterministic():
     assert all(census_size(l) <= CENSUS_CAP for l in a)
     assert all(l.size <= oracle.DEFAULT_MAX_MEMBERS for l in a)
 
+
+
+def _assert_fresh(lang):
+    # equal space, vocabulary, mode and rows, and the same predicate masks,
+    # which the dataclass equality leaves out
+    fresh = oracle.Language.derive(lang.space, lang.vocab)
+    assert lang == fresh and lang._pred == fresh._pred
+
+
+def test_generated_languages_equal_fresh_derives():
+    # the generators derive each key (predicate count, set of state rows)
+    # once per call and build the later languages of a key from the first
+    # one's rows and predicate masks
+    langs = [*oracle.all_derived_languages(3, 4), *itertools.chain.from_iterable(
+        oracle.sample_derived_languages(4, 50, seed=seed, max_vocab=5)
+        for seed in ("weaklab-verify", "perfbench-3.1", "x7"))]
+    assert len(langs) == 183 + 3 * 50
+    for lang in langs:
+        _assert_fresh(lang)
+    # one rows tuple per key within each call: fewer derives than languages
+    exhaustive = langs[:183]
+    assert len({id(lang.rows) for lang in exhaustive}) == len({
+        state_row_key(tuple(p.truth for p in lang.vocab), lang.space.size)
+        for lang in exhaustive}) == 66
+
+
+def test_no_predicates_and_a_false_predicate_keep_their_own_masks():
+    # on one state, tables () and (0,) both derive the rows (0,): the empty
+    # statement only.  Their state rows are equal as ints, their predicate
+    # counts are not, so they share no vocabulary and no predicate masks
+    none, false, true = oracle.all_derived_languages(1, 1)
+    assert [p.truth for p in false.vocab] == [0] and [p.truth for p in true.vocab] == [1]
+    assert none.rows == false.rows == (0,) and true.rows == (0, 1)
+    assert (none._pred, false._pred, true._pred) == ([], [0], [0b10])
+    assert len(none.vocab) == 0 and none.vocab != false.vocab
+    for lang in (none, false, true):
+        _assert_fresh(lang)
+    # a space of no states has no state rows: no rows with no predicates or
+    # with the one table there is, and each keeps its own predicate masks
+    universes = oracle._Universes()
+    langs = [universes.language(StateSpace(states), tables)
+             for states, tables in (((), ()), ((), (0,)), (("s0",), ()))]
+    assert [(lang.rows, lang._pred) for lang in langs] == [((), []), ((), [0]), ((0,), [])]
+    assert len(universes) == 3
+
+
+@pytest.mark.parametrize("max_members", [oracle.DEFAULT_MAX_MEMBERS, 4])
+@pytest.mark.parametrize("seed", ["weaklab-verify", "perfbench-3.1", "x7"])
+def test_sampler_keeps_the_draws_a_full_derive_keeps(monkeypatch, seed, max_members):
+    # a draw's derive stops past max_members, and a key seen before, kept or
+    # not, is not derived again; the kept draws are those that a full derive
+    # of every draw keeps by size.  At 4 members some refused keys recur
+    draws = sampler_draws(4, 50, seed, max_vocab=5, max_members=max_members)
+    caps = []
+    derive = oracle.Language.derive.__func__
+    monkeypatch.setattr(oracle.Language, "derive", classmethod(
+        lambda cls, space, vocab, cap=DEFAULT_LANGUAGE_CAP: caps.append(cap)
+        or derive(cls, space, vocab, cap)))
+    langs = oracle.sample_derived_languages(4, 50, seed=seed, max_vocab=5,
+                                            max_members=max_members)
+    assert [tuple(p.truth for p in lang.vocab) for lang in langs] == [t for t, ok in draws if ok]
+    keys = [state_row_key(tables, 4) for tables, _ in draws]
+    refused = [key for key, (_, ok) in zip(keys, draws) if not ok]
+    assert caps == [max_members] * len(set(keys))
+    assert len(set(refused)) < len(refused) or max_members == oracle.DEFAULT_MAX_MEMBERS
 
 # ---------------------------------------------------------------------------
 # fixtures and prior report
