@@ -31,7 +31,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 
-from . import arith, induction, oracle, specdsl
+from . import arith, induction, lattice, oracle, specdsl
 from .errors import CapacityError, FixtureError, NoModelError
 
 EXIT_OK = 0
@@ -260,7 +260,7 @@ def cmd_verify(args) -> int:
     out["fixture_language"] = {"census": fx_report.census_size, "tasks_checked":
                                fx_report.tasks_checked, "violations": len(fx_report.violations)}
 
-    reports, swept, checked = [fx_report], {}, {}  # then one per language within the cap
+    reports, swept, checked = [(fx.lang, fx_report)], {}, {}  # (language, its report) pairs
     for lang in sweep:  # a universe repeated in this call is checked once, a census swept once
         if lang.rows not in checked:
             try:
@@ -268,15 +268,18 @@ def cmd_verify(args) -> int:
                     lang, max_members=cap, swept=swept)
             except CapacityError:
                 checked[lang.rows] = None
-        if rep := checked[lang.rows]:  # a copy naming this language's states and tables
-            reports.append(rep.of(lang))
-    violations = [{"states": rep.states, "truth_tables": rep.truth_tables,
-                   **({} if rep.universe is None else {"universe": rep.universe}),
-                   **asdict(v)} for rep in reports for v in rep.violations]
+        if rep := checked[lang.rows]:  # one report shared by the languages of a universe
+            reports.append((lang, rep))
+    violations = []  # each language's labels on its universe's violations
+    for lang, rep in [(lang, rep) for lang, rep in reports if rep.violations]:
+        label = {"states": lang.space.size, "truth_tables": tuple(p.truth for p in lang.vocab)}
+        if lang.mode == lattice.EXPLICIT:
+            label["universe"] = tuple(map(lattice.row_members, lang.rows))
+        violations += [{**label, **asdict(v)} for v in rep.violations]
     out["optimality"] = {
         "languages_checked": len(reports) - 1,
         "languages_skipped_over_cap": len(sweep) + 1 - len(reports),
-        "tasks_checked": sum(rep.tasks_checked for rep in reports),
+        "tasks_checked": sum(rep.tasks_checked for _, rep in reports),
         "violations": violations,
         "violation_count": len(violations),
     }

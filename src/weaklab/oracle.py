@@ -11,14 +11,12 @@ grouped by reach, one group alive at a time, and reads each multi-model
 task's per-model parent counts for the whole group in one ``_parent_counts``
 call (``_sweep``).  So the cap counts members: a language of more than
 ``max_members`` (default 10, at most ``MAX_MEMBERS``) is refused before its
-masks are built.  Each language yields one ``OptimalityReport``: state count
-and truth tables (which rebuild a derived language), the listed universe of
-an explicit language, census size, tasks checked, and violations in its own
-members; only the first two differ within one statement universe, and
-``OptimalityReport.of`` copies a report to another language of it.  The
-generators derive each key (predicate count, set of state rows) once per
-call: ``verify --max-states 4 --max-vocab 4`` makes a median 112 derives
-and 44 checks, not one per language or draw (250) and one per language (233).
+masks are built.  A report is per statement universe: census size, tasks
+checked and violations in its members, the same for every language of it;
+the labels that rebuild a language (state count, truth tables, an explicit
+language's listed universe) are per language, and ``verify`` reads them off
+the language.  The generators derive each key (predicate count, set of state
+rows) once per call, and ``verify`` checks each universe once.
 
 Also home of the two built-in fixtures: the two-state language, and the
 explicit-universe language on which the two proxies pick different models.
@@ -44,7 +42,6 @@ from .induction import (
 from .lattice import (
     DEFAULT_LANGUAGE_CAP,
     DERIVED,
-    EXPLICIT,
     Language,
     Predicate,
     StateSpace,
@@ -108,19 +105,11 @@ class Violation:
 
 @dataclass
 class OptimalityReport:
-    states: int
-    truth_tables: tuple[int, ...]
-    universe: tuple[tuple[int, ...], ...] | None  # listed members, explicit only
+    """What a census decides: a function of the statement universe alone."""
+
     census_size: int
     tasks_checked: int
     violations: list[Violation]
-
-    def of(self, lang: Language) -> "OptimalityReport":
-        """A copy for ``lang``, a language of the same statement universe: its
-        own states, truth tables and violation list."""
-        tables = tuple(p.truth for p in lang.vocab)
-        return OptimalityReport(lang.space.size, tables, self.universe, self.census_size,
-                                self.tasks_checked, self.violations[:])
 
 
 def verify_weakness_optimality(
@@ -140,10 +129,8 @@ def verify_weakness_optimality(
     if (key := tuple(ext)) not in swept:
         swept[key] = _sweep(ext)
     size, tasks, raw = swept[key]
-    tables = tuple(p.truth for p in lang.vocab)
-    universe = tuple(map(row_members, lang.rows)) if lang.mode == EXPLICIT else None
-    rep = OptimalityReport(lang.space.size, tables, universe, size, tasks, [])
-    for s_mask, d, h, count, best_h, best in raw:  # a fresh list, this language's members
+    rep = OptimalityReport(size, tasks, [])
+    for s_mask, d, h, count, best_h, best in raw:  # a fresh list, this universe's members
         rep.violations.append(Violation(
             tuple(s.members for s in lang.statements_of(s_mask)),
             tuple(s.members for s in lang.statements_of(d)),

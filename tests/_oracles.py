@@ -33,7 +33,7 @@ from weaklab import (
     Vocabulary, make_task, oracle,
 )
 from weaklab.arith import BinOpTask
-from weaklab.lattice import EXPLICIT, row_members
+from weaklab.lattice import row_members
 from weaklab.oracle import OptimalityReport, Violation
 from weaklab.specdsl import And, BitRef, Not
 
@@ -335,11 +335,7 @@ def per_task_optimality(
     """The weakness-optimality check one ``census_tasks`` record at a time:
     every task takes the violation test, whatever its number of models."""
     records = census_tasks(lang, census_cap)
-    tables = tuple(p.truth for p in lang.vocab)
-    universe = tuple(map(row_members, lang.rows)) if lang.mode == EXPLICIT else None
-    rep = OptimalityReport(
-        lang.space.size, tables, universe, census_size(lang, census_cap), 0, []
-    )
+    rep = OptimalityReport(census_size(lang, census_cap), 0, [])
     weak = [e.bit_count() for e in lang.extension_masks()]
     for task in records:
         rep.tasks_checked += 1

@@ -113,16 +113,16 @@ def test_criterion_3_theorem_oracle(tmp_path):
     reports = [oracle.verify_weakness_optimality(lang) for lang in langs + sampled]
     tasks_checked = sum(rep.tasks_checked for rep in reports)
     elapsed = time.time() - t0
-    violations = [rep for rep in reports if rep.violations]
+    violations = [(lang, rep) for lang, rep in zip(langs + sampled, reports) if rep.violations]
     if violations:
         path = tmp_path / "violations.json"
         payload = [
             {
-                "states": rep.states,
-                "truth_tables": rep.truth_tables,
+                "states": lang.space.size,
+                "truth_tables": [p.truth for p in lang.vocab],
                 "violations": [dataclasses.asdict(v) for v in rep.violations],
             }
-            for rep in violations
+            for lang, rep in violations
         ]
         path.write_text(json.dumps(payload, indent=2, default=str))
         _report(3, False, f"violations; reproducer at {path}")

@@ -555,12 +555,12 @@ def _weighed_parent_counts(monkeypatch):
     return weighed
 
 
-def test_copied_reports_name_their_own_languages(tmp_path, monkeypatch):
-    # verify checks each statement universe once and gives every language of
-    # it a copy of that report: with violations present, every language's
-    # violations, states and truth tables are those of a fresh check of a
-    # fresh derive of it, report by report
-    from weaklab import CapacityError, Language
+def test_violations_name_their_own_languages(tmp_path, monkeypatch):
+    # verify checks each statement universe once and shares that report among
+    # the languages of it: with violations present, every language's
+    # violations are those of a fresh check of a fresh derive of it, labelled
+    # with that language's states, truth tables and, if explicit, universe
+    from weaklab import CapacityError, Language, lattice
 
     weighed = _weighed_parent_counts(monkeypatch)
     monkeypatch.chdir(tmp_path)  # the reproducer file goes to the working directory
@@ -570,23 +570,47 @@ def test_copied_reports_name_their_own_languages(tmp_path, monkeypatch):
     data = json.loads((tmp_path / "v.json").read_text())
     langs = [*oracle.all_derived_languages(3, 4),
              *oracle.sample_derived_languages(4, 50, seed=seed, max_vocab=5)]
-    reports = [weighed(oracle.divergence_fixture().lang)]
+    fixture = oracle.divergence_fixture().lang
+    checked = [(fixture, weighed(fixture))]
     for lang in langs:
         try:
-            reports.append(weighed(Language.derive(lang.space, lang.vocab)))
+            fresh = Language.derive(lang.space, lang.vocab)
+            checked.append((fresh, weighed(fresh)))
         except CapacityError:
             continue
-    expected = [{"states": rep.states, "truth_tables": rep.truth_tables,
-                 **({} if rep.universe is None else {"universe": rep.universe}),
-                 **dataclasses.asdict(v)} for rep in reports for v in rep.violations]
+
+    def label(lang):
+        universe = {"universe": [*map(lattice.row_members, lang.rows)]}
+        return {"states": lang.space.size, "truth_tables": [p.truth for p in lang.vocab],
+                **(universe if lang.mode == lattice.EXPLICIT else {})}
+
+    expected = [{**label(lang), **dataclasses.asdict(v)}
+                for lang, rep in checked for v in rep.violations]
     opt = data["optimality"]
     assert opt["violations"] == json.loads(json.dumps(expected))
-    assert opt["tasks_checked"] == sum(rep.tasks_checked for rep in reports)
-    assert opt["languages_checked"] == len(reports) - 1 == 217
+    assert opt["tasks_checked"] == sum(rep.tasks_checked for _, rep in checked)
+    assert opt["languages_checked"] == len(checked) - 1 == 217
     # 17,337 violations name 207 languages, which share 44 universes
     named = {(v["states"], tuple(v["truth_tables"])) for v in opt["violations"]}
     assert (len(opt["violations"]), len(named), len({lang.rows for lang in langs})) == (
         17337, 207, 44)
+
+
+def test_a_report_is_a_function_of_its_universe(monkeypatch):
+    # a report holds only what the census decides, so fresh checks of the
+    # languages of one statement universe give equal reports, violations too
+    from weaklab import CapacityError
+
+    weighed = _weighed_parent_counts(monkeypatch)
+    groups = {}
+    for lang in [*oracle.all_derived_languages(3, 4),
+                 *oracle.sample_derived_languages(4, 50, seed="perfbench-3.1", max_vocab=5)]:
+        with contextlib.suppress(CapacityError):
+            rep = weighed(lang)
+            groups.setdefault(lang.rows, []).append(rep)
+    assert any(len(reps) > 1 and reps[0].violations for reps in groups.values())
+    for reps in groups.values():
+        assert reps.count(reps[0]) == len(reps)
 
 
 def test_verify_derives_and_checks_each_universe_once(monkeypatch, capsys):
@@ -611,6 +635,8 @@ def test_verify_derives_and_checks_each_universe_once(monkeypatch, capsys):
         lambda cls, *a, **k: derives.append(a[1]) or derive(cls, *a, **k)))
     monkeypatch.setattr(oracle, "verify_weakness_optimality",
                         lambda lang, **k: checks.append(lang) or verify(lang, **k))
+    reports, report = [], oracle.OptimalityReport
+    monkeypatch.setattr(oracle, "OptimalityReport", lambda *a: reports.append(a) or report(*a))
     assert run_cli("verify", "--max-states", "4", "--max-vocab", "4", "--seed", seed) == 0
     assert "optimality: 217 languages" in capsys.readouterr().out
     # one derive per key, plus the two-state language's for the prior report
@@ -619,3 +645,6 @@ def test_verify_derives_and_checks_each_universe_once(monkeypatch, capsys):
     assert len(derives) == 66 + 48 + 1
     # the fixture language, then one check per universe, over the cap or not
     assert len(checks) == 1 + len(universes) and len(universes) == 43
+    # one report per universe within the cap (36 of the 43), shared by its
+    # languages: no per-language copy
+    assert len(reports) == 1 + 36

@@ -6,7 +6,7 @@ import os
 from conftest import SRC_DIR
 
 # `wc -l src/weaklab/*.py` may not rise above this
-SRC_LINE_CEILING = 2949
+SRC_LINE_CEILING = 2939
 
 
 def test_sources_stay_under_the_line_ceiling():
